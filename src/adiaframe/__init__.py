@@ -11,8 +11,7 @@ and entropy audits of projective events round out the toolkit.
 __version__ = "0.1.0"
 
 from .dynamics import (ApparatusState, DynamicsScenario, EnergyLedger,
-                       FrictionSpec, QuantumState, Trajectory,
-                       accumulate_ledger, classical_step_branch, quantum_step,
+                       FrictionSpec, QuantumState, Trajectory, quantum_step,
                        run_branching, run_driven, run_mean_force,
                        sample_branch_counts, time_averaged_diabatic_force,
                        uniform_drive)
@@ -47,9 +46,9 @@ __all__ = [
     "__version__",
     # dynamics
     "ApparatusState", "DynamicsScenario", "EnergyLedger", "FrictionSpec",
-    "QuantumState", "Trajectory", "accumulate_ledger", "classical_step_branch",
-    "quantum_step", "run_branching", "run_driven", "run_mean_force",
-    "sample_branch_counts", "time_averaged_diabatic_force", "uniform_drive",
+    "QuantumState", "Trajectory", "quantum_step", "run_branching", "run_driven",
+    "run_mean_force", "sample_branch_counts", "time_averaged_diabatic_force",
+    "uniform_drive",
     # entropy
     "ProjectorFamily", "entropy_delta", "entropy_series", "haar_unitary",
     "max_entropy_drift", "project", "projected_diabatic_force",

@@ -16,6 +16,7 @@ pass, 1 when any check fails, 2 on configuration or runtime errors.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
@@ -28,7 +29,8 @@ import numpy as np
 from . import __version__
 from .dynamics import (ApparatusState, DynamicsScenario, FrictionSpec,
                        QuantumState, run_branching, run_driven, run_mean_force,
-                       time_averaged_diabatic_force, uniform_drive)
+                       sample_branch_counts, time_averaged_diabatic_force,
+                       uniform_drive)
 from .entropy import (ProjectorFamily, entropy_delta, entropy_series, project,
                       projected_diabatic_force, random_density_matrix,
                       von_neumann_entropy)
@@ -44,65 +46,82 @@ _MODES = ("branching", "sampled", "mean_force")
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config rules
+#
+# One table per config block maps each field to (rule, default).  A rule is a
+# check ``rule(value, path, root)`` on the field's value, a nested table for an
+# object, or a one-entry list holding the table of each element of a non-empty
+# array.  The default is written into the config when the field is absent:
+# _REQUIRED makes the field mandatory, None leaves it out, and a callable
+# chooses the default from the config.  Lengths named "coords" or "dim" are
+# read from the config's family block, which is checked first.
 
 
-def _err(message, field=None, line=None, column=None):
-    raise ConfigError(message, field=field, line=line, column=column)
+_REQUIRED = object()
 
 
-def _get(cfg: dict, field: str, types, *, default=None, required=False, where=""):
-    path = f"{where}.{field}" if where else field
-    if field not in cfg:
-        if required:
-            _err("missing required field", field=path)
-        if default is not None:
-            cfg[field] = default      # materialize defaults: parse is idempotent
-        return default
-    val = cfg[field]
-    if types is not None and not isinstance(val, types):
-        _err(f"expected {getattr(types, '__name__', types)}, got {type(val).__name__}",
-             field=path)
-    return val
+def _err(message, field=None):
+    raise ConfigError(message, field=field)
 
 
-def _number(cfg, field, *, where="", required=False, default=None, positive=False):
-    val = _get(cfg, field, (int, float), required=required, default=default, where=where)
-    if val is None:
-        return None
-    if isinstance(val, bool):
-        _err("expected a number, got a boolean", field=f"{where}.{field}" if where else field)
-    val = float(val)
-    if positive and val <= 0.0:
-        _err("must be positive", field=f"{where}.{field}" if where else field)
-    return val
+def _size(root, n):
+    return root["family"][n] if isinstance(n, str) else n
 
 
-def _int(cfg, field, *, where="", required=False, default=None, minimum=None):
-    val = _get(cfg, field, int, required=required, default=default, where=where)
-    if val is None:
-        return None
-    if isinstance(val, bool):
-        _err("expected an integer, got a boolean", field=f"{where}.{field}" if where else field)
-    if minimum is not None and val < minimum:
-        _err(f"must be >= {minimum}", field=f"{where}.{field}" if where else field)
-    return int(val)
+def _number(positive=False):
+    def rule(val, path, root):
+        if not isinstance(val, (int, float)) or isinstance(val, bool):
+            _err(f"expected a number, got {type(val).__name__}", path)
+        if positive and val <= 0.0:
+            _err("must be positive", path)
+    return rule
 
 
-def _vector(cfg, field, *, where="", required=False, default=None, length=None):
-    val = _get(cfg, field, list, required=required, default=default, where=where)
-    if val is None:
-        return None
-    path = f"{where}.{field}" if where else field
-    try:
-        arr = np.asarray(val, dtype=float)
-    except (TypeError, ValueError):
-        _err("expected an array of numbers", field=path)
-    if arr.ndim != 1:
-        _err("expected a flat array", field=path)
-    if length is not None and arr.shape[0] != length:
-        _err(f"expected length {length}, got {arr.shape[0]}", field=path)
-    return arr
+def _integer(minimum):
+    def rule(val, path, root):
+        if not isinstance(val, int) or isinstance(val, bool):
+            _err(f"expected an integer, got {type(val).__name__}", path)
+        if val < minimum:
+            _err(f"must be >= {minimum}", path)
+    return rule
+
+
+def _choice(options):
+    def rule(val, path, root):
+        if val not in options:
+            _err(f"unknown {path} {val!r}; expected one of {list(options)}", path)
+    return rule
+
+
+def _floats(val, path):
+    if isinstance(val, list):
+        try:
+            return np.asarray(val, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    _err("expected an array of numbers", path)
+
+
+def _vector(length):
+    def rule(val, path, root):
+        arr, n = _floats(val, path), _size(root, length)
+        if arr.ndim != 1:
+            _err("expected a flat array", path)
+        if arr.shape[0] != n:
+            _err(f"expected length {n}, got {arr.shape[0]}", path)
+    return rule
+
+
+def _square(n):
+    def rule(val, path, root):
+        m = _size(root, n)
+        if _floats(val, path).shape != (m, m):
+            _err(f"expected a {m} x {m} matrix", path)
+    return rule
+
+
+def _mass(val, path, root):
+    (_square("coords") if isinstance(val, list) else _number(positive=True))(val, path, root)
 
 
 def _complex_matrix(raw, path):
@@ -116,142 +135,19 @@ def _complex_matrix(raw, path):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _check_keys(cfg: dict, allowed, where: str, strict: bool):
-    unknown = sorted(set(cfg) - set(allowed))
-    if not unknown:
-        return
-    label = where or "top level"
-    if strict:
-        _err(f"unknown field(s) {unknown} in {label}", field=unknown[0] if not where
-             else f"{where}.{unknown[0]}")
-    warnings.warn(f"ignoring unknown config field(s) {unknown} in {label}", stacklevel=3)
+def _hermitian(val, path, root):
+    mat, dim = _complex_matrix(val, path), root["family"]["dim"]
+    if mat.shape != (dim, dim):
+        _err(f"matrix must be {dim} x {dim}", path)
+    if np.abs(mat - mat.conj().T).max() > 1e-12 * max(1.0, np.abs(mat).max()):
+        _err("matrix must be Hermitian", path)
 
 
-def parse_config(source, *, strict: bool = True) -> dict:
-    """Validate a scenario config given as JSON text or a dict.
-
-    Unknown fields raise in strict mode and warn otherwise; structural and
-    type errors always raise :class:`ConfigError` naming the field (and the
-    line/column for JSON syntax problems).
-    """
-    if isinstance(source, (bytes, str)):
-        try:
-            cfg = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc.msg}", line=exc.lineno,
-                              column=exc.colno) from None
-    elif isinstance(source, dict):
-        cfg = json.loads(json.dumps(source))
-    else:
-        _err(f"config must be a JSON object, got {type(source).__name__}")
-    if not isinstance(cfg, dict):
-        _err("config must be a JSON object")
-
-    kind = _get(cfg, "kind", str, required=True)
-    if kind not in _KINDS:
-        _err(f"unknown kind {kind!r}; expected one of {list(_KINDS)}", field="kind")
-    _int(cfg, "seed", minimum=0, default=0)
-
-    top_allowed = {"kind", "seed"}
-    if kind == "stern_gerlach":
-        top_allowed |= {"mode", "stern_gerlach"}
-        _validate_mode(cfg)
-        _validate_sg(_get(cfg, "stern_gerlach", dict, default={}), strict)
-    elif kind == "custom_family":
-        top_allowed |= {"mode", "family", "apparatus", "state", "friction", "run",
-                        "drive", "velocity_scales", "n_samples"}
-        _validate_mode(cfg)
-        _int(cfg, "n_samples", minimum=1)
-        fam_cfg = _get(cfg, "family", dict, required=True)
-        coords, dim = _validate_family(fam_cfg, strict)
-        if "drive" in cfg:
-            _validate_drive(_get(cfg, "drive", dict, required=True), coords, strict)
-            _validate_scales(cfg)
-        else:
-            _validate_apparatus(_get(cfg, "apparatus", dict, required=True), coords, strict)
-            _validate_run(_get(cfg, "run", dict, required=True), strict)
-            if "velocity_scales" in cfg:
-                _err("velocity_scales requires a drive block", field="velocity_scales")
-        _validate_state(_get(cfg, "state", dict, required=True), dim, strict)
-        if "friction" in cfg:
-            _validate_friction(_get(cfg, "friction", dict, required=True), coords, strict)
-    elif kind == "thermo_curve":
-        top_allowed |= {"family", "thermo"}
-        fam_cfg = _get(cfg, "family", dict, required=True)
-        coords, _ = _validate_family(fam_cfg, strict)
-        _validate_thermo(_get(cfg, "thermo", dict, required=True), coords, strict)
-    elif kind == "kubo":
-        top_allowed |= {"family", "kubo"}
-        fam_cfg = _get(cfg, "family", dict, required=True)
-        coords, _ = _validate_family(fam_cfg, strict)
-        _validate_kubo(_get(cfg, "kubo", dict, required=True), coords, strict)
-    else:  # entropy_audit
-        top_allowed |= {"family", "state", "drive", "event", "n_samples"}
-        _int(cfg, "n_samples", minimum=1)
-        fam_cfg = _get(cfg, "family", dict, required=True)
-        coords, dim = _validate_family(fam_cfg, strict)
-        _validate_state(_get(cfg, "state", dict, required=True), dim, strict)
-        drive = _get(cfg, "drive", dict, required=True)
-        _validate_drive(drive, coords, strict)
-        _validate_event(_get(cfg, "event", dict, required=True), dim,
-                        int(drive["steps"]), strict)
-
-    _check_keys(cfg, top_allowed, "", strict)
-    return cfg
-
-
-def _validate_mode(cfg):
-    mode = _get(cfg, "mode", str, default="branching")
-    if mode not in _MODES:
-        _err(f"unknown mode {mode!r}; expected one of {list(_MODES)}", field="mode")
-
-
-def _validate_sg(sg: dict, strict):
-    where = "stern_gerlach"
-    _number(sg, "gamma", where=where, positive=True, default=1.0)
-    _number(sg, "field_strength", where=where, default=1.0)
-    _number(sg, "field_gradient", where=where, default=0.5)
-    _number(sg, "mass", where=where, positive=True, default=1.0)
-    _vector(sg, "r0", where=where, length=3)
-    _vector(sg, "v0", where=where, length=3)
-    _number(sg, "duration", where=where, positive=True, default=1.0)
-    _int(sg, "steps", where=where, minimum=1, default=400)
-    _int(sg, "record_every", where=where, minimum=1, default=1)
-    _int(sg, "n_samples", where=where, minimum=1)
-    if "amplitudes" in sg:
-        amps = _get(sg, "amplitudes", list, where=where, required=True)
-        if len(amps) != 2:
-            _err("expected 2 amplitude pairs", field=f"{where}.amplitudes")
-        _parse_amplitudes(amps, f"{where}.amplitudes")
-    _check_keys(sg, {"gamma", "field_strength", "field_gradient", "mass", "r0", "v0",
-                     "duration", "steps", "record_every", "n_samples", "amplitudes"},
-                where, strict)
-
-
-def _validate_family(fam: dict, strict):
-    where = "family"
-    coords = _int(fam, "coords", where=where, required=True, minimum=1)
-    dim = _int(fam, "dim", where=where, required=True, minimum=1)
-    terms = _get(fam, "terms", list, where=where, required=True)
-    if not terms:
-        _err("family needs at least one term", field=f"{where}.terms")
-    for i, term in enumerate(terms):
-        tw = f"{where}.terms[{i}]"
-        if not isinstance(term, dict):
-            _err("each term must be an object", field=tw)
-        exps = _get(term, "exponents", list, where=tw, required=True)
-        if len(exps) != coords or not all(isinstance(p, int) and not isinstance(p, bool)
-                                          and p >= 0 for p in exps):
-            _err(f"exponents must be {coords} nonnegative integers", field=f"{tw}.exponents")
-        raw = _get(term, "matrix", list, where=tw, required=True)
-        mat = _complex_matrix(raw, f"{tw}.matrix")
-        if mat.shape != (dim, dim):
-            _err(f"matrix must be {dim} x {dim}", field=f"{tw}.matrix")
-        if np.abs(mat - mat.conj().T).max() > 1e-12 * max(1.0, np.abs(mat).max()):
-            _err("matrix must be Hermitian", field=f"{tw}.matrix")
-        _check_keys(term, {"exponents", "matrix"}, tw, strict)
-    _check_keys(fam, {"coords", "dim", "terms"}, where, strict)
-    return coords, dim
+def _exponents(val, path, root):
+    n = root["family"]["coords"]
+    if not (isinstance(val, list) and len(val) == n
+            and all(isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in val)):
+        _err(f"exponents must be {n} nonnegative integers", path)
 
 
 def _parse_amplitudes(raw, path):
@@ -268,127 +164,167 @@ def _parse_amplitudes(raw, path):
     return c
 
 
-def _validate_state(state: dict, dim: int, strict):
-    where = "state"
-    given = [k for k in ("amplitudes", "populations", "random") if k in state]
-    if len(given) != 1:
-        _err("state needs exactly one of amplitudes, populations, random", field=where)
-    if "amplitudes" in state:
-        amps = _get(state, "amplitudes", list, where=where, required=True)
-        if len(amps) != dim:
-            _err(f"expected {dim} amplitude pairs", field=f"{where}.amplitudes")
-        _parse_amplitudes(amps, f"{where}.amplitudes")
-    elif "populations" in state:
-        pops = _vector(state, "populations", where=where, required=True, length=dim)
-        if np.any(pops < 0.0) or abs(pops.sum() - 1.0) > 1e-8:
-            _err("populations must be nonnegative and sum to 1", field=f"{where}.populations")
-    else:
-        if state["random"] is not True:
-            _err("random must be true when present", field=f"{where}.random")
-    _check_keys(state, {"amplitudes", "populations", "random"}, where, strict)
+def _amplitudes(length):
+    def rule(val, path, root):
+        n = _size(root, length)
+        if not isinstance(val, list) or len(val) != n:
+            _err(f"expected {n} amplitude pairs", path)
+        _parse_amplitudes(val, path)
+    return rule
 
 
-def _validate_apparatus(app: dict, coords: int, strict):
-    where = "apparatus"
-    _vector(app, "x0", where=where, required=True, length=coords)
-    _vector(app, "v0", where=where, required=True, length=coords)
-    mass = app.get("mass", 1.0)
-    if isinstance(mass, (int, float)) and not isinstance(mass, bool):
-        if float(mass) <= 0.0:
-            _err("must be positive", field=f"{where}.mass")
-    elif isinstance(mass, list):
-        arr = np.asarray(mass, dtype=float) if _is_numeric_nested(mass) else None
-        if arr is None or arr.shape != (coords, coords):
-            _err(f"mass matrix must be {coords} x {coords}", field=f"{where}.mass")
-    else:
-        _err("mass must be a number or a matrix", field=f"{where}.mass")
-    _check_keys(app, {"x0", "v0", "mass"}, where, strict)
+def _populations(val, path, root):
+    _vector("dim")(val, path, root)
+    pops = np.asarray(val, dtype=float)
+    if np.any(pops < 0.0) or abs(pops.sum() - 1.0) > 1e-8:
+        _err("populations must be nonnegative and sum to 1", path)
 
 
-def _is_numeric_nested(obj):
+def _true(val, path, root):
+    if val is not True:
+        _err("must be true when present", path)
+
+
+def _scales(val, path, root):
+    if not isinstance(val, list) or len(val) < 2:
+        _err("need at least two velocity scales", path)
+    for i, s in enumerate(val):
+        _number(positive=True)(s, f"{path}[{i}]", root)
+
+
+def _blocks(val, path, root):
     try:
-        np.asarray(obj, dtype=float)
-        return True
-    except (TypeError, ValueError):
-        return False
+        if not isinstance(val, list):
+            raise TypeError("expected a list of index lists")
+        ProjectorFamily(dim=root["family"]["dim"], blocks=tuple(tuple(b) for b in val))
+    except (AdiaframeError, TypeError) as exc:
+        _err(f"invalid blocks: {exc}", path)
 
 
-def _validate_friction(fr: dict, coords: int, strict):
-    where = "friction"
-    raw = _get(fr, "constant", list, where=where, required=True)
-    if not _is_numeric_nested(raw):
-        _err("friction matrix must be numeric", field=f"{where}.constant")
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (coords, coords):
-        _err(f"friction matrix must be {coords} x {coords}", field=f"{where}.constant")
-    _check_keys(fr, {"constant"}, where, strict)
+def _if_sampled(n):
+    """Default n only where a run draws samples: sampled mode, no drive."""
+    return lambda root: n if root["mode"] == "sampled" and "drive" not in root else None
 
 
-def _validate_run(run: dict, strict):
-    where = "run"
-    _number(run, "duration", where=where, required=True, positive=True)
-    _int(run, "steps", where=where, required=True, minimum=1)
-    _int(run, "record_every", where=where, minimum=1, default=1)
-    _check_keys(run, {"duration", "steps", "record_every"}, where, strict)
+_COMMON = {"kind": (_choice(_KINDS), _REQUIRED), "seed": (_integer(0), 0)}
+_MODE = (_choice(_MODES), "branching")
+_FAMILY = ({"coords": (_integer(1), _REQUIRED), "dim": (_integer(1), _REQUIRED),
+            "terms": ([{"exponents": (_exponents, _REQUIRED),
+                        "matrix": (_hermitian, _REQUIRED)}], _REQUIRED)}, _REQUIRED)
+_STATE = ({"amplitudes": (_amplitudes("dim"), None), "populations": (_populations, None),
+           "random": (_true, None)}, _REQUIRED)
+_RUN = {"duration": (_number(positive=True), _REQUIRED), "steps": (_integer(1), _REQUIRED),
+        "record_every": (_integer(1), 1)}
+_DRIVE = {"x0": (_vector("coords"), _REQUIRED), "velocity": (_vector("coords"), _REQUIRED),
+          **_RUN}
+
+_TABLES = {
+    "stern_gerlach": {**_COMMON, "mode": _MODE, "stern_gerlach": ({
+        "gamma": (_number(positive=True), 1.0), "field_strength": (_number(), 1.0),
+        "field_gradient": (_number(), 0.5), "mass": (_number(positive=True), 1.0),
+        "r0": (_vector(3), None), "v0": (_vector(3), None),
+        "duration": (_number(positive=True), 1.0), "steps": (_integer(1), 400),
+        "record_every": (_integer(1), 1), "n_samples": (_integer(1), _if_sampled(1000)),
+        "amplitudes": (_amplitudes(2), None)}, {})},
+    "custom_family": {
+        **_COMMON, "mode": _MODE, "n_samples": (_integer(1), _if_sampled(1000)),
+        "family": _FAMILY, "drive": (_DRIVE, None), "velocity_scales": (_scales, None),
+        "apparatus": ({"x0": (_vector("coords"), _REQUIRED),
+                       "v0": (_vector("coords"), _REQUIRED), "mass": (_mass, 1.0)}, None),
+        "run": (_RUN, None), "state": _STATE,
+        "friction": ({"constant": (_square("coords"), _REQUIRED)}, None)},
+    "thermo_curve": {**_COMMON, "family": _FAMILY, "thermo": ({
+        "x": (_vector("coords"), _REQUIRED), "sigma": (_number(positive=True), _REQUIRED),
+        "e_min": (_number(), _REQUIRED), "e_max": (_number(), _REQUIRED),
+        "n_grid": (_integer(3), 401), "check_energy": (_number(), None),
+        "dx": (_number(positive=True), 1e-4)}, _REQUIRED)},
+    "kubo": {**_COMMON, "family": _FAMILY, "kubo": ({
+        "x": (_vector("coords"), _REQUIRED), "beta": (_number(), _REQUIRED),
+        "eta": (_number(positive=True), None)}, _REQUIRED)},
+    "entropy_audit": {
+        **_COMMON, "n_samples": (_integer(1), 1000), "family": _FAMILY, "state": _STATE,
+        "drive": (_DRIVE, _REQUIRED),
+        "event": ({"step": (_integer(1), _REQUIRED), "blocks": (_blocks, None)}, _REQUIRED)},
+}
 
 
-def _validate_drive(drive: dict, coords: int, strict):
-    where = "drive"
-    _vector(drive, "x0", where=where, required=True, length=coords)
-    _vector(drive, "velocity", where=where, required=True, length=coords)
-    _number(drive, "duration", where=where, required=True, positive=True)
-    _int(drive, "steps", where=where, required=True, minimum=1)
-    _int(drive, "record_every", where=where, minimum=1, default=1)
-    _check_keys(drive, {"x0", "velocity", "duration", "steps", "record_every"},
-                where, strict)
+def _walk(block: dict, table: dict, where: str, root: dict, strict: bool):
+    """Check every field of ``block`` against ``table`` and write its defaults."""
+    for name, (rule, default) in table.items():
+        path = f"{where}.{name}" if where else name
+        if name not in block:
+            if default is _REQUIRED:
+                _err("missing required field", path)
+            default = default(root) if callable(default) else default
+            if default is None:
+                continue
+            block[name] = copy.copy(default)
+        _apply(block[name], rule, path, root, strict)
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        label = where or "top level"
+        if strict:
+            _err(f"unknown field(s) {unknown} in {label}",
+                 field=f"{where}.{unknown[0]}" if where else unknown[0])
+        warnings.warn(f"ignoring unknown config field(s) {unknown} in {label}", stacklevel=3)
 
 
-def _validate_scales(cfg):
-    if "velocity_scales" not in cfg:
-        return
-    scales = _get(cfg, "velocity_scales", list, required=True)
-    if len(scales) < 2:
-        _err("need at least two velocity scales", field="velocity_scales")
-    for i, s in enumerate(scales):
-        if not isinstance(s, (int, float)) or isinstance(s, bool) or s <= 0.0:
-            _err("scales must be positive numbers", field=f"velocity_scales[{i}]")
+def _apply(val, rule, path: str, root: dict, strict: bool):
+    if isinstance(rule, dict):
+        if not isinstance(val, dict):
+            _err(f"expected an object, got {type(val).__name__}", path)
+        _walk(val, rule, path, root, strict)
+    elif isinstance(rule, list):
+        if not isinstance(val, list) or not val:
+            _err("expected a non-empty array", path)
+        for i, item in enumerate(val):
+            _apply(item, rule[0], f"{path}[{i}]", root, strict)
+    else:
+        rule(val, path, root)
 
 
-def _validate_thermo(th: dict, coords: int, strict):
-    where = "thermo"
-    _vector(th, "x", where=where, required=True, length=coords)
-    _number(th, "sigma", where=where, required=True, positive=True)
-    e_min = _number(th, "e_min", where=where, required=True)
-    e_max = _number(th, "e_max", where=where, required=True)
-    if e_max <= e_min:
-        _err("e_max must exceed e_min", field=f"{where}.e_max")
-    _int(th, "n_grid", where=where, minimum=3, default=401)
-    _number(th, "check_energy", where=where)
-    _number(th, "dx", where=where, positive=True, default=1e-4)
-    _check_keys(th, {"x", "sigma", "e_min", "e_max", "n_grid", "check_energy", "dx"},
-                where, strict)
+def parse_config(source, *, strict: bool = True) -> dict:
+    """Validate a scenario config given as JSON text or a dict.
 
-
-def _validate_kubo(kb: dict, coords: int, strict):
-    where = "kubo"
-    _vector(kb, "x", where=where, required=True, length=coords)
-    _number(kb, "beta", where=where, required=True)
-    _number(kb, "eta", where=where, positive=True)
-    _check_keys(kb, {"x", "beta", "eta"}, where, strict)
-
-
-def _validate_event(ev: dict, dim: int, n_steps: int, strict):
-    where = "event"
-    step = _int(ev, "step", where=where, required=True, minimum=1)
-    if step > n_steps:
-        _err(f"event step {step} exceeds drive steps {n_steps}", field=f"{where}.step")
-    blocks = _get(ev, "blocks", list, where=where)
-    if blocks is not None:
+    Returns the config with every default written in, so parsing is
+    idempotent.  Unknown fields raise in strict mode and warn otherwise;
+    structural and type errors always raise :class:`ConfigError` naming the
+    field (and the line/column for JSON syntax problems).
+    """
+    if isinstance(source, (bytes, str)):
         try:
-            ProjectorFamily(dim=dim, blocks=tuple(tuple(b) for b in blocks))
-        except (AdiaframeError, TypeError) as exc:
-            _err(f"invalid blocks: {exc}", field=f"{where}.blocks")
-    _check_keys(ev, {"step", "blocks"}, where, strict)
+            cfg = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON: {exc.msg}", line=exc.lineno,
+                              column=exc.colno) from None
+    elif isinstance(source, dict):
+        cfg = json.loads(json.dumps(source))
+    else:
+        _err(f"config must be a JSON object, got {type(source).__name__}")
+    if not isinstance(cfg, dict):
+        _err("config must be a JSON object")
+
+    known = "kind" in cfg and cfg["kind"] in _KINDS
+    _walk(cfg, _TABLES[cfg["kind"]] if known else _COMMON, "", cfg, strict)
+
+    # rules that span fields
+    kind = cfg["kind"]
+    if "state" in cfg and sum(form in cfg["state"] for form in _STATE[0]) != 1:
+        _err("state needs exactly one of amplitudes, populations, random", field="state")
+    if kind == "custom_family":
+        driven = "drive" in cfg
+        for name in ("apparatus", "run"):
+            if (name in cfg) == driven:
+                _err("a drive block excludes apparatus and run" if driven
+                     else "missing required field", field=name)
+        if "velocity_scales" in cfg and not driven:
+            _err("velocity_scales requires a drive block", field="velocity_scales")
+    elif kind == "thermo_curve" and cfg["thermo"]["e_max"] <= cfg["thermo"]["e_min"]:
+        _err("e_max must exceed e_min", field="thermo.e_max")
+    elif kind == "entropy_audit" and cfg["event"]["step"] > cfg["drive"]["steps"]:
+        _err(f"event step {cfg['event']['step']} exceeds drive steps {cfg['drive']['steps']}",
+             field="event.step")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +332,9 @@ def _validate_event(ev: dict, dim: int, n_steps: int, strict):
 
 
 def _build_family(cfg) -> MatrixPolynomialFamily:
-    fam = cfg["family"]
-    terms = [(tuple(t["exponents"]), _complex_matrix(t["matrix"], "family.terms.matrix"))
-             for t in fam["terms"]]
-    return MatrixPolynomialFamily(terms)
+    return MatrixPolynomialFamily([(tuple(t["exponents"]),
+                                    _complex_matrix(t["matrix"], "family.terms.matrix"))
+                                   for t in cfg["family"]["terms"]])
 
 
 def _build_state(cfg, dim: int, seed: int) -> QuantumState:
@@ -413,10 +348,9 @@ def _build_state(cfg, dim: int, seed: int) -> QuantumState:
     return QuantumState.from_rho(random_density_matrix(dim, np.random.default_rng(seed)))
 
 
-def _build_friction(cfg) -> FrictionSpec | None:
-    if "friction" not in cfg:
-        return None
-    return FrictionSpec.constant(np.asarray(cfg["friction"]["constant"], dtype=float))
+def _present(block: dict, *names) -> dict:
+    """The optional fields among ``names`` that ``block`` sets, as keyword arguments."""
+    return {name: block[name] for name in names if name in block}
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +371,7 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _trajectory_rows(traj):
+def _write_trajectory(path, traj):
     n = traj.x.shape[1]
     m = traj.rho.shape[1]
     header = (["t"] + [f"x_{i}" for i in range(n)] + [f"v_{i}" for i in range(n)]
@@ -445,12 +379,11 @@ def _trajectory_rows(traj):
               + ["e_mean", "q_cum", "w_cum", "s_info"])
     pops = traj.populations
     s_info = entropy_series(traj.rho)
-    rows = [
+    _write_csv(path, header, [
         [traj.t[i], *traj.x[i], *traj.v[i], *pops[i],
          traj.e_mean[i], traj.q_cum[i], traj.w_cum[i], s_info[i]]
         for i in range(traj.n_samples)
-    ]
-    return header, rows
+    ])
 
 
 def _check(name: str, passed: bool, value: float, tolerance: float) -> dict:
@@ -458,10 +391,33 @@ def _check(name: str, passed: bool, value: float, tolerance: float) -> dict:
             "tolerance": float(tolerance)}
 
 
-def _closure_check(name, ledger, prof) -> dict:
-    res = abs(ledger.residual)
-    tol = prof.ledger_closure * ledger.closure_scale(prof.ledger_floor)
-    return _check(name, res <= tol, res, tol)
+def _single_series(traj, out_dir, prof):
+    """series.csv of one trajectory and its ledger_closure check."""
+    _write_trajectory(os.path.join(out_dir, "series.csv"), traj)
+    res = abs(traj.ledger.residual)
+    tol = prof.ledger_closure * traj.ledger.closure_scale(prof.ledger_floor)
+    return [_check("ledger_closure", res <= tol, res, tol)], ["series.csv"]
+
+
+def _branch_series(trajs, tags, out_dir, prof):
+    """One series per branch and its check that apparatus energy + friction heat is kept."""
+    checks, outputs = [], []
+    for tag, traj in zip(tags, trajs):
+        name = f"series_branch_{tag}.csv"
+        _write_trajectory(os.path.join(out_dir, name), traj)
+        outputs.append(name)
+        e_app = traj.extras["apparatus_energy"]
+        res = float(np.abs((e_app + traj.extras["friction_heat"]) - e_app[0]).max())
+        tol = prof.branch_energy * max(1.0, abs(float(e_app[0])))
+        checks.append(_check(f"branch_energy_closure_{tag}", res <= tol, res, tol))
+    return checks, outputs
+
+
+def _drive(fam, drive: dict, state, **kwargs):
+    """The uniform drive of a ``drive`` block and the run along it."""
+    path = uniform_drive(drive["x0"], drive["velocity"])
+    return path, run_driven(fam, path, state, drive["duration"], drive["steps"],
+                            record_every=drive["record_every"], **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -469,77 +425,48 @@ def _closure_check(name, ledger, prof) -> dict:
 
 
 def _run_stern_gerlach(cfg, seed, out_dir, prof):
-    sg = cfg.get("stern_gerlach", {})
-    config = SternGerlachConfig(
-        gamma=sg.get("gamma", 1.0), field_strength=sg.get("field_strength", 1.0),
-        field_gradient=sg.get("field_gradient", 0.5), mass=sg.get("mass", 1.0))
+    sg, mode = cfg["stern_gerlach"], cfg["mode"]
+    config = SternGerlachConfig(gamma=sg["gamma"], field_strength=sg["field_strength"],
+                                field_gradient=sg["field_gradient"], mass=sg["mass"])
     state = None
     if "amplitudes" in sg:
         state = QuantumState.from_amplitudes(_parse_amplitudes(sg["amplitudes"],
                                                                "stern_gerlach.amplitudes"))
-    mode = cfg.get("mode", "branching")
-    kwargs = dict(state=state, duration=sg.get("duration", 1.0),
-                  n_steps=sg.get("steps", 400), mode=mode,
-                  record_every=sg.get("record_every", 1))
-    if "r0" in sg:
-        kwargs["r0"] = np.asarray(sg["r0"], dtype=float)
-    if "v0" in sg:
-        kwargs["v0"] = np.asarray(sg["v0"], dtype=float)
-    if mode == "sampled":
-        kwargs["n_samples"] = sg.get("n_samples", 1000)
-        kwargs["seed"] = seed
-    result = sg_run(config, **kwargs)
+    result = sg_run(config, state=state, duration=sg["duration"], n_steps=sg["steps"],
+                    mode=mode, record_every=sg["record_every"], seed=seed,
+                    **_present(sg, "r0", "v0", "n_samples"))
 
-    checks, outputs, summary = [], [], {"mode": mode}
+    summary = {"mode": mode}
     if mode == "mean_force":
         traj = result.trajectories[0]
-        header, rows = _trajectory_rows(traj)
-        path = os.path.join(out_dir, "series.csv")
-        _write_csv(path, header, rows)
-        outputs.append("series.csv")
-        checks.append(_closure_check("ledger_closure", traj.ledger, prof))
         summary["final_position"] = [float(c) for c in traj.x[-1]]
-    else:
-        for label, traj in zip(result.labels, result.trajectories):
-            tag = "plus" if label == "+" else "minus"
-            header, rows = _trajectory_rows(traj)
-            name = f"series_branch_{tag}.csv"
-            _write_csv(os.path.join(out_dir, name), header, rows)
-            outputs.append(name)
-            res = result.closure_residuals[label]
-            tol = prof.branch_energy * max(1.0, abs(traj.extras["apparatus_energy"][0]))
-            checks.append(_check(f"branch_energy_closure_{tag}", res <= tol, res, tol))
-        wsum = float(np.sum([t.weight for t in result.trajectories]))
-        checks.append(_check("weights_normalized", abs(wsum - 1.0) <= prof.amplitude_norm,
-                             abs(wsum - 1.0), prof.amplitude_norm))
-        summary["separation"] = result.separation
-        summary["labels"] = list(result.labels)
-        summary["weights"] = [float(w) for w in result.weights]
-        if result.counts is not None:
-            summary["counts"] = [int(c) for c in result.counts]
+        return (*_single_series(traj, out_dir, prof), summary)
+    tags = ["plus" if label == "+" else "minus" for label in result.labels]
+    checks, outputs = _branch_series(result.trajectories, tags, out_dir, prof)
+    wsum = float(np.sum([t.weight for t in result.trajectories]))
+    checks.append(_check("weights_normalized", abs(wsum - 1.0) <= prof.amplitude_norm,
+                         abs(wsum - 1.0), prof.amplitude_norm))
+    summary["separation"] = result.separation
+    summary["labels"] = list(result.labels)
+    summary["weights"] = [float(w) for w in result.weights]
+    if result.counts is not None:
+        summary["counts"] = [int(c) for c in result.counts]
     return checks, outputs, summary
 
 
 def _run_custom_family(cfg, seed, out_dir, prof):
     fam = _build_family(cfg)
     state = _build_state(cfg, fam.dim, seed)
-    checks, outputs, summary = [], [], {}
 
     if "drive" in cfg:
         drive = cfg["drive"]
-        path_fn = uniform_drive(np.asarray(drive["x0"], float),
-                                np.asarray(drive["velocity"], float))
-        traj = run_driven(fam, path_fn, state, drive["duration"], drive["steps"],
-                          record_every=drive.get("record_every", 1))
-        header, rows = _trajectory_rows(traj)
-        _write_csv(os.path.join(out_dir, "series.csv"), header, rows)
-        outputs.append("series.csv")
-        checks.append(_closure_check("ledger_closure", traj.ledger, prof))
+        path_fn, traj = _drive(fam, drive, state)
+        checks, outputs = _single_series(traj, out_dir, prof)
         tr_final = float(traj.populations[-1].sum())
         checks.append(_check("trace_preserved", abs(tr_final - 1.0) <= prof.trace,
                              abs(tr_final - 1.0), prof.trace))
-        summary["mode"] = "driven"
-        summary["final_populations"] = [float(p) for p in traj.populations[-1]]
+        summary = {"mode": "driven",
+                   "final_populations": [float(p) for p in traj.populations[-1]]}
 
         if "velocity_scales" in cfg:
             scales = sorted(float(s) for s in cfg["velocity_scales"])[::-1]
@@ -550,56 +477,33 @@ def _run_custom_family(cfg, seed, out_dir, prof):
                        ["scale"] + [f"mean_abs_f_{k}" for k in range(fam.n_coords)],
                        [[s, *a] for s, a in zip(scales, averages)])
             outputs.append("oscillation_averaging.csv")
-            ratios = []
-            for prev, nxt in zip(averages, averages[1:]):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r = np.where(prev > 0.0, nxt / prev, 0.0)
-                ratios.append(float(np.max(r)))
-            worst = max(ratios)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                worst = max(float(np.max(np.where(prev > 0.0, nxt / prev, 0.0)))
+                            for prev, nxt in zip(averages, averages[1:]))
             checks.append(_check("diabatic_average_decreasing", worst < 1.0, worst, 1.0))
             summary["velocity_scales"] = scales
             summary["averaged_diabatic_force"] = [[float(v) for v in a] for a in averages]
         return checks, outputs, summary
 
-    app_cfg = cfg["apparatus"]
-    mass = app_cfg.get("mass", 1.0)
+    app_cfg, run_cfg, mode = cfg["apparatus"], cfg["run"], cfg["mode"]
+    mass = app_cfg["mass"]
     metric = float(mass) if isinstance(mass, (int, float)) else np.asarray(mass, float)
-    app = ApparatusState(x=np.asarray(app_cfg["x0"], float),
-                         v=np.asarray(app_cfg["v0"], float), metric=metric)
-    run_cfg = cfg["run"]
-    scenario = DynamicsScenario(family=fam, apparatus=app, state=state,
-                                dt=run_cfg["duration"] / run_cfg["steps"],
-                                n_steps=run_cfg["steps"],
-                                friction=_build_friction(cfg),
-                                record_every=run_cfg.get("record_every", 1))
-    mode = cfg.get("mode", "branching")
-    summary["mode"] = mode
+    scenario = DynamicsScenario(
+        family=fam, apparatus=ApparatusState(x=app_cfg["x0"], v=app_cfg["v0"], metric=metric),
+        state=state, dt=run_cfg["duration"] / run_cfg["steps"], n_steps=run_cfg["steps"],
+        friction=FrictionSpec.constant(cfg["friction"]["constant"]) if "friction" in cfg else None,
+        record_every=run_cfg["record_every"])
+    summary = {"mode": mode}
     if mode == "mean_force":
         traj = run_mean_force(scenario)
-        header, rows = _trajectory_rows(traj)
-        _write_csv(os.path.join(out_dir, "series.csv"), header, rows)
-        outputs.append("series.csv")
-        checks.append(_closure_check("ledger_closure", traj.ledger, prof))
         summary["final_position"] = [float(c) for c in traj.x[-1]]
-    else:
-        trajs = run_branching(scenario)
-        for traj in trajs:
-            name = f"series_branch_{traj.branch_label}.csv"
-            header, rows = _trajectory_rows(traj)
-            _write_csv(os.path.join(out_dir, name), header, rows)
-            outputs.append(name)
-            e_app = traj.extras["apparatus_energy"]
-            res = float(np.abs(e_app - e_app[0]).max())
-            if scenario.friction is not None:
-                res = float(np.abs((e_app + traj.extras["friction_heat"]) - e_app[0]).max())
-            tol = prof.branch_energy * max(1.0, abs(float(e_app[0])))
-            checks.append(_check(f"branch_energy_closure_{traj.branch_label}",
-                                 res <= tol, res, tol))
-        summary["weights"] = [float(t.weight) for t in trajs]
-        if mode == "sampled":
-            from .dynamics import sample_branch_counts
-            counts = sample_branch_counts(state, cfg.get("n_samples", 1000), seed)
-            summary["counts"] = [int(counts[t.branch_label]) for t in trajs]
+        return (*_single_series(traj, out_dir, prof), summary)
+    trajs = run_branching(scenario)
+    checks, outputs = _branch_series(trajs, [t.branch_label for t in trajs], out_dir, prof)
+    summary["weights"] = [float(t.weight) for t in trajs]
+    if mode == "sampled":
+        counts = sample_branch_counts(state, cfg["n_samples"], seed)
+        summary["counts"] = [int(counts[t.branch_label]) for t in trajs]
     return checks, outputs, summary
 
 
@@ -608,25 +512,22 @@ def _run_thermo_curve(cfg, seed, out_dir, prof):
     th = cfg["thermo"]
     x = np.asarray(th["x"], dtype=float)
     frame = build_frame(fam, x)
-    e_grid = np.linspace(th["e_min"], th["e_max"], th.get("n_grid", 401))
+    e_grid = np.linspace(th["e_min"], th["e_max"], th["n_grid"])
     curve = entropy_temperature(frame.eigenvalues, e_grid, th["sigma"])
     _write_csv(os.path.join(out_dir, "curve.csv"),
                ["e", "omega", "dos", "entropy", "temperature"],
                [[curve.e[i], curve.omega[i], curve.dos[i], curve.entropy[i],
                  curve.temperature[i]] for i in range(len(curve.e))
                 if np.isfinite(curve.entropy[i]) and np.isfinite(curve.temperature[i])])
-    outputs = ["curve.csv"]
 
-    checks = []
     resid = float(curve.counting_identity_residual().max())
-    checks.append(_check("counting_identity", resid <= prof.counting_identity,
-                         resid, prof.counting_identity))
+    checks = [_check("counting_identity", resid <= prof.counting_identity,
+                     resid, prof.counting_identity)]
     summary = {"levels": [float(v) for v in frame.eigenvalues],
                "counting_identity_residual": resid}
 
-    if th.get("check_energy") is not None:
-        report = maxwell_check(fam, x, th["check_energy"], th["sigma"],
-                               dx=th.get("dx", 1e-4))
+    if "check_energy" in th:
+        report = maxwell_check(fam, x, th["check_energy"], th["sigma"], dx=th["dx"])
         r1 = float(report.residual_entropy_form.max())
         r2 = float(report.residual_isentropic_form.max())
         checks.append(_check("force_entropy_identity", r1 <= prof.maxwell_identity,
@@ -634,14 +535,13 @@ def _run_thermo_curve(cfg, seed, out_dir, prof):
         checks.append(_check("force_isentropic_identity", r2 <= prof.maxwell_identity,
                              r2, prof.maxwell_identity))
         summary["shell_force"] = [float(v) for v in report.force]
-    return checks, outputs, summary
+    return checks, ["curve.csv"], summary
 
 
 def _run_kubo(cfg, seed, out_dir, prof):
     fam = _build_family(cfg)
     kb = cfg["kubo"]
-    tensor = kubo_friction(fam, np.asarray(kb["x"], float), kb["beta"],
-                           eta=kb.get("eta"))
+    tensor = kubo_friction(fam, np.asarray(kb["x"], float), kb["beta"], **_present(kb, "eta"))
     n = tensor.n_coords
     _write_csv(os.path.join(out_dir, "gamma.csv"),
                [f"g_{j}" for j in range(n)],
@@ -664,19 +564,12 @@ def _run_kubo(cfg, seed, out_dir, prof):
 def _run_entropy_audit(cfg, seed, out_dir, prof):
     fam = _build_family(cfg)
     state = _build_state(cfg, fam.dim, seed)
-    drive = cfg["drive"]
-    ev = cfg["event"]
-    blocks = ev.get("blocks")
-    family_proj = (ProjectorFamily(dim=fam.dim, blocks=tuple(tuple(b) for b in blocks))
-                   if blocks is not None
-                   else ProjectorFamily.complete_dephasing(fam.dim))
-    step = int(ev["step"])
-
-    path_fn = uniform_drive(np.asarray(drive["x0"], float),
-                            np.asarray(drive["velocity"], float))
-    traj = run_driven(fam, path_fn, state, drive["duration"], drive["steps"],
-                      record_every=drive.get("record_every", 1),
-                      events={step: lambda st: project(st, family_proj)})
+    drive, ev = cfg["drive"], cfg["event"]
+    family_proj = (ProjectorFamily(dim=fam.dim, blocks=tuple(tuple(b) for b in ev["blocks"]))
+                   if "blocks" in ev else ProjectorFamily.complete_dephasing(fam.dim))
+    step = ev["step"]
+    path_fn, traj = _drive(fam, drive, state,
+                           events={step: lambda st: project(st, family_proj)})
 
     s_series = entropy_series(traj.rho)
     _write_csv(os.path.join(out_dir, "entropy.csv"), ["t", "entropy"],
@@ -694,12 +587,11 @@ def _run_entropy_audit(cfg, seed, out_dir, prof):
     drift = max(drift_pre, drift_post)
     jump = s_after - s_before
 
-    x_event = np.asarray(drive["x0"], float) + np.asarray(drive["velocity"], float) * (step * dt)
-    frame_event = build_frame(fam, x_event)
+    frame_event = build_frame(fam, path_fn(step * dt)[0])
     fproj = projected_diabatic_force(frame_event, event["rho_after"])
     fmax = float(np.abs(fproj).max())
 
-    n_suite = cfg.get("n_samples", 1000)
+    n_suite = cfg["n_samples"]
     rng = np.random.default_rng(seed)
     worst = np.inf
     passes = 0
@@ -748,7 +640,7 @@ def run_scenario(cfg: dict, out_dir: str, seed: int | None = None) -> dict:
     """Execute a parsed config and write its outputs; returns the report."""
     prof = active_profile()
     kind = cfg["kind"]
-    used_seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
+    used_seed = int(cfg["seed"]) if seed is None else int(seed)
     os.makedirs(out_dir, exist_ok=True)
     checks, outputs, summary = _RUNNERS[kind](cfg, used_seed, out_dir, prof)
     report = {

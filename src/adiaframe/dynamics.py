@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .frames import (AdiabaticFrame, HamiltonianFamily, build_frame,
-                     diabatic_forces, forces, frame_path,
-                     moving_frame_hamiltonian)
+from .frames import (AdiabaticFrame, HamiltonianFamily, build_frame, forces,
+                     frame_path, moving_frame_hamiltonian)
 from .operators import hermitize, require_square
 from .tolerances import active_profile
 from .units import HBAR
@@ -45,13 +44,11 @@ __all__ = [
     "Trajectory",
     "DynamicsScenario",
     "quantum_step",
-    "classical_step_branch",
     "run_branching",
     "run_mean_force",
     "run_driven",
     "uniform_drive",
     "sample_branch_counts",
-    "accumulate_ledger",
     "time_averaged_diabatic_force",
 ]
 
@@ -62,15 +59,9 @@ __all__ = [
 
 @dataclass
 class QuantumState:
-    """Density matrix in the current adiabatic basis.
-
-    ``amplitudes`` is kept when the state was built from a pure amplitude
-    vector; branching uses it only through the populations, which are well
-    defined for mixed states too.
-    """
+    """Density matrix in the current adiabatic basis."""
 
     rho: np.ndarray
-    amplitudes: np.ndarray | None = None
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=complex)
@@ -81,7 +72,7 @@ class QuantumState:
         norm = float(np.vdot(c, c).real)
         if abs(norm - 1.0) > active_profile().amplitude_norm:
             raise ValidationError(f"amplitude norm {norm!r} differs from 1 beyond tolerance")
-        return cls(rho=np.outer(c, c.conj()), amplitudes=c)
+        return cls(rho=np.outer(c, c.conj()))
 
     @classmethod
     def pure(cls, k: int, dim: int) -> "QuantumState":
@@ -129,8 +120,7 @@ class QuantumState:
         return self
 
     def copy(self) -> "QuantumState":
-        amps = None if self.amplitudes is None else self.amplitudes.copy()
-        return QuantumState(rho=self.rho.copy(), amplitudes=amps)
+        return QuantumState(rho=self.rho.copy())
 
 
 @dataclass
@@ -172,7 +162,7 @@ class ApparatusState:
         if mu.shape != (n, n):
             raise ValidationError(f"metric must have shape ({n}, {n}), got {mu.shape}")
         try:
-            np.linalg.cholesky(mu + np.eye(n) * 0.0)
+            np.linalg.cholesky(mu)
         except np.linalg.LinAlgError:
             raise ValidationError(f"mass metric is not positive definite at x = {x}") from None
         return mu
@@ -353,6 +343,30 @@ def _vn_rhs(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (-1j / HBAR) * (h @ rho - rho @ h)
 
 
+_RK4_IMAGINARY_LIMIT = 2.0 * np.sqrt(2.0)
+
+
+def _check_step_size(hs: np.ndarray, dt: float, name: str, points) -> None:
+    """Raise StepSizeError where dt passes RK4's stability limit for a generator.
+
+    The von Neumann superoperator of a Hermitian generator h has eigenvalues
+    -i (w_a - w_b) / hbar, and RK4 is stable on the imaginary axis up to
+    |z| = 2 sqrt(2).  Gershgorin discs (the diagonal +- the off-diagonal row
+    sums) bound the spectral spread of every generator in the stack ``hs``;
+    ``points`` holds the ``name`` (t or x) of each generator for the message.
+    """
+    absh = np.abs(hs)
+    diag = hs.diagonal(axis1=-2, axis2=-1).real
+    radius = absh.sum(axis=-1) - absh.diagonal(axis1=-2, axis2=-1)
+    ratio = dt * ((diag + radius).max(axis=-1) - (diag - radius).min(axis=-1)) / HBAR
+    if ratio.max() > _RK4_IMAGINARY_LIMIT:
+        i = int(np.argmax(ratio > _RK4_IMAGINARY_LIMIT))
+        raise StepSizeError(
+            f"step dt = {dt:.3e} at {name} = {points[i]} is past RK4's stability limit: "
+            f"dt * spread / hbar = {ratio[i]:.3f} > 2 sqrt(2); reduce dt"
+        )
+
+
 def _clean_step(rho_new: np.ndarray, prof) -> np.ndarray:
     tr = complex(np.trace(rho_new))
     drift = abs(tr - 1.0)
@@ -436,6 +450,7 @@ def quantum_step(fam: HamiltonianFamily, frame_prev: AdiabaticFrame, state: Quan
     frame_1 = build_frame(fam, x1, prev=frame_m)
     frames = (frame_prev, frame_m, frame_1)
     hs = [moving_frame_hamiltonian(fr, v) for fr, v in zip(frames, (v0, vm, v1))]
+    _check_step_size(np.array(hs), dt, "x", (x0, xm, x1))
 
     rho_new, stages = _rk4_stage_states(state.rho, *hs, dt)
     rho_new = _clean_step(rho_new, prof)
@@ -448,28 +463,6 @@ def quantum_step(fam: HamiltonianFamily, frame_prev: AdiabaticFrame, state: Quan
         e_mean = float(rho_new.diagonal().real @ frame_1.eigenvalues)
         ledger.record(dq, dw, e_mean)
     return QuantumState(rho=rho_new), frame_1
-
-
-def accumulate_ledger(ledger: EnergyLedger, frame: AdiabaticFrame, state: QuantumState,
-                      dx) -> EnergyLedger:
-    """Book one displacement into the ledger with midpoint-evaluated forces.
-
-    Pass the frame and state at the midpoint of the displacement ``dx``.
-    The integrators use stage-resolved quadrature instead; this entry point
-    serves manual stepping and diagnostics.
-    """
-    dx = np.atleast_1d(np.asarray(dx, dtype=float))
-    if dx.shape != (frame.n_coords,):
-        raise ValidationError(f"dx must have shape ({frame.n_coords},), got {dx.shape}")
-    if frame.grad_adiabatic is None:
-        raise ValidationError("frame lacks cached gradient data; build it with build_frame")
-    rho = state.rho
-    f_ops = diabatic_forces(frame)
-    fd = -np.einsum("kii->ki", frame.grad_adiabatic).real
-    dw = -float((fd @ rho.diagonal().real) @ dx)
-    dq = -float(np.einsum("kij,ji->k", f_ops, rho).real @ dx)
-    e_mean = float(rho.diagonal().real @ frame.eigenvalues)
-    return ledger.record(dq, dw, e_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -521,22 +514,6 @@ def _vv_branch_step(app, fam, frame, k, friction, dt):
     v1 = _kick(app, x1, v_half, f1, friction, 0.5 * dt)
     app1 = dataclasses.replace(app, x=x1, v=v1)
     return app1, frame1, v_half
-
-
-def classical_step_branch(app: ApparatusState, fam: HamiltonianFamily, frame: AdiabaticFrame,
-                          k: int, friction: FrictionSpec | None = None, dt: float = 1e-3):
-    """One velocity-Verlet step of the apparatus riding adiabatic branch ``k``.
-
-    The effective Lagrangian is the apparatus Lagrangian minus the branch
-    eigenvalue W_k(x); friction (when enabled) enters as -Gamma v.  Returns
-    the advanced apparatus and the frame at the new configuration.
-    """
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    if not 0 <= k < frame.dim:
-        raise ValidationError(f"branch index {k} outside 0..{frame.dim - 1}")
-    app1, frame1, _ = _vv_branch_step(app, fam, frame, k, friction, dt)
-    return app1, frame1
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +764,7 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
     m = fam.dim
     h_mov = (w[:, :, None] * np.eye(m)[None, :, :]).astype(complex) \
         - np.einsum("tk,tkij->tij", vs, p)
+    _check_step_size(h_mov, dt, "t", times)
 
     state = state0.copy()
     state.validate()

@@ -120,7 +120,6 @@ class AdiabaticFrame:
     x: np.ndarray
     spectrum: Spectrum
     connections: np.ndarray
-    degenerate: bool = False
     grad_adiabatic: np.ndarray | None = None
 
     @property
@@ -138,9 +137,6 @@ class AdiabaticFrame:
     @property
     def basis(self) -> np.ndarray:
         return self.spectrum.basis
-
-    def w_matrix(self) -> np.ndarray:
-        return np.diag(self.spectrum.eigenvalues.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -258,8 +254,7 @@ def build_frame(fam: HamiltonianFamily, x, prev: AdiabaticFrame | None = None,
     spectrum = hermitian_eig(h, reference=ref)
     grad_ad = _grad_in_frame(fam, x, spectrum)
     p = connection_ops(fam, x, spectrum, method=method, grad_adiabatic=grad_ad)
-    return AdiabaticFrame(x=x, spectrum=spectrum, connections=p,
-                          degenerate=spectrum.degenerate, grad_adiabatic=grad_ad)
+    return AdiabaticFrame(x=x, spectrum=spectrum, connections=p, grad_adiabatic=grad_ad)
 
 
 def diabatic_forces(frame: AdiabaticFrame) -> np.ndarray:
@@ -302,7 +297,8 @@ def moving_frame_hamiltonian(frame: AdiabaticFrame, v) -> np.ndarray:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (frame.n_coords,):
         raise ValidationError(f"velocity must have shape ({frame.n_coords},), got {v.shape}")
-    return frame.w_matrix() - np.einsum("k,kij->ij", v, frame.connections)
+    return (np.diag(frame.eigenvalues.astype(complex))
+            - np.einsum("k,kij->ij", v, frame.connections))
 
 
 def frame_path(fam: HamiltonianFamily, xs, prev: AdiabaticFrame | None = None,

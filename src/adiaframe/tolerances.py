@@ -31,13 +31,9 @@ class ToleranceProfile:
     # linear algebra
     hermiticity: float = 1e-12
     unitarity: float = 1e-10
-    reconstruction: float = 1e-10
-    commutator_antisymmetry: float = 1e-13
     expectation_imag: float = 1e-12
-    spectral_identity: float = 1e-11
     degeneracy_gap: float = 1e-9
     # adiabatic frame
-    connection_diagonal: float = 5e-8
     force_decomposition: float = 1e-8
     gauge_invariance: float = 1e-10
     # quantum / classical state
@@ -45,12 +41,10 @@ class ToleranceProfile:
     positivity: float = 1e-10
     amplitude_norm: float = 1e-10
     trace_drift_per_step: float = 1e-8
-    metric_spd: float = 1e-12
     # energy bookkeeping
     ledger_closure: float = 1e-6
     ledger_floor: float = 1e-12
     branch_energy: float = 1e-7
-    mirror_symmetry: float = 1e-10
     # entropy
     entropy_positivity: float = 1e-8
     entropy_drift: float = 1e-7

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adiaframe import random_linear_family
-from adiaframe.cli import main, parse_config, run_scenario
+from adiaframe.cli import _config_digest, main, parse_config, run_scenario
 from adiaframe.errors import ConfigError
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -36,6 +36,33 @@ def driven_config(**extra):
                   "record_every": 80},
     }
     cfg.update(extra)
+    return cfg
+
+
+def friction_config():
+    return {
+        "kind": "custom_family", "mode": "branching",
+        "family": {"coords": 1, "dim": 2,
+                   "terms": [{"exponents": [1], "matrix": mat(0.6 * PAULI_Z)},
+                             {"exponents": [0], "matrix": mat(0.8 * PAULI_X)}]},
+        "state": {"populations": [0.4, 0.6]},
+        "apparatus": {"x0": [-1.0], "v0": [1.2], "mass": 1.0},
+        "run": {"duration": 0.2, "steps": 2500, "record_every": 250},
+        "friction": {"constant": [[0.01]]},
+    }
+
+
+def random_state_config():
+    cfg = driven_config()
+    cfg["state"] = {"random": True}
+    return cfg
+
+
+def failing_thermo_config():
+    cfg = thermo_config(sigma=0.05, dim=4, check_energy=None)
+    cfg["thermo"].pop("check_energy")
+    cfg["thermo"]["e_min"] = 0.2
+    cfg["thermo"]["e_max"] = 1.4
     return cfg
 
 
@@ -171,6 +198,35 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(cfg2)
 
+    def test_run_defaults_written_where_read(self):
+        sampled = parse_config(dict(friction_config(), mode="sampled"))
+        assert sampled["n_samples"] == 1000
+        assert "n_samples" not in parse_config(friction_config())
+        assert "n_samples" not in parse_config(driven_config(mode="sampled"))
+        sg = parse_config(sg_config())["stern_gerlach"]
+        assert sg["n_samples"] == 500
+        del sg["n_samples"]
+        assert parse_config(sg_config(stern_gerlach=sg))["stern_gerlach"]["n_samples"] == 1000
+        assert "n_samples" not in parse_config({"kind": "stern_gerlach"})["stern_gerlach"]
+        audit = audit_config()
+        del audit["n_samples"]
+        assert parse_config(audit)["n_samples"] == 1000
+        free = friction_config()
+        del free["apparatus"]["mass"]
+        cfg = parse_config(free)
+        assert cfg["apparatus"]["mass"] == 1.0
+        assert parse_config(cfg) == cfg
+
+    def test_drive_excludes_apparatus_and_run(self):
+        cfg = dict(friction_config(), drive=driven_config()["drive"])
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert exc.value.field == "apparatus"
+        del cfg["apparatus"]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert exc.value.field == "run"
+
     def test_event_validation(self):
         cfg = audit_config()
         cfg["event"] = {"step": 2000}
@@ -181,6 +237,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(cfg)
         assert exc.value.field == "event.blocks"
+
+
+class TestConfigDigest:
+    # config_sha256 of each config this module runs, with the defaults the
+    # parser writes; a default that moves or disappears changes the digest
+    PINNED = {
+        "sg": (sg_config, "fb2c8eba18c59c992575bcb4ddeed88b7b6410d31ff03d2be2ffcce941146901"),
+        "driven_scales": (lambda: driven_config(velocity_scales=[1.0, 0.5]),
+                          "78f127ab0f853ad20c06f0718359682f55e43a37569eb340b3ea6609e2492cce"),
+        "friction": (friction_config,
+                     "ba726ea3dcfaf87dfe2292f0ed7ce68006b036630118b54f18bc22bb08d9f451"),
+        "thermo": (thermo_config,
+                   "ed44edc60ee8730ad7f15890d4dbfeca5bf81c4a1b7858afb66f52d4be1b2703"),
+        "kubo": (kubo_config, "c6b893aa1e6c8fbdf101ec2cca84dee5130c524392091193d4c460529f937a09"),
+        "audit": (audit_config, "8547d09d9243d1e7e987a13e362ed0354f9dba31210f96a013fe1d30f05ba961"),
+        "random_state": (random_state_config,
+                         "5f83ba59a6eed912eb629c876cfc0e4187b7f1ece85be5942c62f935866feead"),
+        "failing_thermo": (failing_thermo_config,
+                           "2aaab6bc5a47ce38939e296c92ac938764377dac755a7873bbb361ceef650f45"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digest_pinned(self, name):
+        make, digest = self.PINNED[name]
+        assert _config_digest(parse_config(make())) == digest
 
 
 class TestRunScenario:
@@ -207,16 +288,7 @@ class TestRunScenario:
         assert averages[0][0] > averages[1][0]
 
     def test_branching_with_friction(self, tmp_path):
-        cfg = parse_config({
-            "kind": "custom_family", "mode": "branching",
-            "family": {"coords": 1, "dim": 2,
-                       "terms": [{"exponents": [1], "matrix": mat(0.6 * PAULI_Z)},
-                                 {"exponents": [0], "matrix": mat(0.8 * PAULI_X)}]},
-            "state": {"populations": [0.4, 0.6]},
-            "apparatus": {"x0": [-1.0], "v0": [1.2], "mass": 1.0},
-            "run": {"duration": 0.2, "steps": 2500, "record_every": 250},
-            "friction": {"constant": [[0.01]]},
-        })
+        cfg = parse_config(friction_config())
         report = run_scenario(cfg, str(tmp_path))
         assert report["all_passed"]
         assert report["summary"]["weights"] == [0.4, 0.6]
@@ -256,8 +328,7 @@ class TestRunScenario:
 
 class TestDeterminism:
     def test_identical_reruns_are_bit_identical(self, tmp_path):
-        cfg = driven_config()
-        cfg["state"] = {"random": True}
+        cfg = random_state_config()
         d1, d2 = tmp_path / "a", tmp_path / "b"
         run_scenario(parse_config(cfg), str(d1))
         run_scenario(parse_config(cfg), str(d2))
@@ -286,10 +357,7 @@ class TestMain:
         assert capsys.readouterr().out == ""
 
     def test_failed_check_exit_one(self, tmp_path, capsys):
-        cfg = thermo_config(sigma=0.05, dim=4, check_energy=None)
-        cfg["thermo"].pop("check_energy")
-        cfg["thermo"]["e_min"] = 0.2
-        cfg["thermo"]["e_max"] = 1.4
+        cfg = failing_thermo_config()
         rc = main(["--config", self.write(tmp_path, cfg), "--out", str(tmp_path)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out

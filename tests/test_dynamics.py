@@ -10,10 +10,10 @@ from adiaframe import (
     MatrixPolynomialFamily,
     QuantumState,
     Trajectory,
-    accumulate_ledger,
     avoided_crossing_family,
     build_frame,
     quantum_step,
+    random_density_matrix,
     random_linear_family,
     rotating_field_family,
     run_branching,
@@ -163,25 +163,6 @@ class TestQuantumStep:
             quantum_step(fam, frame, QuantumState.pure(0, 2), [([0.0], [0.0])] * 3, -0.1)
 
 
-class TestAccumulateLedger:
-    def test_eigenstate_increment_is_pure_work(self):
-        fam = avoided_crossing_family(1.0, 0.5)
-        frame = build_frame(fam, [0.8])
-        st = QuantumState.pure(0, 2)
-        led = EnergyLedger.open(frame.eigenvalues[0])
-        accumulate_ledger(led, frame, st, [1e-3])
-        dw_expected = frame.grad_adiabatic[0, 0, 0].real * 1e-3
-        assert led.q_cum == 0.0
-        assert_allclose(led.w_cum, dw_expected, atol=1e-15)
-
-    def test_dx_shape_checked(self):
-        fam = avoided_crossing_family()
-        frame = build_frame(fam, [0.0])
-        led = EnergyLedger.open(0.0)
-        with pytest.raises(ValidationError):
-            accumulate_ledger(led, frame, QuantumState.pure(0, 2), [1e-3, 1e-3])
-
-
 class TestRunDriven:
     def test_static_diagonal_state_is_fixed(self):
         fam = avoided_crossing_family(1.0, 0.5)
@@ -240,6 +221,23 @@ class TestRunDriven:
         with pytest.raises(StepSizeError):
             run_driven(fam, uniform_drive([-1.0], [1e4]), QuantumState.pure(0, 2),
                        2.0, 2)
+
+    def test_step_past_rk4_stability_limit_raises(self):
+        # one RK4 step this long leaves a density matrix with eigenvalue -104.5
+        # and trace 1, so the trace-drift check alone cannot see it
+        fam = random_linear_family(32, 1, "gue", seed=1, scale=0.3)
+        st = QuantumState.from_rho(random_density_matrix(32, np.random.default_rng(0)))
+        with pytest.raises(StepSizeError, match=r"dt = 1\.000e\+00 at t = 0\.0"):
+            run_driven(fam, uniform_drive([-0.5], [1.0]), st, 1.0, 1)
+        traj = run_driven(fam, uniform_drive([-0.5], [1.0]), st, 1.0, 100)
+        assert np.linalg.eigvalsh(traj.rho[-1]).min() > -1e-10
+
+    def test_quantum_step_checks_step_size(self):
+        fam = random_linear_family(32, 1, "gue", seed=1, scale=0.3)
+        st = QuantumState.from_rho(random_density_matrix(32, np.random.default_rng(0)))
+        frame = build_frame(fam, [-0.5])
+        with pytest.raises(StepSizeError, match=r"dt = 1\.000e\+00 at x = "):
+            quantum_step(fam, frame, st, uniform_drive([-0.5], [1.0]), 1.0)
 
     def test_events_applied_and_logged(self):
         fam = avoided_crossing_family(1.0, 0.5)
