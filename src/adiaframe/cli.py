@@ -159,7 +159,7 @@ def _parse_amplitudes(raw, path):
         _err("amplitudes must be [re, im] pairs", field=path)
     c = arr[:, 0] + 1j * arr[:, 1]
     norm = float(np.vdot(c, c).real)
-    if abs(norm - 1.0) > 1e-8:
+    if abs(norm - 1.0) > active_profile().amplitude_norm:
         _err(f"amplitudes have norm {norm!r}, expected 1", field=path)
     return c
 

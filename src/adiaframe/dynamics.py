@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .frames import (AdiabaticFrame, HamiltonianFamily, build_frame, forces,
-                     frame_path, moving_frame_hamiltonian)
+from .frames import AdiabaticFrame, HamiltonianFamily, build_frame, forces, frame_path
 from .operators import hermitize, require_square
 from .tolerances import active_profile
 from .units import HBAR
@@ -339,10 +338,6 @@ class DynamicsScenario:
 # quantum stepping
 
 
-def _vn_rhs(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return (-1j / HBAR) * (h @ rho - rho @ h)
-
-
 _RK4_IMAGINARY_LIMIT = 2.0 * np.sqrt(2.0)
 
 
@@ -367,8 +362,39 @@ def _check_step_size(hs: np.ndarray, dt: float, name: str, points) -> None:
         )
 
 
-def _clean_step(rho_new: np.ndarray, prof) -> np.ndarray:
-    tr = complex(np.trace(rho_new))
+def _node_operators(w, p, vs, f_ops=None, fad=None):
+    """Generators h = W - v^k P_k (Hermitized) at a stack of path nodes and,
+    given the diabatic forces and adiabatic force diagonals, the heat and
+    work rates G_q = -v^k f_k, g_w = -v^k diag F_k: dQ/dt = Re Tr(G_q rho),
+    dW/dt = g_w . diag(rho)."""
+    h = hermitize(w[:, :, None] * np.eye(w.shape[-1]) - np.einsum("tk,tkij->tij", vs, p))
+    if f_ops is None:
+        return h, None
+    return h, (-np.einsum("tk,tkij->tij", vs, f_ops), -np.einsum("tk,tki->ti", vs, fad))
+
+
+def _rk4_step(rho, h, dt, prof, stages):
+    """One cleaned RK4 step of i hbar drho/dt = [h, rho] over nodes h[0..2].
+
+    With ``rho`` exactly Hermitian every stage state is too, so -i[h, r] =
+    -i(X - X^dag) with X = h r.  Writes (rho, r2 + r3, r4) into ``stages``.
+    """
+    c = -0.5j * dt / HBAR
+    x = h[0].dot(rho)       # ndarray.dot: less call overhead than @ on small matrices
+    d1 = x - x.conj().T
+    r2 = rho + c * d1
+    x = h[1].dot(r2)
+    d2 = x - x.conj().T
+    r3 = rho + c * d2
+    x = h[1].dot(r3)
+    d3 = x - x.conj().T
+    r4 = rho + (2.0 * c) * d3
+    x = h[2].dot(r4)
+    stages[0] = rho
+    np.add(r2, r3, out=stages[1])
+    stages[2] = r4
+    rho_new = rho + (c / 3.0) * (d1 + 2.0 * (d2 + d3) + (x - x.conj().T))
+    tr = complex(rho_new.trace())
     drift = abs(tr - 1.0)
     if not (drift <= prof.trace_drift_per_step):
         raise StepSizeError(
@@ -378,47 +404,24 @@ def _clean_step(rho_new: np.ndarray, prof) -> np.ndarray:
     return hermitize(rho_new) / tr.real
 
 
-def _rk4_stage_states(rho, h0, hm, h1, dt):
-    k1 = _vn_rhs(h0, rho)
-    r2 = rho + (0.5 * dt) * k1
-    k2 = _vn_rhs(hm, r2)
-    r3 = rho + (0.5 * dt) * k2
-    k3 = _vn_rhs(hm, r3)
-    r4 = rho + dt * k3
-    k4 = _vn_rhs(h1, r4)
-    rho_new = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return rho_new, (rho, r2, r3, r4)
+def _ledger_increments(stages, gq, gw, dt):
+    """Simpson/RK4 quadrature of (dQ, dW) over steps s with stage sums
+    ``stages[s]`` and node rates ``gq[s]``/``gw[s]``: weights (1, 2 + 2, 1) dt/6."""
+    wts = np.array([1.0, 2.0, 1.0]) * (dt / 6.0)
+    dq = np.einsum("snij,snji->sn", stages, gq).real @ wts
+    dw = np.einsum("snii,sni->sn", stages, gw).real @ wts
+    return dq, dw
 
 
-def _ledger_increments(stages, f_ops, fd_diags, vels, dt):
-    """Simpson/RK4-consistent quadrature of dQ and dW over one step.
-
-    ``stages`` are the four stage density matrices at node indices
-    (0, mid, mid, 1); ``f_ops``/``fd_diags``/``vels`` hold the diabatic
-    operators, adiabatic force diagonals, and velocities at the three nodes.
-    """
-    node_of_stage = (0, 1, 1, 2)
-    weights = (1.0, 2.0, 2.0, 1.0)
-    dq = 0.0
-    dw = 0.0
-    for rho_s, node, wgt in zip(stages, node_of_stage, weights):
-        v = vels[node]
-        q_rate = -np.einsum("kij,ji->k", f_ops[node], rho_s).real @ v
-        w_rate = -(fd_diags[node] @ rho_s.diagonal().real) @ v
-        dq += wgt * q_rate
-        dw += wgt * w_rate
-    return dq * dt / 6.0, dw * dt / 6.0
-
-
-def _segment_points(segment, dt):
-    if callable(segment):
-        pts = [segment(0.0), segment(0.5 * dt), segment(dt)]
-    else:
-        pts = list(segment)
-        if len(pts) != 3:
-            raise ValidationError("path segment must supply (x, v) at s = 0, dt/2, dt")
-    return [(np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(v, float)))
-            for x, v in pts]
+def _path_nodes(fam: HamiltonianFamily, pts):
+    """x and v of the (x, v) pairs ``pts`` as two (len(pts), n_coords) arrays."""
+    xs, vs = zip(*pts)
+    fam.coerce_x(xs[0])
+    shape = (len(pts), fam.n_coords)
+    try:
+        return [np.array(a, dtype=float).reshape(shape) for a in (xs, vs)]
+    except ValueError:
+        raise ValidationError(f"path x and v must have shape {shape[1:]} at every node") from None
 
 
 def quantum_step(fam: HamiltonianFamily, frame_prev: AdiabaticFrame, state: QuantumState,
@@ -442,26 +445,31 @@ def quantum_step(fam: HamiltonianFamily, frame_prev: AdiabaticFrame, state: Quan
     prof = active_profile()
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    (x0, v0), (xm, vm), (x1, v1) = _segment_points(segment, dt)
-    if not np.allclose(x0, frame_prev.x, rtol=0.0, atol=1e-9 * (1.0 + np.abs(frame_prev.x).max())):
+    pts = [segment(s) for s in (0.0, 0.5 * dt, dt)] if callable(segment) else list(segment)
+    if len(pts) != 3:
+        raise ValidationError("path segment must supply (x, v) at s = 0, dt/2, dt")
+    xs, vs = _path_nodes(fam, pts)
+    if not np.abs(xs[0] - frame_prev.x).max() <= 1e-9 * (1.0 + np.abs(frame_prev.x).max()):
         raise ValidationError("segment start does not match the previous frame's configuration")
 
-    frame_m = build_frame(fam, xm, prev=frame_prev)
-    frame_1 = build_frame(fam, x1, prev=frame_m)
+    frame_m = build_frame(fam, xs[1], prev=frame_prev)
+    frame_1 = build_frame(fam, xs[2], prev=frame_m)
     frames = (frame_prev, frame_m, frame_1)
-    hs = [moving_frame_hamiltonian(fr, v) for fr, v in zip(frames, (v0, vm, v1))]
-    _check_step_size(np.array(hs), dt, "x", (x0, xm, x1))
-
-    rho_new, stages = _rk4_stage_states(state.rho, *hs, dt)
-    rho_new = _clean_step(rho_new, prof)
-
-    if ledger is not None:
+    w = np.array([fr.eigenvalues for fr in frames])
+    p = np.array([fr.connections for fr in frames])
+    if ledger is None:
+        h, rates = _node_operators(w, p, vs)
+    else:
         pairs = [forces(fam, fr) for fr in frames]
-        f_ops = [fp.diabatic for fp in pairs]
-        fd_diags = [np.einsum("kii->ki", fp.adiabatic).real for fp in pairs]
-        dq, dw = _ledger_increments(stages, f_ops, fd_diags, (v0, vm, v1), dt)
-        e_mean = float(rho_new.diagonal().real @ frame_1.eigenvalues)
-        ledger.record(dq, dw, e_mean)
+        fad = np.array([fp.adiabatic.diagonal(axis1=1, axis2=2).real for fp in pairs])
+        h, rates = _node_operators(w, p, vs, np.array([fp.diabatic for fp in pairs]), fad)
+    _check_step_size(h, dt, "x", xs)
+
+    stages = np.empty((1, 3, fam.dim, fam.dim), dtype=complex)
+    rho_new = _rk4_step(hermitize(state.rho), h, dt, prof, stages[0])
+    if ledger is not None:
+        dq, dw = _ledger_increments(stages, *(g[None] for g in rates), dt)
+        ledger.record(dq[0], dw[0], float(rho_new.diagonal().real @ frame_1.eigenvalues))
     return QuantumState(rho=rho_new), frame_1
 
 
@@ -673,43 +681,36 @@ def _driven_node_data(fam: HamiltonianFamily, xs: np.ndarray):
     overlap strongly; otherwise falls back to sequential frame building.
     """
     prof = active_profile()
-    t_nodes, m, n = len(xs), fam.dim, fam.n_coords
+    t_nodes, m = len(xs), fam.dim
 
     w = u = None
     if m <= 16:
-        hs = np.empty((t_nodes, m, m), dtype=complex)
-        for i, x in enumerate(xs):
-            hs[i] = fam.evaluate(x)
+        hs = fam.evaluate_many(xs)
+        if hs.shape != (t_nodes, m, m):
+            raise ValidationError(f"family evaluated to shape {hs.shape[1:]}, expected ({m}, {m})")
         herm_dev = np.abs(hs - hs.conj().transpose(0, 2, 1)).max()
         if herm_dev > prof.hermiticity * max(1.0, np.abs(hs).max()):
             raise ValidationError(f"family is not Hermitian along the path (max dev {herm_dev:.3e})")
         w_all, v_all = np.linalg.eigh(hs)
+        del hs
         scale = max(1.0, float(np.abs(w_all).max()),
                     float((w_all[:, -1] - w_all[:, 0]).max()) if m > 1 else 1.0)
         min_gap = float(np.diff(w_all, axis=1).min()) if m > 1 else np.inf
         if min_gap > prof.degeneracy_gap * scale:
             from .operators import _fix_gauge_deterministic
             v_all[0] = _fix_gauge_deterministic(v_all[0])
-            if t_nodes > 1:
-                ov = np.einsum("tik,tik->tk", v_all[:-1].conj(), v_all[1:])
-                if np.abs(ov).min() > 0.75:
-                    cum = np.cumprod(ov / np.abs(ov), axis=0)
-                    v_all[1:] *= cum.conj()[:, None, :]
-                    w, u = w_all, v_all
-            else:
+            ov = np.einsum("tik,tik->tk", v_all[:-1].conj(), v_all[1:])
+            if np.abs(ov).min() > 0.75:
+                v_all[1:] *= np.cumprod(ov / np.abs(ov), axis=0).conj()[:, None, :]
                 w, u = w_all, v_all
 
     if w is None:
         frames = frame_path(fam, xs)
         w = np.stack([fr.eigenvalues for fr in frames])
-        u = np.stack([fr.basis for fr in frames])
         gad = np.stack([fr.grad_adiabatic for fr in frames])
         p = np.stack([fr.connections for fr in frames])
     else:
-        g = np.empty((t_nodes, n, m, m), dtype=complex)
-        for i, x in enumerate(xs):
-            g[i] = fam.gradient(x)
-        gad = u.conj().transpose(0, 2, 1)[:, None] @ g @ u[:, None]
+        gad = u.conj().transpose(0, 2, 1)[:, None] @ fam.gradient_many(xs) @ u[:, None]
         denom = w[:, None, :] - w[:, :, None]          # [t, i, j] = W_j - W_i
         eye = np.eye(m, dtype=bool)
         denom[:, eye] = 1.0
@@ -719,7 +720,7 @@ def _driven_node_data(fam: HamiltonianFamily, xs: np.ndarray):
     gaps = w[:, :, None] - w[:, None, :]               # [t, i, j] = W_i - W_j
     f_ops = (-1j / HBAR) * gaps[:, None, :, :] * p
     fd = -np.einsum("tkii->tki", gad).real
-    return w, u, p, f_ops, fd
+    return w, p, f_ops, fd
 
 
 def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: float,
@@ -754,48 +755,48 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
 
     dt = duration / n_steps
     times = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
-    pts = [path(float(t)) for t in times]
-    xs = np.array([fam.coerce_x(x) for x, _ in pts])
-    vs = np.array([np.atleast_1d(np.asarray(v, dtype=float)) for _, v in pts])
-    if vs.shape != xs.shape:
-        raise ValidationError("path must return x and v of the same shape")
-
-    w, u, p, f_ops, fd = _driven_node_data(fam, xs)
-    m = fam.dim
-    h_mov = (w[:, :, None] * np.eye(m)[None, :, :]).astype(complex) \
-        - np.einsum("tk,tkij->tij", vs, p)
+    xs, vs = _path_nodes(fam, [path(float(t)) for t in times])
+    w, p, f_ops, fd = _driven_node_data(fam, xs)
+    h_mov, (gq, gw) = _node_operators(w, p, vs, f_ops, fd)
     _check_step_size(h_mov, dt, "t", times)
+    rec = _Recorder(record_every, n_steps)
+    rec_steps = [step for step in range(1, n_steps + 1) if rec.want(step)]
+    f_rec = f_ops[[0] + [2 * step for step in rec_steps]]
+    del p, f_ops, fd
 
     state = state0.copy()
     state.validate()
-    rho = state.rho
+    rho = hermitize(state.rho)
     ledger = EnergyLedger.open(float(rho.diagonal().real @ w[0]))
-    rec = _Recorder(record_every, n_steps)
     rec.add(float(times[0]), xs[0], vs[0], rho, ledger)
-    dmeans = [np.einsum("kij,ji->k", f_ops[0], rho).real]
+    stages = np.empty((n_steps, 3, fam.dim, fam.dim), dtype=complex)
     event_log = []
 
     for step in range(1, n_steps + 1):
-        a, b, c = 2 * step - 2, 2 * step - 1, 2 * step
-        rho_new, stages = _rk4_stage_states(rho, h_mov[a], h_mov[b], h_mov[c], dt)
-        rho = _clean_step(rho_new, prof)
-        dq, dw = _ledger_increments(stages, (f_ops[a], f_ops[b], f_ops[c]),
-                                    (fd[a], fd[b], fd[c]), (vs[a], vs[b], vs[c]), dt)
-        ledger.record(dq, dw, float(rho.diagonal().real @ w[c]))
+        c = 2 * step
+        rho = _rk4_step(rho, h_mov[c - 2:c + 1], dt, prof, stages[step - 1])
         if step in events:
             before = rho.copy()
             out = events[step](QuantumState(rho=rho))
-            rho = np.asarray(out.rho, dtype=complex)
-            ledger.e_mean = float(rho.diagonal().real @ w[c])
+            rho = hermitize(np.asarray(out.rho, dtype=complex))
             event_log.append({"step": step, "rho_before": before, "rho_after": rho.copy()})
         if rec.want(step):
+            ledger.e_mean = float(rho.diagonal().real @ w[c])
             rec.add(float(times[c]), xs[c], vs[c], rho, ledger)
-            dmeans.append(np.einsum("kij,ji->k", f_ops[c], rho).real)
 
-    extras = {"diabatic_mean": np.array(dmeans)}
+    # the ledger quadrature after the loop; step s spans nodes 2s, 2s + 1, 2s + 2,
+    # and the rows recorded in the loop get their cumulative Q and W here
+    gq, gw = (np.moveaxis(np.lib.stride_tricks.sliding_window_view(g, 3, axis=0)[::2], -1, 1)
+              for g in (gq, gw))
+    q_cum, w_cum = (np.cumsum(d) for d in _ledger_increments(stages, gq, gw, dt))
+    ledger.record(q_cum[-1], w_cum[-1])
+    traj = rec.build(ledger, event_steps=tuple(sorted(events)), extras={})
+    rows = np.array(rec_steps) - 1
+    traj.q_cum[1:], traj.w_cum[1:] = q_cum[rows], w_cum[rows]
+    traj.extras["diabatic_mean"] = np.einsum("tkij,tji->tk", f_rec, traj.rho).real
     if event_log:
-        extras["events"] = event_log
-    return rec.build(ledger, event_steps=tuple(sorted(events)), extras=extras)
+        traj.extras["events"] = event_log
+    return traj
 
 
 def time_averaged_diabatic_force(fam: HamiltonianFamily, path, duration: float,

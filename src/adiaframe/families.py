@@ -80,6 +80,25 @@ class MatrixPolynomialFamily(HamiltonianFamily):
                 g[k] += coeff * mat
         return g
 
+    def _stacked(self, xs):
+        """``xs`` checked, with the exponents [term, k] and matrices [term, i, j]."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.n_coords:
+            raise ValidationError(f"xs must have shape (t, {self.n_coords}), got {xs.shape}")
+        exps, mats = zip(*self.terms)
+        return xs, np.array(exps), np.array(mats)
+
+    def evaluate_many(self, xs):
+        xs, exps, mats = self._stacked(xs)
+        return np.einsum("tj,jab->tab", np.prod(xs[:, None, :] ** exps, axis=-1), mats)
+
+    def gradient_many(self, xs):
+        # d/dx_k of prod_i x_i^e_i = e_k x_k^(e_k - 1) prod_{i != k} x_i^e_i
+        xs, exps, mats = self._stacked(xs)
+        lowered = exps[None, :, :] - np.eye(self.n_coords, dtype=int)[:, None, :]
+        coeff = exps.T * np.prod(xs[:, None, None, :] ** np.maximum(lowered, 0), axis=-1)
+        return np.einsum("tkj,jab->tkab", coeff, mats)
+
 
 def rotating_field_family(gamma: float = 1.0, b0: float = 1.0) -> CallableFamily:
     """Spin-1/2 in a field of constant magnitude whose direction rotates with x.

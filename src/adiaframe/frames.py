@@ -87,6 +87,14 @@ class HamiltonianFamily:
                       - np.asarray(self.evaluate(xm), dtype=complex)) / (2.0 * h)
         return out
 
+    def evaluate_many(self, xs) -> np.ndarray:
+        """H at each row of ``xs`` (shape (t, n_coords)), shape (t, dim, dim)."""
+        return np.array([self.evaluate(x) for x in xs], dtype=complex)
+
+    def gradient_many(self, xs) -> np.ndarray:
+        """dH/dx^k at each row of ``xs``, shape (t, n_coords, dim, dim)."""
+        return np.array([self.gradient(x) for x in xs], dtype=complex)
+
 
 class CallableFamily(HamiltonianFamily):
     """Family defined by plain callables H(x) and optionally dH(x)."""
@@ -274,10 +282,9 @@ def forces(fam: HamiltonianFamily, frame: AdiabaticFrame) -> ForcePair:
     grad_ad = frame.grad_adiabatic
     if grad_ad is None:
         grad_ad = _grad_in_frame(fam, frame.x, frame.spectrum)
-    n, m = grad_ad.shape[0], frame.dim
-    adiabatic = np.zeros((n, m, m), dtype=complex)
-    for k in range(n):
-        adiabatic[k] = np.diag(-grad_ad[k].diagonal().real)
+    adiabatic = np.zeros(grad_ad.shape, dtype=complex)
+    idx = np.arange(frame.dim)
+    adiabatic[:, idx, idx] = -grad_ad.diagonal(axis1=1, axis2=2).real
     diabatic = diabatic_forces(frame)
 
     total = adiabatic + diabatic

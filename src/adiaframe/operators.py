@@ -30,8 +30,8 @@ __all__ = [
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (A + A^dag)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Return the Hermitian part (A + A^dag)/2 (of each matrix in a stack)."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def require_square(a, name: str = "matrix") -> np.ndarray:

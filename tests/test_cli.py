@@ -155,6 +155,15 @@ class TestParseConfig:
             parse_config(cfg)
         assert "norm" in str(exc.value)
 
+    def test_amplitude_norm_uses_the_state_tolerance(self):
+        # within 1e-8 of 1 but outside the profile's amplitude_norm, which
+        # QuantumState.from_amplitudes applies when the run starts
+        cfg = {"kind": "stern_gerlach",
+               "stern_gerlach": {"amplitudes": [[1.000000003, 0.0], [0.0, 0.0]]}}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert exc.value.field == "stern_gerlach.amplitudes"
+
     def test_unknown_keys_strict_vs_lenient(self):
         cfg = sg_config(typo_field=1)
         with pytest.raises(ConfigError):

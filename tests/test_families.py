@@ -1,0 +1,68 @@
+"""Batched family evaluation: evaluate_many/gradient_many against the per-point calls."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from adiaframe import (CallableFamily, MatrixPolynomialFamily, QuantumState,
+                       avoided_crossing_family, run_driven, uniform_drive)
+from adiaframe.errors import ValidationError
+from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
+
+# rows with zeros, negatives and both signs of each coordinate
+POINTS = np.array([[0.0, 0.0], [0.7, -1.2], [-0.3, 0.0], [0.0, 2.5], [-1.1, -0.4]])
+
+
+def polynomial_family():
+    return MatrixPolynomialFamily([
+        ((2, 1), 0.5 * PAULI_Z),
+        ((0, 0), 0.3 * PAULI_X),
+        ((1, 0), 0.2 * PAULI_Y),
+        ((0, 3), 0.1 * PAULI_Z + 0.4 * PAULI_X),
+    ])
+
+
+def assert_matches_per_point(fam, xs):
+    many = fam.evaluate_many(xs)
+    grads = fam.gradient_many(xs)
+    assert many.shape == (len(xs), fam.dim, fam.dim)
+    assert grads.shape == (len(xs), fam.n_coords, fam.dim, fam.dim)
+    assert_allclose(many, np.array([fam.evaluate(x) for x in xs]), rtol=0, atol=1e-14)
+    assert_allclose(grads, np.array([fam.gradient(x) for x in xs]), rtol=0, atol=1e-14)
+
+
+class TestBatchedEvaluation:
+    def test_polynomial_mixed_exponents(self):
+        assert_matches_per_point(polynomial_family(), POINTS)
+
+    def test_callable_family_with_gradient(self):
+        fam = polynomial_family()
+        assert_matches_per_point(CallableFamily(2, 2, fam.evaluate, fam.gradient), POINTS)
+
+    def test_callable_family_finite_difference_gradient(self):
+        fam = CallableFamily(1, 2, lambda x: np.cos(x[0]) * PAULI_Z + np.sin(x[0]) * PAULI_X)
+        assert_matches_per_point(fam, POINTS[:, :1])
+
+    def test_polynomial_rejects_wrong_shape(self):
+        with pytest.raises(ValidationError):
+            polynomial_family().evaluate_many(POINTS[:, :1])
+        with pytest.raises(ValidationError):
+            polynomial_family().gradient_many(POINTS[0])
+
+
+class TestDrivenPathShapes:
+    @pytest.mark.parametrize("path", [
+        lambda t: (np.array([t, 0.0]), np.array([1.0])),      # x has two coordinates
+        lambda t: (np.array([t]), np.array([1.0, 0.0])),      # v has two coordinates
+        lambda t: (np.array([[t]]), np.array([1.0])),         # x is a matrix
+        lambda t: ([t] if t < 0.5 else [t, t], [1.0]),        # x changes shape on the way
+    ])
+    def test_wrong_shape_raises_validation_error(self, path):
+        with pytest.raises(ValidationError):
+            run_driven(avoided_crossing_family(), path, QuantumState.pure(0, 2), 1.0, 10)
+
+    def test_scalar_path_accepted(self):
+        fam = avoided_crossing_family()
+        traj = run_driven(fam, lambda t: (-1.0 + t, 1.0), QuantumState.pure(0, 2), 1.0, 10)
+        ref = run_driven(fam, uniform_drive([-1.0], [1.0]), QuantumState.pure(0, 2), 1.0, 10)
+        assert np.array_equal(traj.rho, ref.rho)
