@@ -176,7 +176,7 @@ def _amplitudes(length):
 def _populations(val, path, root):
     _vector("dim")(val, path, root)
     pops = np.asarray(val, dtype=float)
-    if np.any(pops < 0.0) or abs(pops.sum() - 1.0) > 1e-8:
+    if np.any(pops < 0.0) or abs(pops.sum() - 1.0) > active_profile().trace:
         _err("populations must be nonnegative and sum to 1", path)
 
 

@@ -6,7 +6,8 @@ H(x(t)); there it obeys
     i * hbar * drho/dt = [W(x) - v^k P_k(x), rho],
 
 integrated with a classic fourth-order Runge-Kutta step whose stage frames
-are rebuilt with gauge continuity.  The apparatus moves with a
+come from the one frame kernel of :mod:`adiaframe.frames`, with gauge
+continuity along the path.  The apparatus moves with a
 velocity-Verlet step that supports a configuration-dependent mass metric
 and a friction force -Gamma v (both velocity couplings are resolved by a
 fixed-point corrector on the kick).
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .frames import AdiabaticFrame, HamiltonianFamily, build_frame, forces, frame_path
+from .frames import (AdiabaticFrame, HamiltonianFamily, _force_split, _frame_kernel, _generator,
+                     build_frame, forces)
 from .operators import hermitize, require_square
 from .tolerances import active_profile
 from .units import HBAR
@@ -367,7 +369,7 @@ def _node_operators(w, p, vs, f_ops=None, fad=None):
     given the diabatic forces and adiabatic force diagonals, the heat and
     work rates G_q = -v^k f_k, g_w = -v^k diag F_k: dQ/dt = Re Tr(G_q rho),
     dW/dt = g_w . diag(rho)."""
-    h = hermitize(w[:, :, None] * np.eye(w.shape[-1]) - np.einsum("tk,tkij->tij", vs, p))
+    h = hermitize(_generator(w, p, vs))
     if f_ops is None:
         return h, None
     return h, (-np.einsum("tk,tkij->tij", vs, f_ops), -np.einsum("tk,tki->ti", vs, fad))
@@ -506,10 +508,7 @@ def _kick(app: ApparatusState, x, v_start, cons_force, friction, half_dt):
 
 def _branch_cons_force(app: ApparatusState, frame: AdiabaticFrame, k: int) -> np.ndarray:
     # -dW_k/dx (Hellmann-Feynman diagonal) - dV/dx
-    gad = frame.grad_adiabatic
-    if gad is None:
-        raise ValidationError("frame lacks cached gradient data; build it with build_frame")
-    return -gad[:, k, k].real - app.potential_grad_at(frame.x)
+    return -frame.grad_adiabatic[:, k, k].real - app.potential_grad_at(frame.x)
 
 
 def _vv_branch_step(app, fam, frame, k, friction, dt):
@@ -673,56 +672,6 @@ def uniform_drive(x0, v):
     return path
 
 
-def _driven_node_data(fam: HamiltonianFamily, xs: np.ndarray):
-    """Spectra, connections, and force operators at every half-step node.
-
-    Tries a vectorized route (batched eigh plus cumulative phase alignment),
-    valid when the spectrum stays non-degenerate and consecutive frames
-    overlap strongly; otherwise falls back to sequential frame building.
-    """
-    prof = active_profile()
-    t_nodes, m = len(xs), fam.dim
-
-    w = u = None
-    if m <= 16:
-        hs = fam.evaluate_many(xs)
-        if hs.shape != (t_nodes, m, m):
-            raise ValidationError(f"family evaluated to shape {hs.shape[1:]}, expected ({m}, {m})")
-        herm_dev = np.abs(hs - hs.conj().transpose(0, 2, 1)).max()
-        if herm_dev > prof.hermiticity * max(1.0, np.abs(hs).max()):
-            raise ValidationError(f"family is not Hermitian along the path (max dev {herm_dev:.3e})")
-        w_all, v_all = np.linalg.eigh(hs)
-        del hs
-        scale = max(1.0, float(np.abs(w_all).max()),
-                    float((w_all[:, -1] - w_all[:, 0]).max()) if m > 1 else 1.0)
-        min_gap = float(np.diff(w_all, axis=1).min()) if m > 1 else np.inf
-        if min_gap > prof.degeneracy_gap * scale:
-            from .operators import _fix_gauge_deterministic
-            v_all[0] = _fix_gauge_deterministic(v_all[0])
-            ov = np.einsum("tik,tik->tk", v_all[:-1].conj(), v_all[1:])
-            if np.abs(ov).min() > 0.75:
-                v_all[1:] *= np.cumprod(ov / np.abs(ov), axis=0).conj()[:, None, :]
-                w, u = w_all, v_all
-
-    if w is None:
-        frames = frame_path(fam, xs)
-        w = np.stack([fr.eigenvalues for fr in frames])
-        gad = np.stack([fr.grad_adiabatic for fr in frames])
-        p = np.stack([fr.connections for fr in frames])
-    else:
-        gad = u.conj().transpose(0, 2, 1)[:, None] @ fam.gradient_many(xs) @ u[:, None]
-        denom = w[:, None, :] - w[:, :, None]          # [t, i, j] = W_j - W_i
-        eye = np.eye(m, dtype=bool)
-        denom[:, eye] = 1.0
-        p = 1j * HBAR * gad / denom[:, None, :, :]
-        p[:, :, eye] = 0.0
-
-    gaps = w[:, :, None] - w[:, None, :]               # [t, i, j] = W_i - W_j
-    f_ops = (-1j / HBAR) * gaps[:, None, :, :] * p
-    fd = -np.einsum("tkii->tki", gad).real
-    return w, p, f_ops, fd
-
-
 def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: float,
                n_steps: int, *, t0: float = 0.0, record_every: int = 1,
                events: dict | None = None) -> Trajectory:
@@ -756,7 +705,9 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
     dt = duration / n_steps
     times = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
     xs, vs = _path_nodes(fam, [path(float(t)) for t in times])
-    w, p, f_ops, fd = _driven_node_data(fam, xs)
+    w, _, gad, p, _ = _frame_kernel(fam, xs)
+    f_ops, fd = _force_split(w, p, gad)
+    del gad
     h_mov, (gq, gw) = _node_operators(w, p, vs, f_ops, fd)
     _check_step_size(h_mov, dt, "t", times)
     rec = _Recorder(record_every, n_steps)

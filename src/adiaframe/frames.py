@@ -17,6 +17,14 @@ gradients, Hellmann-Feynman) and the diabatic forces
 which have zero diagonal and drive transitions between adiabatic states.
 The generator of quantum evolution seen from the moving frame is
 H_mov(x, v) = W(x) - v^k P_k(x).
+
+Every frame comes from one kernel, ``_frame_kernel``, which maps a stack of
+configurations to W, U and U^dag dH U with continuous labels and phases:
+:func:`build_frame` runs it on a stack of one, :func:`frame_path` on a
+whole path, and the driven integrator on its half-step nodes.  One split,
+``_force_split``, turns (W, P, U^dag dH U) into the diabatic forces and the
+adiabatic force diagonals for :func:`forces`, :func:`diabatic_forces` and
+the driven ledger.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DegenerateFrameWarning, ValidationError, NumericalError
-from .operators import Spectrum, hermitian_eig, hermitize, require_hermitian
+from .operators import Spectrum, _fix_gauge_deterministic, hermitian_eig, hermitize
 from .tolerances import active_profile
 from .units import HBAR
 
@@ -121,14 +129,14 @@ class AdiabaticFrame:
     """Instantaneous eigenframe of H at a configuration x.
 
     ``connections[k]`` is P_k in the frame's gauge (Hermitian, zero
-    diagonal); ``grad_adiabatic`` caches U^dag (dH/dx^k) U when the builder
-    computed it, so force extraction does not re-evaluate the gradient.
+    diagonal); ``grad_adiabatic[k]`` is U^dag (dH/dx^k) U, so force
+    extraction does not re-evaluate the gradient.
     """
 
     x: np.ndarray
     spectrum: Spectrum
     connections: np.ndarray
-    grad_adiabatic: np.ndarray | None = None
+    grad_adiabatic: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -164,29 +172,102 @@ class ForcePair:
         return self.adiabatic + self.diabatic
 
 
-def _grad_in_frame(fam: HamiltonianFamily, x, spectrum: Spectrum) -> np.ndarray:
-    g = fam.gradient(x)
-    u = spectrum.basis
-    return u.conj().T @ g @ u
+# Above this |overlap| between consecutive bases no other column can match
+# better, so the permutation is the identity and only phases need fixing.
+_PHASE_ONLY_OVERLAP = 1.0 / np.sqrt(2.0)
 
 
-def _perturbative_connections(spectrum: Spectrum, grad_adiabatic: np.ndarray,
-                              gap_threshold: float) -> np.ndarray:
-    w = spectrum.eigenvalues
-    denom = w[None, :] - w[:, None]          # denom[i, j] = W_j - W_i
-    small = np.abs(denom) < gap_threshold
-    np.fill_diagonal(small, False)
-    if np.any(small):
-        gap = np.abs(denom[small]).min()
-        raise DegeneracyError(
-            f"eigenvalue gap {gap:.3e} below threshold {gap_threshold:.3e}; "
-            "perturbative connections are ill-conditioned"
-        )
-    np.fill_diagonal(denom, 1.0)
-    p = 1j * HBAR * grad_adiabatic / denom[None, :, :]
-    for k in range(p.shape[0]):
-        np.fill_diagonal(p[k], 0.0)
+def _in_frame(u, g):
+    """U^dag G_k U for bases ``u`` (..., m, m) and operators ``g`` (..., n, m, m)."""
+    return u.conj().swapaxes(-1, -2)[..., None, :, :] @ g @ u[..., None, :, :]
+
+
+def _connections(w, gad):
+    """P_k = i hbar <i|dH/dx^k|j> / (W_j - W_i) off the diagonal, zero on it."""
+    denom = w[..., None, :] - w[..., :, None]          # [i, j] = W_j - W_i
+    eye = np.eye(w.shape[-1], dtype=bool)
+    denom[..., eye] = 1.0
+    p = 1j * HBAR * gad / denom[..., None, :, :]
+    p[..., eye] = 0.0
     return p
+
+
+def _force_split(w, p, gad):
+    """Diabatic forces f_k = -(i/hbar) [W, P_k] and adiabatic force diagonals
+    -diag(U^dag dH/dx^k U); F_k + f_k = -U^dag dH/dx^k U wherever P_k is
+    perturbative."""
+    gaps = w[..., :, None] - w[..., None, :]           # [i, j] = W_i - W_j
+    return (-1j / HBAR) * gaps[..., None, :, :] * p, -np.einsum("...kii->...ki", gad).real
+
+
+def _generator(w, p, v):
+    """W - v^k P_k, the generator of the frame-relative evolution."""
+    return w[..., :, None] * np.eye(w.shape[-1]) - np.einsum("...k,...kij->...ij", v, p)
+
+
+def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None = None):
+    """Eigenframes at every row of ``xs``, continuous along the rows.
+
+    ``ref`` is the basis before the first row (without it the first basis
+    takes the deterministic gauge of :func:`hermitian_eig`).  Returns the
+    stacks W (t, m), U (t, m, m), U^dag dH U (t, n, m, m) and P (t, n, m, m),
+    and the per-row spectra (with their label permutations and degeneracy
+    flags) where the rows went through :func:`hermitian_eig`, else None.
+
+    When no row is degenerate and every column overlaps its predecessor by
+    more than 1/sqrt(2), the phases follow from the cumulative product of
+    the overlaps in one pass; otherwise each row goes through
+    ``hermitian_eig(h, reference=previous)`` (linear assignment, cluster
+    rotation) and degenerate rows get the warned finite-difference
+    connections of :func:`connection_ops`.
+    """
+    prof = active_profile()
+    t, m = len(xs), fam.dim
+    hs = fam.evaluate_many(xs)
+    if hs.shape != (t, m, m):
+        raise ValidationError(f"family evaluated to shape {hs.shape[1:]}, expected ({m}, {m})")
+    if not np.all(np.isfinite(hs)):
+        raise ValidationError("H(x) contains non-finite entries")
+    dev = np.abs(hs - hs.conj().swapaxes(-1, -2)).max()
+    if dev > prof.hermiticity * np.abs(hs).max():
+        raise ValidationError(f"H(x) is not self-adjoint: max |H - H^dag| = {dev:.3e}")
+    if ref is not None and ref.shape != (m, m):
+        raise ValidationError(f"reference frame shape {ref.shape} does not match operator dim {m}")
+    try:
+        w, u = np.linalg.eigh(hs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge on a {m}x{m} matrix") from exc
+    scale = np.maximum(np.maximum(w[:, -1] - w[:, 0], np.abs(w).max(axis=1)), 1.0)
+    degenerate = (np.diff(w, axis=1) < prof.degeneracy_gap * scale[:, None]).any(axis=1)
+    if ref is None:
+        u[0] = _fix_gauge_deterministic(u[0])
+        prev, nxt = u[:-1], u[1:]
+    else:
+        prev, nxt = np.concatenate([ref[None], u[:-1]]), u
+    ov = np.einsum("tik,tik->tk", prev.conj(), nxt)
+
+    if not degenerate.any() and np.all(np.abs(ov) > _PHASE_ONLY_OVERLAP):
+        nxt *= np.cumprod(ov / np.abs(ov), axis=0).conj()[:, None, :]
+        gad = _in_frame(u, fam.gradient_many(xs))
+        return w, u, gad, _connections(w, gad), None
+
+    spectra, basis = [], ref
+    for h in hs:
+        spectra.append(hermitian_eig(h, reference=basis))
+        basis = spectra[-1].basis
+    w = np.array([s.eigenvalues for s in spectra])
+    u = np.array([s.basis for s in spectra])
+    gad = _in_frame(u, fam.gradient_many(xs))
+    p = np.array([connection_ops(fam, x, s) if s.degenerate else _connections(s.eigenvalues, g)
+                  for x, s, g in zip(xs, spectra, gad)])
+    return w, u, gad, p, spectra
+
+
+def _frames(fam: HamiltonianFamily, xs: np.ndarray, prev: AdiabaticFrame | None) -> list:
+    w, u, gad, p, spectra = _frame_kernel(fam, xs, None if prev is None else prev.basis)
+    spectra = spectra or [Spectrum(w[i], u[i]) for i in range(len(xs))]
+    return [AdiabaticFrame(x=x, spectrum=s, connections=pk, grad_adiabatic=g)
+            for x, s, pk, g in zip(xs, spectra, p, gad)]
 
 
 def _finite_difference_connections(fam, x, spectrum, fd_step=None) -> np.ndarray:
@@ -207,36 +288,21 @@ def _finite_difference_connections(fam, x, spectrum, fd_step=None) -> np.ndarray
 
 
 def connection_ops(fam: HamiltonianFamily, x, spectrum: Spectrum,
-                   method: str = "auto", fd_step: float | None = None,
-                   grad_adiabatic: np.ndarray | None = None) -> np.ndarray:
+                   method: str = "auto", fd_step: float | None = None) -> np.ndarray:
     """Connection operators P_k = i*hbar*U^dag dU/dx^k at one configuration.
 
     ``method`` is "perturbative" (matrix elements of dH over eigenvalue
-    gaps; raises :class:`DegeneracyError` on near-degenerate spectra),
+    gaps; raises :class:`DegeneracyError` on a degenerate spectrum),
     "finite_difference" (centered differences of the gauge-aligned basis,
     Hermitized), or "auto" (perturbative with a warned fallback to finite
     differences when the spectrum is degenerate).
     """
     if method not in ("auto", "perturbative", "finite_difference"):
         raise ValidationError(f"unknown connection method '{method}'")
-    prof = active_profile()
-    w = spectrum.eigenvalues
-    scale = max(float(w.max() - w.min()), float(np.abs(w).max()), 1.0)
-    gap_threshold = prof.degeneracy_gap * scale
-
     if method == "finite_difference":
         return _finite_difference_connections(fam, x, spectrum, fd_step)
-
-    degenerate = spectrum.degenerate
-    if not degenerate:
-        if grad_adiabatic is None:
-            grad_adiabatic = _grad_in_frame(fam, x, spectrum)
-        try:
-            return _perturbative_connections(spectrum, grad_adiabatic, gap_threshold)
-        except DegeneracyError:
-            if method == "perturbative":
-                raise
-            degenerate = True
+    if not spectrum.degenerate:
+        return _connections(spectrum.eigenvalues, _in_frame(spectrum.basis, fam.gradient(x)))
     if method == "perturbative":
         raise DegeneracyError("spectrum is degenerate; perturbative connections unavailable")
     warnings.warn(
@@ -247,55 +313,42 @@ def connection_ops(fam: HamiltonianFamily, x, spectrum: Spectrum,
     return _finite_difference_connections(fam, x, spectrum, fd_step)
 
 
-def build_frame(fam: HamiltonianFamily, x, prev: AdiabaticFrame | None = None,
-                *, method: str = "auto") -> AdiabaticFrame:
+def build_frame(fam: HamiltonianFamily, x, prev: AdiabaticFrame | None = None) -> AdiabaticFrame:
     """Diagonalize H(x) and attach connection operators.
 
     ``prev`` supplies the reference frame for label and phase continuity
     along a path; pass the frame from the previous configuration.
     """
-    x = fam.coerce_x(x)
-    h = require_hermitian(fam.evaluate(x), name="H(x)")
-    if h.shape != (fam.dim, fam.dim):
-        raise ValidationError(f"family evaluated to shape {h.shape}, expected ({fam.dim}, {fam.dim})")
-    ref = prev.spectrum.basis if prev is not None else None
-    spectrum = hermitian_eig(h, reference=ref)
-    grad_ad = _grad_in_frame(fam, x, spectrum)
-    p = connection_ops(fam, x, spectrum, method=method, grad_adiabatic=grad_ad)
-    return AdiabaticFrame(x=x, spectrum=spectrum, connections=p, grad_adiabatic=grad_ad)
+    return _frames(fam, fam.coerce_x(x)[None], prev)[0]
 
 
 def diabatic_forces(frame: AdiabaticFrame) -> np.ndarray:
     """f_k = -(i/hbar) [W, P_k]; zero diagonal by construction."""
-    w = frame.eigenvalues
-    gaps = w[:, None] - w[None, :]           # gaps[i, j] = W_i - W_j
-    return (-1j / HBAR) * gaps[None, :, :] * frame.connections
+    return _force_split(frame.eigenvalues, frame.connections, frame.grad_adiabatic)[0]
 
 
 def forces(fam: HamiltonianFamily, frame: AdiabaticFrame) -> ForcePair:
     """Adiabatic/diabatic force operators of the frame.
 
-    The decomposition satisfies U^dag (-dH/dx^k) U = F_k + f_k; the residual
-    of that identity is checked against the profile tolerance.
+    The decomposition satisfies U^dag (-dH/dx^k) U = F_k + f_k, by
+    construction where the connections are perturbative.  On a degenerate
+    frame, whose connections are finite differences, the residual of that
+    identity is checked against the profile tolerance.
     """
-    prof = active_profile()
-    grad_ad = frame.grad_adiabatic
-    if grad_ad is None:
-        grad_ad = _grad_in_frame(fam, frame.x, frame.spectrum)
-    adiabatic = np.zeros(grad_ad.shape, dtype=complex)
+    diabatic, fad = _force_split(frame.eigenvalues, frame.connections, frame.grad_adiabatic)
+    adiabatic = np.zeros(diabatic.shape, dtype=complex)
     idx = np.arange(frame.dim)
-    adiabatic[:, idx, idx] = -grad_ad.diagonal(axis1=1, axis2=2).real
-    diabatic = diabatic_forces(frame)
-
-    total = adiabatic + diabatic
-    target = -grad_ad
-    scale = max(float(np.abs(target).max()), 1e-300)
-    residual = float(np.abs(total - target).max()) / scale
-    if residual > prof.force_decomposition:
-        raise NumericalError(
-            f"force decomposition residual {residual:.3e} exceeds "
-            f"{prof.force_decomposition:.1e}; gradient and eigenframe are inconsistent"
-        )
+    adiabatic[:, idx, idx] = fad
+    if frame.spectrum.degenerate:
+        prof = active_profile()
+        target = -frame.grad_adiabatic
+        scale = max(float(np.abs(target).max()), 1e-300)
+        residual = float(np.abs(adiabatic + diabatic - target).max()) / scale
+        if residual > prof.force_decomposition:
+            raise NumericalError(
+                f"force decomposition residual {residual:.3e} exceeds "
+                f"{prof.force_decomposition:.1e}; gradient and eigenframe are inconsistent"
+            )
     return ForcePair(adiabatic=adiabatic, diabatic=diabatic)
 
 
@@ -304,16 +357,10 @@ def moving_frame_hamiltonian(frame: AdiabaticFrame, v) -> np.ndarray:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (frame.n_coords,):
         raise ValidationError(f"velocity must have shape ({frame.n_coords},), got {v.shape}")
-    return (np.diag(frame.eigenvalues.astype(complex))
-            - np.einsum("k,kij->ij", v, frame.connections))
+    return _generator(frame.eigenvalues, frame.connections, v)
 
 
-def frame_path(fam: HamiltonianFamily, xs, prev: AdiabaticFrame | None = None,
-               *, method: str = "auto") -> list:
+def frame_path(fam: HamiltonianFamily, xs, prev: AdiabaticFrame | None = None) -> list:
     """Frames along a sequence of configurations with continuity threading."""
-    frames = []
-    frame = prev
-    for x in xs:
-        frame = build_frame(fam, x, prev=frame, method=method)
-        frames.append(frame)
-    return frames
+    xs = [fam.coerce_x(x) for x in xs]
+    return _frames(fam, np.array(xs), prev) if xs else []

@@ -2,10 +2,11 @@
 
 Operators are plain complex ndarrays; the functions here validate the
 invariants (self-adjointness, unitarity) instead of wrapping arrays in
-classes.  :func:`hermitian_eig` is the single entry point for
-eigendecompositions: it fixes the eigenvector phases deterministically, and
-when a reference frame is supplied it keeps labels and phases continuous
-along a parameter path, reporting the column permutation it applied.
+classes.  :func:`hermitian_eig` eigendecomposes one matrix in a
+deterministic gauge, and when a reference frame is supplied it keeps labels
+and phases continuous along a parameter path, reporting the column
+permutation it applied.  The frame kernel of :mod:`adiaframe.frames` uses the
+same gauge on whole stacks and calls it where labels may swap.
 """
 
 from __future__ import annotations
@@ -170,13 +171,7 @@ def _align_to_reference(w, v, reference, degeneracy_threshold):
     return w, v, perm, bool(clusters)
 
 
-def hermitian_eig(
-    h,
-    reference: np.ndarray | Spectrum | None = None,
-    *,
-    tol: float | None = None,
-    degeneracy_tol: float | None = None,
-) -> Spectrum:
+def hermitian_eig(h, reference: np.ndarray | Spectrum | None = None) -> Spectrum:
     """Eigendecompose a Hermitian matrix in a deterministic gauge.
 
     Parameters
@@ -189,18 +184,13 @@ def hermitian_eig(
         ordered to maximize per-column |overlap| with the reference and
         phased so those overlaps are real positive; otherwise each column's
         largest-magnitude component is made real positive.
-    tol, degeneracy_tol : float, optional
-        Overrides for the hermiticity check and the relative gap below which
-        eigenvalues count as degenerate.
 
     Returns
     -------
     Spectrum
     """
-    prof = active_profile()
-    h = require_hermitian(h, tol=tol)
-    if degeneracy_tol is None:
-        degeneracy_tol = prof.degeneracy_gap
+    degeneracy_tol = active_profile().degeneracy_gap
+    h = require_hermitian(h)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

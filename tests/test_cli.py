@@ -164,6 +164,14 @@ class TestParseConfig:
             parse_config(cfg)
         assert exc.value.field == "stern_gerlach.amplitudes"
 
+    def test_population_sum_uses_the_state_tolerance(self):
+        # within 1e-8 of 1 but outside the profile's trace tolerance, which
+        # QuantumState.validate applies when the run starts
+        cfg = driven_config(state={"populations": [0.500000003, 0.5]})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert exc.value.field == "state.populations"
+
     def test_unknown_keys_strict_vs_lenient(self):
         cfg = sg_config(typo_field=1)
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
-"""The driven route: node data, the RK4 step kernel and the ledger quadrature.
+"""The driven route: the frame kernel's node data, the RK4 step kernel and
+the ledger quadrature.
 
 The reference below is the four-stage formula the ledger quadrature
 replaced: two-product commutators and one einsum of every stage state with
@@ -13,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from adiaframe import (CallableFamily, QuantumState, diabatic_forces, frame_path,
                        random_linear_family, run_driven, uniform_drive)
-from adiaframe.dynamics import _driven_node_data
+from adiaframe.frames import _force_split, _frame_kernel
 from adiaframe.operators import hermitize
 from adiaframe.units import HBAR
 
@@ -24,7 +25,8 @@ def reference_ledger(fam, path, rho0, duration, n_steps, events):
     times = 0.5 * dt * np.arange(2 * n_steps + 1)
     xs = np.array([path(t)[0] for t in times])
     vs = np.array([path(t)[1] for t in times])
-    w, p, f_ops, fd = _driven_node_data(fam, xs)
+    w, _, gad, p, _ = _frame_kernel(fam, xs)
+    f_ops, fd = _force_split(w, p, gad)
     h = np.array([np.diag(wi) for wi in w]).astype(complex) - np.einsum("tk,tkij->tij", vs, p)
 
     def rhs(hh, r):
@@ -90,9 +92,12 @@ class TestLedgerQuadrature:
 def test_node_routes_agree(dim, seed, v):
     fam = random_linear_family(dim, 1, "gue", seed=seed)
     xs = -1.0 + v * np.linspace(0.0, 1.0, 81)[:, None]
-    with mock.patch("adiaframe.dynamics.frame_path", side_effect=AssertionError("fell back")):
-        w, p, f_ops, fd = _driven_node_data(fam, xs)
-    frames = frame_path(fam, xs)
+    with mock.patch("adiaframe.frames.hermitian_eig", side_effect=AssertionError("fell back")):
+        w, _, gad, p, _ = _frame_kernel(fam, xs)
+    f_ops, fd = _force_split(w, p, gad)
+    # no overlap passes a threshold of 1, so every node takes hermitian_eig
+    with mock.patch("adiaframe.frames._PHASE_ONLY_OVERLAP", 1.0):
+        frames = frame_path(fam, xs)
     scale = max(1.0, max(np.abs(fr.connections).max() for fr in frames))
     assert_allclose(w, [fr.eigenvalues for fr in frames], rtol=0, atol=1e-10)
     assert_allclose(np.abs(p), [np.abs(fr.connections) for fr in frames], rtol=0, atol=1e-10 * scale)

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from adiaframe import (
@@ -15,8 +18,11 @@ from adiaframe import (
     frame_path,
     hermitian_eig,
     moving_frame_hamiltonian,
+    QuantumState,
     random_linear_family,
     rotating_field_family,
+    run_driven,
+    uniform_drive,
 )
 from adiaframe.errors import ValidationError
 from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
@@ -149,6 +155,63 @@ class TestForces:
         for k in range(fam.n_coords):
             direct = -1j * (w @ frame.connections[k] - frame.connections[k] @ w)
             assert_allclose(diabatic_forces(frame)[k], direct, atol=1e-13)
+
+
+@settings(max_examples=40)
+@given(dim=st.integers(2, 6), n_coords=st.integers(1, 2), ensemble=st.sampled_from(["goe", "gue"]),
+       seed=st.integers(0, 2 ** 16), x=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+def test_force_split_identity(dim, n_coords, ensemble, seed, x):
+    # F_k + f_k = -U^dag dH/dx^k U, F_k diagonal, f_k with a zero diagonal
+    fam = random_linear_family(dim, n_coords, ensemble, seed=seed)
+    frame = build_frame(fam, x[:n_coords])
+    fp = forces(fam, frame)
+    u = frame.basis
+    target = -(u.conj().T @ fam.gradient(x[:n_coords]) @ u)
+    assert_allclose(fp.total, target, rtol=0, atol=1e-12 * np.abs(target).max())
+    off = ~np.eye(dim, dtype=bool)
+    assert np.all(fp.adiabatic[:, off] == 0.0)
+    assert np.all(np.einsum("kii->ki", fp.diabatic) == 0.0)
+
+
+class TestGaugeRule:
+    @settings(max_examples=30)
+    @given(dim=st.integers(2, 6), seed=st.integers(0, 2 ** 16), x=st.floats(-1.0, 1.0),
+           step=st.floats(-1e-3, 1e-3))
+    def test_phase_only_path_matches_hermitian_eig(self, dim, seed, x, step):
+        fam = random_linear_family(dim, 1, "gue", seed=seed)
+        with mock.patch("adiaframe.frames.hermitian_eig", side_effect=AssertionError("fell back")):
+            first = build_frame(fam, [x])
+            frame = build_frame(fam, [x + step], prev=first)
+        for got, spec in ((first, hermitian_eig(fam.evaluate([x]))),
+                          (frame, hermitian_eig(fam.evaluate([x + step]), reference=first.basis))):
+            assert np.array_equal(got.basis, spec.basis)
+            assert np.array_equal(got.eigenvalues, spec.eigenvalues)
+            assert got.spectrum.permutation == spec.permutation
+            assert not got.spectrum.degenerate
+
+    def test_frame_path_takes_assignment_across_true_crossing(self):
+        # W(x) = x*sigma_z: consecutive bases across x = 0 do not overlap
+        fam = MatrixPolynomialFamily([((1,), PAULI_Z)])
+        xs = [-1.0, -0.5, -0.05, 0.05, 0.5, 1.0]
+        with mock.patch("adiaframe.frames.hermitian_eig", wraps=hermitian_eig) as eig:
+            frames = frame_path(fam, xs)
+        assert eig.call_count == len(xs)
+        assert [fr.spectrum.permutation for fr in frames] == [(0, 1)] * 3 + [(1, 0)] * 3
+        assert_allclose(frames[-1].eigenvalues, [1.0, -1.0])
+        assert_allclose(frames[-1].basis, np.eye(2), atol=1e-12)
+
+    def test_run_driven_follows_true_crossing_and_closes_ledger(self):
+        fam = MatrixPolynomialFamily([((1,), PAULI_Z)])
+        state = QuantumState.from_rho(np.diag([0.7, 0.3]).astype(complex))
+        with mock.patch("adiaframe.frames.hermitian_eig", wraps=hermitian_eig) as eig:
+            traj = run_driven(fam, uniform_drive([-0.99], [1.0]), state, 2.0, 10)
+        assert eig.call_count == 21
+        # labels follow the states: level 0 keeps W = x, level 1 keeps W = -x
+        x_end = traj.x[-1, 0]
+        assert_allclose(traj.e_mean[-1], 0.7 * x_end - 0.3 * x_end, rtol=1e-12)
+        assert_allclose(traj.populations[-1], [0.7, 0.3], atol=1e-12)
+        d_e = traj.e_mean[-1] - traj.e_mean[0]
+        assert abs(d_e - traj.q_cum[-1] - traj.w_cum[-1]) <= 1e-12 * abs(d_e)
 
 
 class TestGaugeInvariance:
