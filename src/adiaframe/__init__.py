@@ -19,8 +19,7 @@ from .entropy import (ProjectorFamily, entropy_delta, entropy_series,
                       haar_unitary, max_entropy_drift, project,
                       projected_diabatic_force, random_density_matrix,
                       von_neumann_entropy)
-from .errors import (AdiaframeError, ConfigError, DegeneracyError,
-                     DegenerateFrameWarning, DomainError, NumericalError,
+from .errors import (AdiaframeError, ConfigError, DomainError, NumericalError,
                      StepSizeError, ValidationError)
 from .families import (MatrixPolynomialFamily, avoided_crossing_family, goe,
                        gue, random_linear_family, rotating_field_family)
@@ -54,8 +53,8 @@ __all__ = [
     "max_entropy_drift", "project", "projected_diabatic_force",
     "random_density_matrix", "von_neumann_entropy",
     # errors
-    "AdiaframeError", "ConfigError", "DegeneracyError", "DegenerateFrameWarning",
-    "DomainError", "NumericalError", "StepSizeError", "ValidationError",
+    "AdiaframeError", "ConfigError", "DomainError", "NumericalError", "StepSizeError",
+    "ValidationError",
     # families
     "MatrixPolynomialFamily", "avoided_crossing_family", "goe", "gue",
     "random_linear_family", "rotating_field_family",

@@ -13,8 +13,8 @@ and a friction force -Gamma v (both velocity couplings are resolved by a
 fixed-point corrector on the kick).
 
 Energy bookkeeping follows the first-law split of the object's mean energy
-E = Tr(rho W): work flows through the adiabatic forces F_k and heat through
-the diabatic forces f_k,
+E = Tr(rho W): work flows through the adiabatic forces F_k (block-diagonal on
+degeneracy clusters) and heat through the diabatic forces f_k,
 
     dE = dQ + dW,   dW = -Tr(rho F_k) dx^k,   dQ = -Tr(rho f_k) dx^k.
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import StepSizeError, ValidationError
 from .frames import (AdiabaticFrame, HamiltonianFamily, _force_split, _frame_kernel, _generator,
-                     build_frame, forces)
+                     build_frame)
 from .operators import hermitize, require_square
 from .tolerances import active_profile
 from .units import HBAR
@@ -219,14 +219,17 @@ class ApparatusState:
 
 @dataclass
 class FrictionSpec:
-    """Velocity-linear dissipative force -Gamma(x) v on the apparatus."""
+    """Velocity-linear dissipative force -Gamma(x) v on the apparatus.
+
+    ``gamma`` is a constant tensor or a callable x -> tensor; None means no
+    friction.
+    """
 
     gamma: object = None
-    enabled: bool = False
 
     @classmethod
     def none(cls) -> "FrictionSpec":
-        return cls(gamma=None, enabled=False)
+        return cls(gamma=None)
 
     @classmethod
     def constant(cls, gamma) -> "FrictionSpec":
@@ -235,10 +238,10 @@ class FrictionSpec:
             g = g.reshape(1, 1)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValidationError("friction tensor must be square")
-        return cls(gamma=g, enabled=True)
+        return cls(gamma=g)
 
     def gamma_at(self, x) -> np.ndarray | None:
-        if not self.enabled or self.gamma is None:
+        if self.gamma is None:
             return None
         if callable(self.gamma):
             return np.asarray(self.gamma(np.asarray(x, dtype=float)), dtype=float)
@@ -364,15 +367,12 @@ def _check_step_size(hs: np.ndarray, dt: float, name: str, points) -> None:
         )
 
 
-def _node_operators(w, p, vs, f_ops=None, fad=None):
-    """Generators h = W - v^k P_k (Hermitized) at a stack of path nodes and,
-    given the diabatic forces and adiabatic force diagonals, the heat and
-    work rates G_q = -v^k f_k, g_w = -v^k diag F_k: dQ/dt = Re Tr(G_q rho),
-    dW/dt = g_w . diag(rho)."""
-    h = hermitize(_generator(w, p, vs))
-    if f_ops is None:
-        return h, None
-    return h, (-np.einsum("tk,tkij->tij", vs, f_ops), -np.einsum("tk,tki->ti", vs, fad))
+def _rate(vs, ops):
+    """-v^k O_k at a stack of path nodes: with O = f the heat rate operator
+    G_q, with O = F the work rate operator G_w; dQ/dt = Re Tr(G_q rho),
+    dW/dt = Re Tr(G_w rho)."""
+    g = np.einsum("tk,tkij->tij", vs, ops)
+    return np.negative(g, out=g)
 
 
 def _rk4_step(rho, h, dt, prof, stages):
@@ -410,9 +410,7 @@ def _ledger_increments(stages, gq, gw, dt):
     """Simpson/RK4 quadrature of (dQ, dW) over steps s with stage sums
     ``stages[s]`` and node rates ``gq[s]``/``gw[s]``: weights (1, 2 + 2, 1) dt/6."""
     wts = np.array([1.0, 2.0, 1.0]) * (dt / 6.0)
-    dq = np.einsum("snij,snji->sn", stages, gq).real @ wts
-    dw = np.einsum("snii,sni->sn", stages, gw).real @ wts
-    return dq, dw
+    return tuple(np.einsum("snij,snji->sn", stages, g).real @ wts for g in (gq, gw))
 
 
 def _path_nodes(fam: HamiltonianFamily, pts):
@@ -457,20 +455,18 @@ def quantum_step(fam: HamiltonianFamily, frame_prev: AdiabaticFrame, state: Quan
     frame_m = build_frame(fam, xs[1], prev=frame_prev)
     frame_1 = build_frame(fam, xs[2], prev=frame_m)
     frames = (frame_prev, frame_m, frame_1)
-    w = np.array([fr.eigenvalues for fr in frames])
-    p = np.array([fr.connections for fr in frames])
-    if ledger is None:
-        h, rates = _node_operators(w, p, vs)
-    else:
-        pairs = [forces(fam, fr) for fr in frames]
-        fad = np.array([fp.adiabatic.diagonal(axis1=1, axis2=2).real for fp in pairs])
-        h, rates = _node_operators(w, p, vs, np.array([fp.diabatic for fp in pairs]), fad)
+
+    def stacked(name):
+        return np.array([getattr(fr, name) for fr in frames])
+
+    h = hermitize(_generator(stacked("eigenvalues"), stacked("connections"), vs))
     _check_step_size(h, dt, "x", xs)
 
     stages = np.empty((1, 3, fam.dim, fam.dim), dtype=complex)
     rho_new = _rk4_step(hermitize(state.rho), h, dt, prof, stages[0])
     if ledger is not None:
-        dq, dw = _ledger_increments(stages, *(g[None] for g in rates), dt)
+        gq, gw = (_rate(vs, stacked(name))[None] for name in ("diabatic", "adiabatic"))
+        dq, dw = _ledger_increments(stages, gq, gw, dt)
         ledger.record(dq[0], dw[0], float(rho_new.diagonal().real @ frame_1.eigenvalues))
     return QuantumState(rho=rho_new), frame_1
 
@@ -494,7 +490,7 @@ def _acceleration(app: ApparatusState, x, v, cons_force, friction: FrictionSpec 
 
 def _kick(app: ApparatusState, x, v_start, cons_force, friction, half_dt):
     """v_start + half_dt * a(x, v) solved to a fixed point when a depends on v."""
-    velocity_dependent = (friction is not None and friction.enabled) or callable(app.metric)
+    velocity_dependent = (friction is not None and friction.gamma is not None) or callable(app.metric)
     v = v_start + half_dt * _acceleration(app, x, v_start, cons_force, friction)
     if not velocity_dependent:
         return v
@@ -596,7 +592,7 @@ def run_branching(scenario: DynamicsScenario) -> list:
             x_prev, v_prev = app.x, app.v
             app, frame, v_half = _vv_branch_step(app, fam, frame, k, scenario.friction, dt)
             ledger.record(0.0, frame.eigenvalues[k] - w_prev, frame.eigenvalues[k])
-            if scenario.friction is not None and scenario.friction.enabled:
+            if scenario.friction is not None and scenario.friction.gamma is not None:
                 heat += _friction_heat_step(scenario.friction, x_prev, v_prev, v_half,
                                             app.x, app.v, dt)
             if rec.want(step):
@@ -636,10 +632,14 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
     rec = _Recorder(scenario.record_every, scenario.n_steps)
     rec.add(0.0, app.x, app.v, state.rho, ledger)
 
+    potential_grad = app.potential_grad_at
+
+    def cons_force(frame, state):
+        mean_force = np.einsum("kij,ji->k", frame.adiabatic + frame.diabatic, state.rho).real
+        return mean_force - potential_grad(frame.x)
+
+    cons = cons_force(frame, state)
     for step in range(1, scenario.n_steps + 1):
-        fp = forces(fam, frame)
-        mean_force = np.einsum("kij,ji->k", fp.total, state.rho).real
-        cons = mean_force - app.potential_grad_at(app.x)
         v_half = _kick(app, app.x, app.v, cons, friction, 0.5 * dt)
         x1 = app.x + dt * v_half
 
@@ -647,10 +647,8 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
             return x + s * vh, vh
 
         state, frame = quantum_step(fam, frame, state, segment, dt, ledger=ledger)
-        fp1 = forces(fam, frame)
-        mean_force1 = np.einsum("kij,ji->k", fp1.total, state.rho).real
-        cons1 = mean_force1 - app.potential_grad_at(x1)
-        v1 = _kick(app, x1, v_half, cons1, friction, 0.5 * dt)
+        cons = cons_force(frame, state)      # also the next step's starting force
+        v1 = _kick(app, x1, v_half, cons, friction, 0.5 * dt)
         app = dataclasses.replace(app, x=x1, v=v1)
         if rec.want(step):
             rec.add(step * dt, app.x, app.v, state.rho, ledger)
@@ -705,15 +703,21 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
     dt = duration / n_steps
     times = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
     xs, vs = _path_nodes(fam, [path(float(t)) for t in times])
-    w, _, gad, p, _ = _frame_kernel(fam, xs)
-    f_ops, fd = _force_split(w, p, gad)
-    del gad
-    h_mov, (gq, gw) = _node_operators(w, p, vs, f_ops, fd)
-    _check_step_size(h_mov, dt, "t", times)
+    # each (t, m, m) stack is freed as soon as it is used up: F overwrites
+    # U^dag dH U, and P goes before the generator is Hermitized
+    w, _, gad, p, same, _ = _frame_kernel(fam, xs)
+    f_ops, gw = _force_split(w, p, gad, same, out=gad)
+    del gad, same
+    gw = _rate(vs, gw)
+    gq = _rate(vs, f_ops)
     rec = _Recorder(record_every, n_steps)
     rec_steps = [step for step in range(1, n_steps + 1) if rec.want(step)]
     f_rec = f_ops[[0] + [2 * step for step in rec_steps]]
-    del p, f_ops, fd
+    del f_ops
+    h_mov = _generator(w, p, vs)
+    del p
+    h_mov = hermitize(h_mov)
+    _check_step_size(h_mov, dt, "t", times)
 
     state = state0.copy()
     state.validate()

@@ -13,10 +13,6 @@ class NumericalError(AdiaframeError, ArithmeticError):
     """A numerical routine failed or produced an untrustworthy result."""
 
 
-class DegeneracyError(NumericalError):
-    """Eigenvalue gap below threshold where a non-degenerate spectrum is required."""
-
-
 class StepSizeError(NumericalError):
     """Integrator step too large for the requested accuracy; retry with smaller dt."""
 
@@ -38,8 +34,3 @@ class ConfigError(ValidationError):
         elif line is not None:
             prefix = f"config line {line}, column {column}: "
         super().__init__(prefix + message)
-
-
-class DegenerateFrameWarning(UserWarning):
-    """Adiabatic frame built on a (near-)degenerate spectrum; connections use the
-    finite-difference route and labels inside the cluster are not unique."""

@@ -6,36 +6,40 @@ spectrum, the connection operators
 
     P_k = i * hbar * U^dag (dU/dx^k),
 
-computed either perturbatively from matrix elements of dH/dx^k (exact away
-from degeneracies) or by central finite differences of the gauge-aligned
-eigenbasis.  The diagonal of each P_k vanishes in the parallel-transport
-gauge used here.  From the frame follow the adiabatic forces (eigenvalue
-gradients, Hellmann-Feynman) and the diabatic forces
+computed perturbatively from matrix elements of dH/dx^k between degeneracy
+clusters and set to zero inside them: the parallel-transport gauge, which
+on a degenerate cluster is the non-Abelian (Wilczek-Zee) one.  From the
+frame follow the adiabatic forces F_k, the cluster blocks of
+-U^dag (dH/dx^k) U (on a nondegenerate spectrum its diagonal, the
+Hellmann-Feynman eigenvalue gradients), and the diabatic forces
 
     f_k = -(i/hbar) [W, P_k],
 
-which have zero diagonal and drive transitions between adiabatic states.
-The generator of quantum evolution seen from the moving frame is
+which vanish inside clusters and drive transitions between adiabatic
+states.  F_k + f_k = -U^dag (dH/dx^k) U holds by construction on every
+frame.  The generator of quantum evolution seen from the moving frame is
 H_mov(x, v) = W(x) - v^k P_k(x).
 
 Every frame comes from one kernel, ``_frame_kernel``, which maps a stack of
 configurations to W, U and U^dag dH U with continuous labels and phases:
 :func:`build_frame` runs it on a stack of one, :func:`frame_path` on a
 whole path, and the driven integrator on its half-step nodes.  One split,
-``_force_split``, turns (W, P, U^dag dH U) into the diabatic forces and the
-adiabatic force diagonals for :func:`forces`, :func:`diabatic_forces` and
-the driven ledger.
+``_force_split``, turns (W, P, U^dag dH U) into f and F; each frame makes it
+once, on first use, and the driven ledger makes it on the whole stack.
+Central finite differences of the gauge-aligned basis
+(``connection_ops(method="finite_difference")``) are kept as a reference.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneracyError, DegenerateFrameWarning, ValidationError, NumericalError
-from .operators import Spectrum, _fix_gauge_deterministic, hermitian_eig, hermitize
+from .errors import ValidationError, NumericalError
+from .operators import (Spectrum, _align_to_reference, _cluster_labels, _fix_gauge_deterministic,
+                        hermitian_eig, hermitize)
 from .tolerances import active_profile
 from .units import HBAR
 
@@ -128,15 +132,32 @@ class CallableFamily(HamiltonianFamily):
 class AdiabaticFrame:
     """Instantaneous eigenframe of H at a configuration x.
 
-    ``connections[k]`` is P_k in the frame's gauge (Hermitian, zero
-    diagonal); ``grad_adiabatic[k]`` is U^dag (dH/dx^k) U, so force
-    extraction does not re-evaluate the gradient.
+    ``connections[k]`` is P_k in the frame's gauge (Hermitian, zero inside
+    degeneracy clusters); ``grad_adiabatic[k]`` is U^dag (dH/dx^k) U, so
+    force extraction does not re-evaluate the gradient; ``same_cluster`` is
+    the (m, m) mask of level pairs in one degeneracy cluster.
     """
 
     x: np.ndarray
     spectrum: Spectrum
     connections: np.ndarray
     grad_adiabatic: np.ndarray
+    same_cluster: np.ndarray
+
+    @cached_property
+    def _split(self):
+        return _force_split(self.eigenvalues, self.connections, self.grad_adiabatic,
+                            self.same_cluster)
+
+    @property
+    def diabatic(self) -> np.ndarray:
+        """f_k = -(i/hbar) [W, P_k]; zero inside degeneracy clusters."""
+        return self._split[0]
+
+    @property
+    def adiabatic(self) -> np.ndarray:
+        """F_k, the degeneracy-cluster blocks of -U^dag (dH/dx^k) U."""
+        return self._split[1]
 
     @property
     def dim(self) -> int:
@@ -159,8 +180,9 @@ class AdiabaticFrame:
 class ForcePair:
     """Adiabatic/diabatic split of the transformed force operators.
 
-    ``adiabatic[k]`` is diagonal in the frame (eigenvalue gradients with a
-    minus sign); ``diabatic[k]`` has zero diagonal.  Their sum equals
+    ``adiabatic[k]`` is block-diagonal on the degeneracy clusters (diagonal,
+    the eigenvalue gradients with a minus sign, on a nondegenerate
+    spectrum); ``diabatic[k]`` vanishes on those blocks.  Their sum equals
     U^dag (-dH/dx^k) U.
     """
 
@@ -182,27 +204,33 @@ def _in_frame(u, g):
     return u.conj().swapaxes(-1, -2)[..., None, :, :] @ g @ u[..., None, :, :]
 
 
-def _connections(w, gad):
-    """P_k = i hbar <i|dH/dx^k|j> / (W_j - W_i) off the diagonal, zero on it."""
+def _connections(w, gad, same):
+    """P_k = i hbar <i|dH/dx^k|j> / (W_j - W_i) between degeneracy clusters,
+    zero inside them (``same`` marks the pairs in one cluster)."""
     denom = w[..., None, :] - w[..., :, None]          # [i, j] = W_j - W_i
-    eye = np.eye(w.shape[-1], dtype=bool)
-    denom[..., eye] = 1.0
+    denom[same] = 1.0
     p = 1j * HBAR * gad / denom[..., None, :, :]
-    p[..., eye] = 0.0
+    np.copyto(p, 0.0, where=same[..., None, :, :])
     return p
 
 
-def _force_split(w, p, gad):
-    """Diabatic forces f_k = -(i/hbar) [W, P_k] and adiabatic force diagonals
-    -diag(U^dag dH/dx^k U); F_k + f_k = -U^dag dH/dx^k U wherever P_k is
-    perturbative."""
+def _force_split(w, p, gad, same, out=None):
+    """Diabatic forces f_k = -(i/hbar) [W, P_k] and adiabatic forces F_k, the
+    blocks of -U^dag dH/dx^k U on the pairs ``same`` of one cluster (written
+    into ``out``, which may be ``gad``).  With P from :func:`_connections`,
+    F_k + f_k = -U^dag dH/dx^k U."""
     gaps = w[..., :, None] - w[..., None, :]           # [i, j] = W_i - W_j
-    return (-1j / HBAR) * gaps[..., None, :, :] * p, -np.einsum("...kii->...ki", gad).real
+    diabatic = (-1j / HBAR) * gaps[..., None, :, :] * p
+    adiabatic = np.negative(gad, out=out)
+    np.copyto(adiabatic, 0.0, where=~same[..., None, :, :])
+    adiabatic.imag[..., np.eye(w.shape[-1], dtype=bool)] = 0.0     # Hermitian: real diagonal
+    return diabatic, adiabatic
 
 
 def _generator(w, p, v):
     """W - v^k P_k, the generator of the frame-relative evolution."""
-    return w[..., :, None] * np.eye(w.shape[-1]) - np.einsum("...k,...kij->...ij", v, p)
+    vp = np.einsum("...k,...kij->...ij", v, p)          # reused: one temporary stack less
+    return np.subtract(w[..., :, None] * np.eye(w.shape[-1]), vp, out=vp)
 
 
 def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None = None):
@@ -210,16 +238,14 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
 
     ``ref`` is the basis before the first row (without it the first basis
     takes the deterministic gauge of :func:`hermitian_eig`).  Returns the
-    stacks W (t, m), U (t, m, m), U^dag dH U (t, n, m, m) and P (t, n, m, m),
-    and the per-row spectra (with their label permutations and degeneracy
-    flags) where the rows went through :func:`hermitian_eig`, else None.
+    stacks W (t, m), U (t, m, m), U^dag dH U (t, n, m, m), P (t, n, m, m),
+    the same-cluster masks (t, m, m) and the label permutation of each row
+    (``()`` where none was applied).
 
     When no row is degenerate and every column overlaps its predecessor by
     more than 1/sqrt(2), the phases follow from the cumulative product of
-    the overlaps in one pass; otherwise each row goes through
-    ``hermitian_eig(h, reference=previous)`` (linear assignment, cluster
-    rotation) and degenerate rows get the warned finite-difference
-    connections of :func:`connection_ops`.
+    the overlaps in one pass; otherwise each row is aligned to the one
+    before it (linear assignment, cluster rotation).
     """
     prof = active_profile()
     t, m = len(xs), fam.dim
@@ -237,8 +263,10 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
         w, u = np.linalg.eigh(hs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge on a {m}x{m} matrix") from exc
-    scale = np.maximum(np.maximum(w[:, -1] - w[:, 0], np.abs(w).max(axis=1)), 1.0)
-    degenerate = (np.diff(w, axis=1) < prof.degeneracy_gap * scale[:, None]).any(axis=1)
+    del hs                                    # one (t, m, m) stack less at the peak
+    labels = _cluster_labels(w, prof.degeneracy_gap)
+    degenerate = labels[:, -1] < m - 1        # levels ascend: the last label is clusters - 1
+    perms = [()] * t
     if ref is None:
         u[0] = _fix_gauge_deterministic(u[0])
         prev, nxt = u[:-1], u[1:]
@@ -248,26 +276,23 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
 
     if not degenerate.any() and np.all(np.abs(ov) > _PHASE_ONLY_OVERLAP):
         nxt *= np.cumprod(ov / np.abs(ov), axis=0).conj()[:, None, :]
-        gad = _in_frame(u, fam.gradient_many(xs))
-        return w, u, gad, _connections(w, gad), None
-
-    spectra, basis = [], ref
-    for h in hs:
-        spectra.append(hermitian_eig(h, reference=basis))
-        basis = spectra[-1].basis
-    w = np.array([s.eigenvalues for s in spectra])
-    u = np.array([s.basis for s in spectra])
+    else:
+        basis = ref
+        for i in range(t):
+            if basis is not None:
+                perm, u[i] = _align_to_reference(u[i], basis, labels[i])
+                w[i], labels[i], perms[i] = w[i, perm], labels[i, perm], tuple(perm.tolist())
+            basis = u[i]
+    same = labels[:, :, None] == labels[:, None, :]
     gad = _in_frame(u, fam.gradient_many(xs))
-    p = np.array([connection_ops(fam, x, s) if s.degenerate else _connections(s.eigenvalues, g)
-                  for x, s, g in zip(xs, spectra, gad)])
-    return w, u, gad, p, spectra
+    return w, u, gad, _connections(w, gad, same), same, perms
 
 
 def _frames(fam: HamiltonianFamily, xs: np.ndarray, prev: AdiabaticFrame | None) -> list:
-    w, u, gad, p, spectra = _frame_kernel(fam, xs, None if prev is None else prev.basis)
-    spectra = spectra or [Spectrum(w[i], u[i]) for i in range(len(xs))]
-    return [AdiabaticFrame(x=x, spectrum=s, connections=pk, grad_adiabatic=g)
-            for x, s, pk, g in zip(xs, spectra, p, gad)]
+    w, u, gad, p, same, perms = _frame_kernel(fam, xs, None if prev is None else prev.basis)
+    return [AdiabaticFrame(x=xs[i], connections=p[i], grad_adiabatic=gad[i], same_cluster=same[i],
+                           spectrum=Spectrum(w[i], u[i], perms[i], np.count_nonzero(same[i]) > fam.dim))
+            for i in range(len(xs))]
 
 
 def _finite_difference_connections(fam, x, spectrum, fd_step=None) -> np.ndarray:
@@ -288,29 +313,23 @@ def _finite_difference_connections(fam, x, spectrum, fd_step=None) -> np.ndarray
 
 
 def connection_ops(fam: HamiltonianFamily, x, spectrum: Spectrum,
-                   method: str = "auto", fd_step: float | None = None) -> np.ndarray:
+                   method: str = "perturbative", fd_step: float | None = None) -> np.ndarray:
     """Connection operators P_k = i*hbar*U^dag dU/dx^k at one configuration.
 
     ``method`` is "perturbative" (matrix elements of dH over eigenvalue
-    gaps; raises :class:`DegeneracyError` on a degenerate spectrum),
+    gaps between degeneracy clusters, zero inside them) or
     "finite_difference" (centered differences of the gauge-aligned basis,
-    Hermitized), or "auto" (perturbative with a warned fallback to finite
-    differences when the spectrum is degenerate).
+    Hermitized), the reference for the former away from degeneracies.
     """
-    if method not in ("auto", "perturbative", "finite_difference"):
+    if method not in ("perturbative", "finite_difference"):
         raise ValidationError(f"unknown connection method '{method}'")
     if method == "finite_difference":
         return _finite_difference_connections(fam, x, spectrum, fd_step)
-    if not spectrum.degenerate:
-        return _connections(spectrum.eigenvalues, _in_frame(spectrum.basis, fam.gradient(x)))
-    if method == "perturbative":
-        raise DegeneracyError("spectrum is degenerate; perturbative connections unavailable")
-    warnings.warn(
-        "degenerate spectrum: falling back to finite-difference connections",
-        DegenerateFrameWarning,
-        stacklevel=2,
-    )
-    return _finite_difference_connections(fam, x, spectrum, fd_step)
+    w = spectrum.eigenvalues
+    order = np.argsort(w)
+    labels = np.empty(len(w), dtype=int)
+    labels[order] = _cluster_labels(w[order], active_profile().degeneracy_gap)
+    return _connections(w, _in_frame(spectrum.basis, fam.gradient(x)), labels[:, None] == labels)
 
 
 def build_frame(fam: HamiltonianFamily, x, prev: AdiabaticFrame | None = None) -> AdiabaticFrame:
@@ -323,33 +342,17 @@ def build_frame(fam: HamiltonianFamily, x, prev: AdiabaticFrame | None = None) -
 
 
 def diabatic_forces(frame: AdiabaticFrame) -> np.ndarray:
-    """f_k = -(i/hbar) [W, P_k]; zero diagonal by construction."""
-    return _force_split(frame.eigenvalues, frame.connections, frame.grad_adiabatic)[0]
+    """f_k = -(i/hbar) [W, P_k]; zero inside degeneracy clusters."""
+    return frame.diabatic
 
 
 def forces(fam: HamiltonianFamily, frame: AdiabaticFrame) -> ForcePair:
     """Adiabatic/diabatic force operators of the frame.
 
-    The decomposition satisfies U^dag (-dH/dx^k) U = F_k + f_k, by
-    construction where the connections are perturbative.  On a degenerate
-    frame, whose connections are finite differences, the residual of that
-    identity is checked against the profile tolerance.
+    F_k is block-diagonal on the degeneracy clusters and f_k vanishes on
+    those blocks; U^dag (-dH/dx^k) U = F_k + f_k by construction.
     """
-    diabatic, fad = _force_split(frame.eigenvalues, frame.connections, frame.grad_adiabatic)
-    adiabatic = np.zeros(diabatic.shape, dtype=complex)
-    idx = np.arange(frame.dim)
-    adiabatic[:, idx, idx] = fad
-    if frame.spectrum.degenerate:
-        prof = active_profile()
-        target = -frame.grad_adiabatic
-        scale = max(float(np.abs(target).max()), 1e-300)
-        residual = float(np.abs(adiabatic + diabatic - target).max()) / scale
-        if residual > prof.force_decomposition:
-            raise NumericalError(
-                f"force decomposition residual {residual:.3e} exceeds "
-                f"{prof.force_decomposition:.1e}; gradient and eigenframe are inconsistent"
-            )
-    return ForcePair(adiabatic=adiabatic, diabatic=diabatic)
+    return ForcePair(adiabatic=frame.adiabatic, diabatic=frame.diabatic)
 
 
 def moving_frame_hamiltonian(frame: AdiabaticFrame, v) -> np.ndarray:

@@ -5,8 +5,11 @@ invariants (self-adjointness, unitarity) instead of wrapping arrays in
 classes.  :func:`hermitian_eig` eigendecomposes one matrix in a
 deterministic gauge, and when a reference frame is supplied it keeps labels
 and phases continuous along a parameter path, reporting the column
-permutation it applied.  The frame kernel of :mod:`adiaframe.frames` uses the
-same gauge on whole stacks and calls it where labels may swap.
+permutation it applied.  One cluster rule (``_cluster_labels``) says which
+levels count as degenerate; the gauge rotates each such cluster as one block,
+and the frame kernel of :mod:`adiaframe.frames` uses the same rule for its
+block force split and the same alignment on whole stacks where labels may
+swap.
 """
 
 from __future__ import annotations
@@ -110,19 +113,16 @@ class Spectrum:
         return self.basis.conj().T @ a @ self.basis
 
 
-def _degeneracy_clusters(w: np.ndarray, threshold: float) -> list:
-    """Group indices of ``w`` whose sorted neighbours sit closer than ``threshold``."""
-    order = np.argsort(w, kind="stable")
-    clusters = []
-    current = [order[0]]
-    for prev, nxt in zip(order[:-1], order[1:]):
-        if abs(w[nxt] - w[prev]) < threshold:
-            current.append(nxt)
-        else:
-            clusters.append(current)
-            current = [nxt]
-    clusters.append(current)
-    return clusters
+def _cluster_labels(w: np.ndarray, gap: float) -> np.ndarray:
+    """Degeneracy cluster of each level in a stack of ascending spectra ``w``.
+
+    Neighbours closer than ``gap`` * max(spread, max|W|, 1) share a cluster,
+    so clusters chain; labels count clusters up from the lowest level.
+    """
+    scale = np.maximum(np.maximum(w[..., -1] - w[..., 0], np.abs(w).max(axis=-1)), 1.0)
+    labels = np.zeros(w.shape, dtype=int)
+    (np.diff(w, axis=-1) >= gap * scale[..., None]).cumsum(axis=-1, out=labels[..., 1:])
+    return labels
 
 
 def _fix_gauge_deterministic(v: np.ndarray) -> np.ndarray:
@@ -137,38 +137,36 @@ def _fix_gauge_deterministic(v: np.ndarray) -> np.ndarray:
     return v * phase.conj()[None, :]
 
 
-def _align_to_reference(w, v, reference, degeneracy_threshold):
+def _align_to_reference(v, reference, labels):
     """Reorder and re-phase eigenvector columns to follow ``reference``.
 
     Column order maximizes total |overlap| with the reference columns
     (a linear assignment), each surviving column is phased so its overlap
-    with the reference is real positive, and near-degenerate clusters are
-    rotated onto the reference subspace by a polar decomposition.
+    with the reference is real positive, and each degeneracy cluster (by
+    ``labels``, the cluster of each column of ``v``) is rotated onto the
+    reference subspace by a polar decomposition.  Returns the column
+    permutation and the aligned basis.
     """
     from scipy.optimize import linear_sum_assignment
 
-    m = v.shape[1]
     overlap = reference.conj().T @ v
     _, perm = linear_sum_assignment(-np.abs(overlap))
     v = v[:, perm]
-    w = w[perm]
+    labels = labels[perm]
 
     diag = np.einsum("ij,ij->j", reference.conj(), v)
     mag = np.abs(diag)
     phase = np.where(mag > 1e-12, diag / np.where(mag > 0, mag, 1.0), 1.0)
     v = v * phase.conj()[None, :]
 
-    spread = float(w.max() - w.min())
-    scale = max(spread, float(np.abs(w).max()), 1.0)
-    clusters = [c for c in _degeneracy_clusters(w, degeneracy_threshold * scale) if len(c) > 1]
-    for cluster in clusters:
-        cols = np.asarray(cluster)
+    for cluster in np.flatnonzero(np.bincount(labels) > 1):
+        cols = np.flatnonzero(labels == cluster)
         block = v[:, cols]
         ref_block = reference[:, cols]
         # closest unitary mapping the computed subspace basis onto the reference's
         x, _, yh = np.linalg.svd(block.conj().T @ ref_block)
         v[:, cols] = block @ (x @ yh)
-    return w, v, perm, bool(clusters)
+    return perm, v
 
 
 def hermitian_eig(h, reference: np.ndarray | Spectrum | None = None) -> Spectrum:
@@ -189,7 +187,6 @@ def hermitian_eig(h, reference: np.ndarray | Spectrum | None = None) -> Spectrum
     -------
     Spectrum
     """
-    degeneracy_tol = active_profile().degeneracy_gap
     h = require_hermitian(h)
     try:
         w, v = np.linalg.eigh(h)
@@ -200,22 +197,17 @@ def hermitian_eig(h, reference: np.ndarray | Spectrum | None = None) -> Spectrum
         ) from exc
 
     m = h.shape[0]
+    labels = _cluster_labels(w, active_profile().degeneracy_gap)
     if reference is not None:
         ref = reference.basis if isinstance(reference, Spectrum) else np.asarray(reference, dtype=complex)
         if ref.shape != (m, m):
             raise ValidationError(f"reference frame shape {ref.shape} does not match operator dim {m}")
-        w, v, perm, clustered = _align_to_reference(w, v, ref, degeneracy_tol)
-        degenerate = clustered
+        perm, v = _align_to_reference(v, ref, labels)
+        w = w[perm]
     else:
         v = _fix_gauge_deterministic(v)
         perm = np.arange(m)
-        degenerate = False
-
-    spread = float(w.max() - w.min())
-    scale = max(spread, float(np.abs(w).max()), 1.0)
-    if not degenerate:
-        degenerate = any(len(c) > 1 for c in _degeneracy_clusters(w, degeneracy_tol * scale))
-    return Spectrum(w, v, tuple(int(p) for p in perm), degenerate)
+    return Spectrum(w, v, tuple(int(p) for p in perm), bool(labels.max() < m - 1))
 
 
 def commutator(a, b) -> np.ndarray:

@@ -34,7 +34,6 @@ class ToleranceProfile:
     expectation_imag: float = 1e-12
     degeneracy_gap: float = 1e-9
     # adiabatic frame
-    force_decomposition: float = 1e-8
     gauge_invariance: float = 1e-10
     # quantum / classical state
     trace: float = 1e-10

@@ -7,6 +7,7 @@ margin.  Every test also enforces its own runtime budget.
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,35 @@ def test_connection_oracle():
     assert dev < 1e-8
     report("connection oracle", time.monotonic() - start, 5.0,
            f"fd ratio {ratio:.3f}, analytic dev {dev:.1e}")
+
+
+def test_ledger_closes_through_exact_crossing():
+    # H(x) = [[x, 0, a x], [0, -x, 0], [a x, 0, 2]]: level 1 never couples,
+    # so it crosses the lowest level of the other block exactly at x = 0,
+    # where the drive puts a node; the force split there is block-wise
+    start = time.monotonic()
+    a = 0.6
+    fam = MatrixPolynomialFamily([((0,), np.diag([0.0, 0.0, 2.0]).astype(complex)),
+                                  ((1,), np.array([[1.0, 0.0, a], [0.0, -1.0, 0.0],
+                                                   [a, 0.0, 0.0]], dtype=complex))])
+    assert build_frame(fam, [0.0]).spectrum.degenerate
+    state = QuantumState.from_rho(np.diag([0.5, 0.3, 0.2]).astype(complex))
+
+    def closure(n_steps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run_driven(fam, uniform_drive([-1.0], [1.0]), state, 2.0, n_steps,
+                              record_every=n_steps)
+        assert_allclose(traj.populations[-1, 1], 0.3, atol=1e-12)
+        d_e = traj.e_mean[-1] - traj.e_mean[0]
+        return abs(d_e - traj.q_cum[-1] - traj.w_cum[-1])
+
+    coarse, fine = closure(100), closure(200)
+    assert coarse < 1e-6
+    ratio = coarse / fine
+    assert ratio >= 8.0
+    report("exact-crossing closure", time.monotonic() - start, 5.0,
+           f"residual {coarse:.2e}, dt-halving ratio {ratio:.1f}")
 
 
 def test_rerun_is_bit_identical(tmp_path):

@@ -3,7 +3,7 @@ the ledger quadrature.
 
 The reference below is the four-stage formula the ledger quadrature
 replaced: two-product commutators and one einsum of every stage state with
-the diabatic forces and adiabatic force diagonals of its node.
+the diabatic and adiabatic forces of its node.
 """
 
 from unittest import mock
@@ -25,8 +25,8 @@ def reference_ledger(fam, path, rho0, duration, n_steps, events):
     times = 0.5 * dt * np.arange(2 * n_steps + 1)
     xs = np.array([path(t)[0] for t in times])
     vs = np.array([path(t)[1] for t in times])
-    w, _, gad, p, _ = _frame_kernel(fam, xs)
-    f_ops, fd = _force_split(w, p, gad)
+    w, _, gad, p, same, _ = _frame_kernel(fam, xs)
+    f_ops, f_ad = _force_split(w, p, gad, same)
     h = np.array([np.diag(wi) for wi in w]).astype(complex) - np.einsum("tk,tkij->tij", vs, p)
 
     def rhs(hh, r):
@@ -44,7 +44,7 @@ def reference_ledger(fam, path, rho0, duration, n_steps, events):
         k4 = rhs(h[c], r4)
         for r, node, wgt in zip((rho, r2, r3, r4), (a, b, b, c), (1.0, 2.0, 2.0, 1.0)):
             q += wgt * dt / 6.0 * (-np.einsum("kij,ji->k", f_ops[node], r).real @ vs[node])
-            wk += wgt * dt / 6.0 * (-(fd[node] @ r.diagonal().real) @ vs[node])
+            wk += wgt * dt / 6.0 * (-np.einsum("kij,ji->k", f_ad[node], r).real @ vs[node])
         rho = rho + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
         rho = hermitize(rho) / np.trace(rho).real
         if step in events:
@@ -92,18 +92,17 @@ class TestLedgerQuadrature:
 def test_node_routes_agree(dim, seed, v):
     fam = random_linear_family(dim, 1, "gue", seed=seed)
     xs = -1.0 + v * np.linspace(0.0, 1.0, 81)[:, None]
-    with mock.patch("adiaframe.frames.hermitian_eig", side_effect=AssertionError("fell back")):
-        w, _, gad, p, _ = _frame_kernel(fam, xs)
-    f_ops, fd = _force_split(w, p, gad)
-    # no overlap passes a threshold of 1, so every node takes hermitian_eig
+    with mock.patch("adiaframe.frames._align_to_reference", side_effect=AssertionError("fell back")):
+        w, _, gad, p, same, _ = _frame_kernel(fam, xs)
+    f_ops, f_ad = _force_split(w, p, gad, same)
+    # no overlap passes a threshold of 1, so every node is aligned to the one before
     with mock.patch("adiaframe.frames._PHASE_ONLY_OVERLAP", 1.0):
         frames = frame_path(fam, xs)
     scale = max(1.0, max(np.abs(fr.connections).max() for fr in frames))
     assert_allclose(w, [fr.eigenvalues for fr in frames], rtol=0, atol=1e-10)
     assert_allclose(np.abs(p), [np.abs(fr.connections) for fr in frames], rtol=0, atol=1e-10 * scale)
     assert_allclose(f_ops, [diabatic_forces(fr) for fr in frames], rtol=0, atol=1e-10 * scale)
-    assert_allclose(fd, [-np.einsum("kii->ki", fr.grad_adiabatic).real for fr in frames],
-                    rtol=0, atol=1e-10)
+    assert_allclose(f_ad, [-fr.grad_adiabatic * np.eye(dim) for fr in frames], rtol=0, atol=1e-10)
 
     # the base-class loops of a CallableFamily give the same run
     state = QuantumState.from_rho(np.diag(np.arange(1.0, dim + 1) / (dim * (dim + 1) / 2)))

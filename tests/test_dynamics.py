@@ -357,6 +357,20 @@ class TestBranching:
         with pytest.raises(StepSizeError):
             run_branching(sc)
 
+    def test_friction_follows_the_tensor(self):
+        # a FrictionSpec holding a tensor damps, whichever constructor made it
+        runs = []
+        for friction in (FrictionSpec(gamma=np.array([[5.0]])), FrictionSpec.constant(5.0),
+                         FrictionSpec.none()):
+            sc = DynamicsScenario(family=CONSTANT_FAMILY, apparatus=ApparatusState(x=[0.0], v=[1.0]),
+                                  state=QuantumState.pure(0, 2), dt=1e-3, n_steps=200,
+                                  record_every=50, friction=friction)
+            runs.append(run_branching(sc)[0])
+        assert np.array_equal(runs[0].v, runs[1].v)
+        assert np.array_equal(runs[0].extras["friction_heat"], runs[1].extras["friction_heat"])
+        assert_allclose(runs[0].v[-1, 0], np.exp(-5.0 * 0.2), rtol=1e-2)
+        assert np.all(runs[2].v == 1.0)
+
     def test_position_dependent_metric_energy_drift(self):
         app = ApparatusState(x=[0.8], v=[0.6],
                              metric=lambda x: [[1.0 + 0.5 * np.sin(x[0])]],

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from adiaframe import (
+    AdiabaticFrame,
     CallableFamily,
-    DegeneracyError,
-    DegenerateFrameWarning,
     MatrixPolynomialFamily,
     avoided_crossing_family,
     build_frame,
@@ -16,9 +15,14 @@ from adiaframe import (
     diabatic_forces,
     forces,
     frame_path,
+    gue,
+    haar_unitary,
     hermitian_eig,
+    hermitize,
+    kubo_friction,
     moving_frame_hamiltonian,
     QuantumState,
+    random_density_matrix,
     random_linear_family,
     rotating_field_family,
     run_driven,
@@ -26,7 +30,8 @@ from adiaframe import (
 )
 from adiaframe.errors import ValidationError
 from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
-from adiaframe.operators import Spectrum
+from adiaframe.operators import Spectrum, _align_to_reference
+from adiaframe.tolerances import active_profile
 
 SIGMA_Y_HALF = 0.5 * np.array([[0.0, -1j], [1j, 0.0]])
 
@@ -101,20 +106,25 @@ class TestConnectionMethods:
         with pytest.raises(ValidationError):
             connection_ops(fam, [0.5], frame.spectrum, method="nope")
 
-    def test_degenerate_perturbative_raises(self):
+    def test_degenerate_perturbative_is_block_formula(self):
         fam = MatrixPolynomialFamily([((1,), np.diag([1.0, 1.0, 2.0]).astype(complex))])
         spec = hermitian_eig(fam.evaluate([1.0]))
         assert spec.degenerate
-        with pytest.raises(DegeneracyError):
-            connection_ops(fam, [1.0], spec, method="perturbative")
+        p = connection_ops(fam, [1.0], spec, method="perturbative")
+        # zero inside the cluster {0, 1}; the gap formula to level 2, the
+        # finite-difference oracle's value
+        assert np.all(p[:, :2, :2] == 0.0)
+        p_fd = connection_ops(fam, [1.0], spec, method="finite_difference")
+        assert_allclose(p, p_fd, atol=1e-9)
 
-    def test_degenerate_auto_falls_back_with_warning(self):
+    def test_degenerate_default_needs_no_fallback(self):
         fam = MatrixPolynomialFamily([((1,), np.diag([1.0, 1.0, 2.0]).astype(complex))])
         spec = hermitian_eig(fam.evaluate([1.0]))
-        with pytest.warns(DegenerateFrameWarning):
-            p = connection_ops(fam, [1.0], spec, method="auto")
+        p = connection_ops(fam, [1.0], spec)
         # diagonal gradient family: eigenvectors never rotate
         assert_allclose(p, 0.0, atol=1e-9)
+        with pytest.raises(ValidationError):
+            connection_ops(fam, [1.0], spec, method="auto")
 
 
 class TestForces:
@@ -161,16 +171,17 @@ class TestForces:
 @given(dim=st.integers(2, 6), n_coords=st.integers(1, 2), ensemble=st.sampled_from(["goe", "gue"]),
        seed=st.integers(0, 2 ** 16), x=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
 def test_force_split_identity(dim, n_coords, ensemble, seed, x):
-    # F_k + f_k = -U^dag dH/dx^k U, F_k diagonal, f_k with a zero diagonal
+    # F_k + f_k = -U^dag dH/dx^k U, F_k block-diagonal on the cluster mask,
+    # f_k zero on it; the mask is the identity on these generic draws
     fam = random_linear_family(dim, n_coords, ensemble, seed=seed)
     frame = build_frame(fam, x[:n_coords])
     fp = forces(fam, frame)
     u = frame.basis
     target = -(u.conj().T @ fam.gradient(x[:n_coords]) @ u)
     assert_allclose(fp.total, target, rtol=0, atol=1e-12 * np.abs(target).max())
-    off = ~np.eye(dim, dtype=bool)
-    assert np.all(fp.adiabatic[:, off] == 0.0)
-    assert np.all(np.einsum("kii->ki", fp.diabatic) == 0.0)
+    assert np.array_equal(frame.same_cluster, np.eye(dim, dtype=bool))
+    assert np.all(fp.adiabatic[:, ~frame.same_cluster] == 0.0)
+    assert np.all(fp.diabatic[:, frame.same_cluster] == 0.0)
 
 
 class TestGaugeRule:
@@ -179,7 +190,7 @@ class TestGaugeRule:
            step=st.floats(-1e-3, 1e-3))
     def test_phase_only_path_matches_hermitian_eig(self, dim, seed, x, step):
         fam = random_linear_family(dim, 1, "gue", seed=seed)
-        with mock.patch("adiaframe.frames.hermitian_eig", side_effect=AssertionError("fell back")):
+        with mock.patch("adiaframe.frames._align_to_reference", side_effect=AssertionError("fell back")):
             first = build_frame(fam, [x])
             frame = build_frame(fam, [x + step], prev=first)
         for got, spec in ((first, hermitian_eig(fam.evaluate([x]))),
@@ -193,9 +204,9 @@ class TestGaugeRule:
         # W(x) = x*sigma_z: consecutive bases across x = 0 do not overlap
         fam = MatrixPolynomialFamily([((1,), PAULI_Z)])
         xs = [-1.0, -0.5, -0.05, 0.05, 0.5, 1.0]
-        with mock.patch("adiaframe.frames.hermitian_eig", wraps=hermitian_eig) as eig:
+        with mock.patch("adiaframe.frames._align_to_reference", wraps=_align_to_reference) as align:
             frames = frame_path(fam, xs)
-        assert eig.call_count == len(xs)
+        assert align.call_count == len(xs) - 1
         assert [fr.spectrum.permutation for fr in frames] == [(0, 1)] * 3 + [(1, 0)] * 3
         assert_allclose(frames[-1].eigenvalues, [1.0, -1.0])
         assert_allclose(frames[-1].basis, np.eye(2), atol=1e-12)
@@ -203,9 +214,9 @@ class TestGaugeRule:
     def test_run_driven_follows_true_crossing_and_closes_ledger(self):
         fam = MatrixPolynomialFamily([((1,), PAULI_Z)])
         state = QuantumState.from_rho(np.diag([0.7, 0.3]).astype(complex))
-        with mock.patch("adiaframe.frames.hermitian_eig", wraps=hermitian_eig) as eig:
+        with mock.patch("adiaframe.frames._align_to_reference", wraps=_align_to_reference) as align:
             traj = run_driven(fam, uniform_drive([-0.99], [1.0]), state, 2.0, 10)
-        assert eig.call_count == 21
+        assert align.call_count == 20
         # labels follow the states: level 0 keeps W = x, level 1 keeps W = -x
         x_end = traj.x[-1, 0]
         assert_allclose(traj.e_mean[-1], 0.7 * x_end - 0.3 * x_end, rtol=1e-12)
@@ -227,6 +238,75 @@ class TestGaugeInvariance:
         p2 = connection_ops(fam, x, spec2, method="perturbative")
         assert_allclose(np.abs(p2), np.abs(frame.connections), atol=1e-10)
         assert_allclose(spec2.eigenvalues, frame.eigenvalues, atol=1e-12)
+
+    @settings(max_examples=30)
+    @given(block=st.integers(1, 3), copies=st.integers(2, 3), extra=st.integers(0, 2),
+           n_coords=st.integers(1, 2), seed=st.integers(0, 2 ** 16))
+    def test_block_split_gauge_covariant(self, block, copies, extra, n_coords, seed):
+        # H(x) = V0 (A + ... + A + B) V0^dag + x^k G_k at x = 0: each level of
+        # the repeated block A is an exactly degenerate cluster, which G_k splits
+        rng = np.random.default_rng(seed)
+        dim = block * copies + extra
+        h0 = np.zeros((dim, dim), dtype=complex)
+        a = gue(block, rng)
+        for c in range(copies):
+            h0[c * block:(c + 1) * block, c * block:(c + 1) * block] = a
+        if extra:
+            h0[-extra:, -extra:] = 4.0 * np.eye(extra) + gue(extra, rng)
+        v0 = haar_unitary(dim, rng)
+        fam = MatrixPolynomialFamily(
+            [((0,) * n_coords, hermitize(v0 @ h0 @ v0.conj().T))]
+            + [(tuple(int(j == k) for j in range(n_coords)), gue(dim, rng)) for k in range(n_coords)])
+        x = np.zeros(n_coords)
+        frame = build_frame(fam, x)
+        assert frame.spectrum.degenerate
+
+        # a random U(k) inside each cluster, then random column phases
+        v = np.zeros((dim, dim), dtype=complex)
+        for cluster in np.unique(frame.same_cluster, axis=0):
+            idx = np.flatnonzero(cluster)
+            v[np.ix_(idx, idx)] = haar_unitary(len(idx), rng)
+        v *= np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim))[None, :]
+        u = frame.basis @ v
+        spec = Spectrum(frame.eigenvalues, u)
+        turned = AdiabaticFrame(x=x, spectrum=spec, connections=connection_ops(fam, x, spec),
+                                grad_adiabatic=u.conj().T @ fam.gradient(x) @ u,
+                                same_cluster=frame.same_cluster)
+        rho = random_density_matrix(dim, rng)
+        tol = active_profile().gauge_invariance
+        for name in ("adiabatic", "diabatic"):
+            op, op_turned = getattr(frame, name), getattr(turned, name)
+            scale = max(1.0, np.abs(op).max())
+            assert_allclose(op_turned, v.conj().T @ op @ v, rtol=0, atol=tol * scale)
+            assert_allclose(np.einsum("kij,ji->k", op_turned, v.conj().T @ rho @ v),
+                            np.einsum("kij,ji->k", op, rho), rtol=0, atol=tol * scale)
+
+
+class TestDegenerateSpectra:
+    # H = diag(0, 0, 2) + x B + y C at x = y = 0, where B couples the
+    # degenerate levels 0 and 1
+    B = np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 0.0], [0.3, 0.0, 0.5]], dtype=complex)
+    C = np.array([[0.2, 0.0, 0.0], [0.0, -0.4, 0.7j], [0.0, -0.7j, 0.0]])
+    FAMILY = MatrixPolynomialFamily([((0, 0), np.diag([0.0, 0.0, 2.0]).astype(complex)),
+                                     ((1, 0), B), ((0, 1), C)])
+
+    def test_forces_split_block_wise(self):
+        frame = build_frame(self.FAMILY, [0.0, 0.0])
+        assert frame.spectrum.degenerate
+        fp = forces(self.FAMILY, frame)
+        u = frame.basis
+        target = -(u.conj().T @ self.FAMILY.gradient([0.0, 0.0]) @ u)
+        assert_allclose(fp.total, target, rtol=0, atol=1e-12 * np.abs(target).max())
+        inside = frame.same_cluster & ~np.eye(3, dtype=bool)
+        assert np.abs(fp.adiabatic[0][inside]).min() > 0.5
+        assert np.all(fp.adiabatic[:, ~frame.same_cluster] == 0.0)
+        assert np.all(fp.diabatic[:, frame.same_cluster] == 0.0)
+
+    def test_kubo_friction_symmetric(self):
+        gamma = kubo_friction(self.FAMILY, [0.0, 0.0], 1.0).gamma
+        assert gamma.shape == (2, 2)
+        assert_allclose(gamma, gamma.T, rtol=1e-12, atol=0)
+        assert np.all(np.diag(gamma) > 0.0)
 
 
 class TestMovingFrame:
