@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -125,7 +126,22 @@ def _mass(val, path, root):
 
 
 def _complex_matrix(raw, path):
-    """[[ [re, im], ... ], ...] -> complex ndarray."""
+    """[[ [re, im], ... ], ...] -> complex ndarray.
+
+    A square list of [re, im] lists converts in one flat pass over its
+    numbers; anything else takes the nested conversion, which also names
+    what is wrong with it.
+    """
+    try:
+        n = len(raw)
+        if (n and all(len(row) == n for row in raw)
+                and set(map(type, chain.from_iterable(raw))) == {list}
+                and set(map(len, chain.from_iterable(raw))) == {2}):
+            flat = chain.from_iterable(chain.from_iterable(raw))
+            arr = np.fromiter(flat, float, 2 * n * n).reshape(n, n, 2)
+            return arr[..., 0] + 1j * arr[..., 1]
+    except (TypeError, ValueError):
+        pass
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):

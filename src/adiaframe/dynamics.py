@@ -7,10 +7,11 @@ H(x(t)); there it obeys
 
 integrated with a classic fourth-order Runge-Kutta step whose stage frames
 come from the one frame kernel of :mod:`adiaframe.frames`, with gauge
-continuity along the path.  The apparatus moves with a
-velocity-Verlet step that supports a configuration-dependent mass metric
-and a friction force -Gamma v (both velocity couplings are resolved by a
-fixed-point corrector on the kick).
+continuity along the path.  The apparatus moves with a velocity-Verlet
+step that supports a configuration-dependent mass metric and a friction
+force -Gamma v (both velocity couplings are resolved by a fixed-point
+corrector on the kick).  Branching runs step every branch in lockstep, one
+frame-kernel call per step in the kernel's per-row reference mode.
 
 Energy bookkeeping follows the first-law split of the object's mean energy
 E = Tr(rho W): work flows through the adiabatic forces F_k (block-diagonal on
@@ -25,14 +26,13 @@ fourth order.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .frames import (AdiabaticFrame, HamiltonianFamily, _force_split, _frame_kernel, _generator,
-                     build_frame)
+from .frames import (AdiabaticFrame, HamiltonianFamily, _central_difference, _force_split,
+                     _frame_kernel, _generator, build_frame)
 from .operators import hermitize, require_square
 from .tolerances import active_profile
 from .units import HBAR
@@ -129,9 +129,10 @@ class ApparatusState:
     """Classical configuration, velocity, and the mechanical structure maps.
 
     ``metric`` is a constant SPD matrix, a positive scalar mass, or a
-    callable x -> SPD matrix; ``potential`` an optional callable x -> float.
-    Analytic derivative callables can be supplied; otherwise central
-    differences with ``fd_step`` are used.
+    callable x -> SPD matrix, checked once when constant and at every x when
+    callable; ``potential`` an optional callable x -> float.  Analytic
+    derivative callables can be supplied; otherwise central differences
+    with ``fd_step`` are used.
     """
 
     x: np.ndarray
@@ -147,46 +148,38 @@ class ApparatusState:
         self.v = np.atleast_1d(np.asarray(self.v, dtype=float))
         if self.x.shape != self.v.shape:
             raise ValidationError(f"x shape {self.x.shape} and v shape {self.v.shape} differ")
+        self._metric = None                     # metric_at returns this cache once set
+        self._metric = None if callable(self.metric) else self.metric_at(None)
 
     @property
     def n_coords(self) -> int:
         return self.x.shape[0]
 
     def metric_at(self, x) -> np.ndarray:
+        if self._metric is not None:
+            return self._metric.copy()
         n = self.n_coords
         if callable(self.metric):
             mu = np.asarray(self.metric(np.asarray(x, dtype=float)), dtype=float)
         elif np.ndim(self.metric) == 0:
             mu = float(self.metric) * np.eye(n)
         else:
-            mu = np.asarray(self.metric, dtype=float)
+            mu = np.array(self.metric, dtype=float)
         if mu.shape != (n, n):
             raise ValidationError(f"metric must have shape ({n}, {n}), got {mu.shape}")
         try:
             np.linalg.cholesky(mu)
         except np.linalg.LinAlgError:
-            raise ValidationError(f"mass metric is not positive definite at x = {x}") from None
+            where = f" at x = {x}" if callable(self.metric) else ""
+            raise ValidationError(f"mass metric is not positive definite{where}") from None
         return mu
 
     def metric_grad_at(self, x) -> np.ndarray | None:
         """d mu_ij / dx^k as [k, i, j], or None when the metric is constant."""
         if not callable(self.metric):
             return None
-        x = np.asarray(x, dtype=float)
-        n = self.n_coords
-        if self.metric_grad is not None:
-            g = np.asarray(self.metric_grad(x), dtype=float)
-            if g.shape != (n, n, n):
-                raise ValidationError(f"metric_grad must return shape ({n}, {n}, {n})")
-            return g
-        g = np.empty((n, n, n), dtype=float)
-        for k in range(n):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += self.fd_step
-            xm[k] -= self.fd_step
-            g[k] = (np.asarray(self.metric(xp), float) - np.asarray(self.metric(xm), float)) \
-                / (2.0 * self.fd_step)
-        return g
+        return self._derivative("metric_grad", lambda y: np.asarray(self.metric(y), dtype=float),
+                                x, (self.n_coords,) * 3)
 
     def potential_at(self, x) -> float:
         if self.potential is None:
@@ -194,21 +187,18 @@ class ApparatusState:
         return float(self.potential(np.asarray(x, dtype=float)))
 
     def potential_grad_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = self.n_coords
         if self.potential is None:
-            return np.zeros(n)
-        if self.potential_grad is not None:
-            g = np.asarray(self.potential_grad(x), dtype=float)
-            if g.shape != (n,):
-                raise ValidationError(f"potential_grad must return shape ({n},)")
-            return g
-        g = np.empty(n)
-        for k in range(n):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += self.fd_step
-            xm[k] -= self.fd_step
-            g[k] = (self.potential_at(xp) - self.potential_at(xm)) / (2.0 * self.fd_step)
+            return np.zeros(self.n_coords)
+        return self._derivative("potential_grad", self.potential_at, x, (self.n_coords,))
+
+    def _derivative(self, name: str, f, x, shape) -> np.ndarray:
+        """The analytic derivative field ``name`` at x, else central differences of f."""
+        x = np.asarray(x, dtype=float)
+        if getattr(self, name) is None:
+            return _central_difference(f, x, [self.fd_step] * self.n_coords)
+        g = np.asarray(getattr(self, name)(x), dtype=float)
+        if g.shape != shape:
+            raise ValidationError(f"{name} must return shape {shape}")
         return g
 
     def kinetic_energy(self, x=None, v=None) -> float:
@@ -241,9 +231,12 @@ class FrictionSpec:
         return cls(gamma=g)
 
     def gamma_at(self, x) -> np.ndarray | None:
+        """Gamma at x, or at each row of a (B, n) stack x when Gamma is callable."""
         if self.gamma is None:
             return None
         if callable(self.gamma):
+            if np.ndim(x) == 2:
+                return np.array([self.gamma_at(xb) for xb in x])
             return np.asarray(self.gamma(np.asarray(x, dtype=float)), dtype=float)
         return np.asarray(self.gamma, dtype=float)
 
@@ -475,48 +468,56 @@ def quantum_step(fam: HamiltonianFamily, frame_prev: AdiabaticFrame, state: Quan
 # classical stepping
 
 
-def _acceleration(app: ApparatusState, x, v, cons_force, friction: FrictionSpec | None):
-    rhs = np.array(cons_force, dtype=float, copy=True)
-    dmu = app.metric_grad_at(x)
-    if dmu is not None:
-        rhs += 0.5 * np.einsum("kij,i,j->k", dmu, v, v)
-        rhs -= np.einsum("akj,a,j->k", dmu, v, v)
-    if friction is not None:
-        gam = friction.gamma_at(x)
-        if gam is not None:
-            rhs -= gam @ v
-    return np.linalg.solve(app.metric_at(x), rhs)
+def _acceleration(app: ApparatusState, x, cons_force, friction: FrictionSpec | None):
+    """(v, rows) -> a(x, v) at the ``rows`` of the (B, n) stacks ``x`` and
+    ``cons_force``; the maps of x (metric, its gradient, Gamma) are taken once."""
+    mu, dmu = (None if np.ndim(app.metric) == 0 else app._metric), None   # None: a scalar mass
+    if callable(app.metric):
+        mu = np.array([app.metric_at(xb) for xb in x])
+        dmu = np.array([app.metric_grad_at(xb) for xb in x])
+    gamma = None if friction is None else friction.gamma_at(x)
+
+    def accel(v, rows):
+        rhs = np.array(cons_force[rows], dtype=float)
+        if dmu is not None:
+            rhs += 0.5 * np.einsum("bkij,bi,bj->bk", dmu[rows], v, v)
+            rhs -= np.einsum("bakj,ba,bj->bk", dmu[rows], v, v)
+        if gamma is not None:
+            rhs -= ((gamma if gamma.ndim == 2 else gamma[rows]) @ v[..., None])[..., 0]
+        if mu is None:
+            return rhs / float(app.metric)      # bit for bit solve(m * I, rhs)
+        return np.linalg.solve(mu if mu.ndim == 2 else mu[rows], rhs[..., None])[..., 0]
+
+    return accel
 
 
 def _kick(app: ApparatusState, x, v_start, cons_force, friction, half_dt):
-    """v_start + half_dt * a(x, v) solved to a fixed point when a depends on v."""
-    velocity_dependent = (friction is not None and friction.gamma is not None) or callable(app.metric)
-    v = v_start + half_dt * _acceleration(app, x, v_start, cons_force, friction)
-    if not velocity_dependent:
+    """v_start + half_dt * a(x, v) at each row, solved to a fixed point when a
+    depends on v; each row stops at the iterate where it converges."""
+    accel = _acceleration(app, x, cons_force, friction)
+    rows = slice(None)                  # every row, as views, until one converges
+    v = v_start + half_dt * accel(v_start, rows)
+    if (friction is None or friction.gamma is None) and not callable(app.metric):
         return v
     for _ in range(60):
-        v_next = v_start + half_dt * _acceleration(app, x, v, cons_force, friction)
-        if np.abs(v_next - v).max() <= 1e-13 * (1.0 + np.abs(v_next).max()):
-            return v_next
-        v = v_next
+        v_rows = v[rows]
+        v_next = v_start[rows] + half_dt * accel(v_rows, rows)
+        done = np.abs(v_next - v_rows).max(axis=1) <= 1e-13 * (1.0 + np.abs(v_next).max(axis=1))
+        v[rows] = v_next
+        if np.count_nonzero(done) == len(done):
+            return v
+        rows = np.arange(len(v))[rows][~done]
     raise StepSizeError("velocity corrector did not converge; reduce dt or friction strength")
 
 
-def _branch_cons_force(app: ApparatusState, frame: AdiabaticFrame, k: int) -> np.ndarray:
-    # -dW_k/dx (Hellmann-Feynman diagonal) - dV/dx
-    return -frame.grad_adiabatic[:, k, k].real - app.potential_grad_at(frame.x)
-
-
-def _vv_branch_step(app, fam, frame, k, friction, dt):
-    x, v = app.x, app.v
-    f0 = _branch_cons_force(app, frame, k)
-    v_half = _kick(app, x, v, f0, friction, 0.5 * dt)
-    x1 = x + dt * v_half
-    frame1 = build_frame(fam, x1, prev=frame)
-    f1 = _branch_cons_force(app, frame1, k)
-    v1 = _kick(app, x1, v_half, f1, friction, 0.5 * dt)
-    app1 = dataclasses.replace(app, x=x1, v=v1)
-    return app1, frame1, v_half
+def _branch_levels(app: ApparatusState, x, w, gad, levels):
+    """W_k and the force -dW_k/dx - dV/dx at each row b of ``x``, with
+    k = ``levels[b]``; dW_k/dx is the Hellmann-Feynman diagonal of U^dag dH U."""
+    rows = np.arange(len(levels))
+    force = -gad[rows, :, levels, levels].real
+    if app.potential is not None:
+        force -= [app.potential_grad_at(xb) for xb in x]
+    return w[rows, levels], force
 
 
 # ---------------------------------------------------------------------------
@@ -563,56 +564,56 @@ def run_branching(scenario: DynamicsScenario) -> list:
     Each adiabatic state k with nonzero initial population spawns one
     classical trajectory of the apparatus moving on W_k, carrying the Born
     weight fixed at t = 0.  The branch ledgers are pure work: the diabatic
-    heat vanishes identically on an energy eigenstate.
+    heat vanishes identically on an energy eigenstate.  The branches step in
+    lockstep as the rows of one stack, with one frame-kernel call per step in
+    its per-row reference mode (each row follows its own branch's previous
+    basis), so each branch is bit for bit the run of that branch alone.
     """
-    fam, app0 = scenario.family, scenario.apparatus
+    fam, app, friction, dt = scenario.family, scenario.apparatus, scenario.friction, scenario.dt
     weights = scenario.state.populations
     total = float(weights.sum())
     if abs(total - 1.0) > active_profile().amplitude_norm:
         raise ValidationError(f"branch weights sum to {total!r}, expected 1")
-    frame0 = build_frame(fam, app0.x)
-    dt = scenario.dt
-    m = fam.dim
+    levels = np.flatnonzero(weights != 0.0)
+    x, v = np.tile(app.x, (len(levels), 1)), np.tile(app.v, (len(levels), 1))
+    w, basis, gad = (np.repeat(a, len(levels), axis=0) for a in _frame_kernel(fam, app.x[None])[:3])
+    w0, force = _branch_levels(app, x, w, gad, levels)
+    w, w_cum, heat = w0, np.zeros(len(levels)), np.zeros(len(levels))
+    rec = _Recorder(scenario.record_every, scenario.n_steps)
 
-    trajectories = []
-    for k in range(m):
-        if weights[k] == 0.0:
-            continue
-        app = dataclasses.replace(app0, x=app0.x.copy(), v=app0.v.copy())
-        frame = frame0
-        rho_k = QuantumState.pure(k, m).rho
-        ledger = EnergyLedger.open(frame.eigenvalues[k])
-        rec = _Recorder(scenario.record_every, scenario.n_steps)
-        heat = 0.0
-        mech = [app.kinetic_energy() + app.potential_at(app.x) + frame.eigenvalues[k]]
-        heats = [0.0]
-        rec.add(0.0, app.x, app.v, rho_k, ledger)
-        for step in range(1, scenario.n_steps + 1):
-            w_prev = frame.eigenvalues[k]
-            x_prev, v_prev = app.x, app.v
-            app, frame, v_half = _vv_branch_step(app, fam, frame, k, scenario.friction, dt)
-            ledger.record(0.0, frame.eigenvalues[k] - w_prev, frame.eigenvalues[k])
-            if scenario.friction is not None and scenario.friction.gamma is not None:
-                heat += _friction_heat_step(scenario.friction, x_prev, v_prev, v_half,
-                                            app.x, app.v, dt)
-            if rec.want(step):
-                rec.add(step * dt, app.x, app.v, rho_k, ledger)
-                mech.append(app.kinetic_energy() + app.potential_at(app.x) + frame.eigenvalues[k])
-                heats.append(heat)
-        traj = rec.build(ledger, branch_label=k, weight=float(weights[k]),
-                         extras={"apparatus_energy": np.array(mech),
-                                 "friction_heat": np.array(heats)})
-        trajectories.append(traj)
-    return trajectories
+    def sample(step):
+        mech = [app.kinetic_energy(xb, vb) + app.potential_at(xb) for xb, vb in zip(x, v)] + w
+        return step * dt, x, v, w, w_cum.copy(), mech, heat.copy()
+
+    samples = [sample(0)]
+    for step in range(1, scenario.n_steps + 1):
+        v_half = _kick(app, x, v, force, friction, 0.5 * dt)
+        x1 = x + dt * v_half
+        w1, basis, gad = _frame_kernel(fam, x1, basis)[:3]
+        w1, force = _branch_levels(app, x1, w1, gad, levels)
+        v1 = _kick(app, x1, v_half, force, friction, 0.5 * dt)
+        w_cum += w1 - w
+        if friction is not None and friction.gamma is not None:
+            heat += _friction_heat_step(friction, x, v, v_half, x1, v1, dt)
+        x, v, w = x1, v1, w1
+        if rec.want(step):
+            samples.append(sample(step))
+
+    ts, *cols = zip(*samples)
+    xs, vs, es, w_cums, mechs, heats = (np.stack(col, axis=1) for col in cols)
+    return [Trajectory(t=np.array(ts), x=xs[b], v=vs[b], e_mean=es[b], w_cum=w_cums[b],
+                       rho=np.repeat(QuantumState.pure(k, fam.dim).rho[None], len(ts), axis=0),
+                       q_cum=np.zeros(len(ts)), branch_label=int(k), weight=float(weights[k]),
+                       ledger=EnergyLedger(float(w0[b]), float(w[b]), w_cum=float(w_cum[b])),
+                       extras={"apparatus_energy": mechs[b], "friction_heat": heats[b]})
+            for b, k in enumerate(levels)]
 
 
 def _friction_heat_step(friction, x0, v0, v_half, x1, v1, dt):
-    # Simpson rule on v.Gamma(x).v across the step
+    """Simpson rule on v.Gamma(x).v across the step, at each row."""
     x_mid = x0 + 0.5 * dt * v_half
-    g0, gm, g1 = (friction.gamma_at(p) for p in (x0, x_mid, x1))
-    val0 = float(v0 @ g0 @ v0)
-    valm = float(v_half @ gm @ v_half)
-    val1 = float(v1 @ g1 @ v1)
+    val0, valm, val1 = (((v[:, None, :] @ friction.gamma_at(x)) @ v[..., None])[:, 0, 0]
+                        for x, v in ((x0, v0), (x_mid, v_half), (x1, v1)))
     return dt * (val0 + 4.0 * valm + val1) / 6.0
 
 
@@ -627,10 +628,11 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
     state = scenario.state.copy()
     state.validate()
     friction, dt = scenario.friction, scenario.dt
-    frame = build_frame(fam, app.x)
+    x, v = app.x, app.v
+    frame = build_frame(fam, x)
     ledger = EnergyLedger.open(float(state.rho.diagonal().real @ frame.eigenvalues))
     rec = _Recorder(scenario.record_every, scenario.n_steps)
-    rec.add(0.0, app.x, app.v, state.rho, ledger)
+    rec.add(0.0, x, v, state.rho, ledger)
 
     potential_grad = app.potential_grad_at
 
@@ -640,18 +642,17 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
 
     cons = cons_force(frame, state)
     for step in range(1, scenario.n_steps + 1):
-        v_half = _kick(app, app.x, app.v, cons, friction, 0.5 * dt)
-        x1 = app.x + dt * v_half
+        v_half = _kick(app, x[None], v[None], cons[None], friction, 0.5 * dt)[0]
+        x1 = x + dt * v_half
 
-        def segment(s, x=app.x, vh=v_half):
+        def segment(s, x=x, vh=v_half):
             return x + s * vh, vh
 
         state, frame = quantum_step(fam, frame, state, segment, dt, ledger=ledger)
         cons = cons_force(frame, state)      # also the next step's starting force
-        v1 = _kick(app, x1, v_half, cons, friction, 0.5 * dt)
-        app = dataclasses.replace(app, x=x1, v=v1)
+        x, v = x1, _kick(app, x1[None], v_half[None], cons[None], friction, 0.5 * dt)[0]
         if rec.want(step):
-            rec.add(step * dt, app.x, app.v, state.rho, ledger)
+            rec.add(step * dt, x, v, state.rho, ledger)
     return rec.build(ledger)
 
 

@@ -21,9 +21,11 @@ frame.  The generator of quantum evolution seen from the moving frame is
 H_mov(x, v) = W(x) - v^k P_k(x).
 
 Every frame comes from one kernel, ``_frame_kernel``, which maps a stack of
-configurations to W, U and U^dag dH U with continuous labels and phases:
-:func:`build_frame` runs it on a stack of one, :func:`frame_path` on a
-whole path, and the driven integrator on its half-step nodes.  One split,
+configurations to W, U and U^dag dH U with continuous labels and phases.
+Chained, each row follows the one before: :func:`build_frame` runs it on a
+stack of one, :func:`frame_path` on a path and the driven integrator on its
+half-step nodes.  In the per-row reference mode each row follows its own
+basis: the branching integrator steps all branches in one call.  One split,
 ``_force_split``, turns (W, P, U^dag dH U) into f and F; each frame makes it
 once, on first use, and the driven ledger makes it on the whole stack.
 Central finite differences of the gauge-aligned basis
@@ -57,6 +59,12 @@ __all__ = [
 ]
 
 
+def _central_difference(f, x, steps) -> np.ndarray:
+    """(f(x + h e_k) - f(x - h e_k)) / 2h for each coordinate k, h = ``steps[k]``."""
+    e = np.eye(len(x))
+    return np.array([(f(x + h * e[k]) - f(x - h * e[k])) / (2.0 * h) for k, h in enumerate(steps)])
+
+
 class HamiltonianFamily:
     """Base class for x -> H(x) maps with an optional analytic gradient.
 
@@ -88,16 +96,8 @@ class HamiltonianFamily:
 
     def gradient(self, x) -> np.ndarray:
         """dH/dx^k for each coordinate, shape (n_coords, dim, dim)."""
-        x = self.coerce_x(x)
-        out = np.empty((self.n_coords, self.dim, self.dim), dtype=complex)
-        for k in range(self.n_coords):
-            h = self.fd_step[k]
-            xp, xm = x.copy(), x.copy()
-            xp[k] += h
-            xm[k] -= h
-            out[k] = (np.asarray(self.evaluate(xp), dtype=complex)
-                      - np.asarray(self.evaluate(xm), dtype=complex)) / (2.0 * h)
-        return out
+        return _central_difference(lambda y: np.asarray(self.evaluate(y), dtype=complex),
+                                   self.coerce_x(x), self.fd_step)
 
     def evaluate_many(self, xs) -> np.ndarray:
         """H at each row of ``xs`` (shape (t, n_coords)), shape (t, dim, dim)."""
@@ -234,18 +234,20 @@ def _generator(w, p, v):
 
 
 def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None = None):
-    """Eigenframes at every row of ``xs``, continuous along the rows.
+    """Eigenframes at every row of ``xs`` with continuous labels and phases.
 
-    ``ref`` is the basis before the first row (without it the first basis
-    takes the deterministic gauge of :func:`hermitian_eig`).  Returns the
-    stacks W (t, m), U (t, m, m), U^dag dH U (t, n, m, m), P (t, n, m, m),
-    the same-cluster masks (t, m, m) and the label permutation of each row
+    Chained mode (``ref`` None or an (m, m) basis): row 0 follows ``ref``
+    (or, without it, the deterministic gauge of :func:`hermitian_eig`) and
+    every later row the one before it.  Per-row reference mode (``ref`` a
+    (t, m, m) stack): row i follows ``ref[i]``.  Returns the stacks
+    W (t, m), U (t, m, m), U^dag dH U (t, n, m, m), P (t, n, m, m), the
+    same-cluster masks (t, m, m) and the label permutation of each row
     (``()`` where none was applied).
 
-    When no row is degenerate and every column overlaps its predecessor by
-    more than 1/sqrt(2), the phases follow from the cumulative product of
-    the overlaps in one pass; otherwise each row is aligned to the one
-    before it (linear assignment, cluster rotation).
+    A nondegenerate row whose columns all overlap their references by more
+    than 1/sqrt(2) only needs its phases fixed (chained: the cumulative
+    product of the overlaps, taken only when every row qualifies); other
+    rows are aligned to their references (linear assignment, cluster rotation).
     """
     prof = active_profile()
     t, m = len(xs), fam.dim
@@ -257,7 +259,8 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
     dev = np.abs(hs - hs.conj().swapaxes(-1, -2)).max()
     if dev > prof.hermiticity * np.abs(hs).max():
         raise ValidationError(f"H(x) is not self-adjoint: max |H - H^dag| = {dev:.3e}")
-    if ref is not None and ref.shape != (m, m):
+    per_row = ref is not None and ref.ndim == 3
+    if ref is not None and ref.shape != ((t, m, m) if per_row else (m, m)):
         raise ValidationError(f"reference frame shape {ref.shape} does not match operator dim {m}")
     try:
         w, u = np.linalg.eigh(hs)
@@ -271,18 +274,19 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
         u[0] = _fix_gauge_deterministic(u[0])
         prev, nxt = u[:-1], u[1:]
     else:
-        prev, nxt = np.concatenate([ref[None], u[:-1]]), u
+        prev, nxt = ref if per_row else np.concatenate([ref[None], u[:-1]]), u
     ov = np.einsum("tik,tik->tk", prev.conj(), nxt)
-
     if not degenerate.any() and np.all(np.abs(ov) > _PHASE_ONLY_OVERLAP):
-        nxt *= np.cumprod(ov / np.abs(ov), axis=0).conj()[:, None, :]
-    else:
-        basis = ref
-        for i in range(t):
-            if basis is not None:
-                perm, u[i] = _align_to_reference(u[i], basis, labels[i])
-                w[i], labels[i], perms[i] = w[i, perm], labels[i, perm], tuple(perm.tolist())
-            basis = u[i]
+        phase = ov / np.abs(ov)
+        nxt *= (phase if per_row else np.cumprod(phase, axis=0)).conj()[:, None, :]
+    else:       # chained phases are a cumulative product, so there every row is aligned
+        phase_only = (per_row & np.all(np.abs(ov) > _PHASE_ONLY_OVERLAP, axis=1)
+                      & ~degenerate[t - len(ov):])
+        nxt[phase_only] *= (ov[phase_only] / np.abs(ov[phase_only])).conj()[:, None, :]
+        for i in t - len(ov) + np.flatnonzero(~phase_only):
+            basis = ref[i] if per_row else u[i - 1] if i else ref
+            perm, u[i] = _align_to_reference(u[i], basis, labels[i])
+            w[i], labels[i], perms[i] = w[i, perm], labels[i, perm], tuple(perm.tolist())
     same = labels[:, :, None] == labels[:, None, :]
     gad = _in_frame(u, fam.gradient_many(xs))
     return w, u, gad, _connections(w, gad, same), same, perms
@@ -299,17 +303,8 @@ def _finite_difference_connections(fam, x, spectrum, fd_step=None) -> np.ndarray
     x = fam.coerce_x(x)
     steps = fam.fd_step if fd_step is None else np.full(fam.n_coords, float(fd_step))
     u = spectrum.basis
-    p = np.empty((fam.n_coords, fam.dim, fam.dim), dtype=complex)
-    for k in range(fam.n_coords):
-        h = steps[k]
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h
-        xm[k] -= h
-        up = hermitian_eig(fam.evaluate(xp), reference=u).basis
-        um = hermitian_eig(fam.evaluate(xm), reference=u).basis
-        du = (up - um) / (2.0 * h)
-        p[k] = hermitize(1j * HBAR * (u.conj().T @ du))
-    return p
+    du = _central_difference(lambda y: hermitian_eig(fam.evaluate(y), reference=u).basis, x, steps)
+    return hermitize(1j * HBAR * (u.conj().T @ du))
 
 
 def connection_ops(fam: HamiltonianFamily, x, spectrum: Spectrum,

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .dynamics import QuantumState
 from .errors import DomainError, NumericalError, ValidationError
@@ -75,6 +74,8 @@ def counting_function(levels, e, sigma: float | None = None):
     else:
         if sigma < 0.0:
             raise ValidationError("sigma must be nonnegative")
+        from scipy.special import erf     # imported here: it is most of the package's import time
+
         z = (e_arr[..., None] - w) / (sigma * np.sqrt(2.0))
         out = (0.5 * (1.0 + erf(z))).sum(axis=-1)
     return out if out.shape else float(out)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from adiaframe import (
     FrictionSpec,
     MatrixPolynomialFamily,
     QuantumState,
+    SternGerlachConfig,
     Trajectory,
     avoided_crossing_family,
     build_frame,
@@ -20,9 +23,11 @@ from adiaframe import (
     run_driven,
     run_mean_force,
     sample_branch_counts,
+    sg_family,
     time_averaged_diabatic_force,
     uniform_drive,
 )
+import adiaframe.dynamics as dynamics
 from adiaframe.errors import StepSizeError, ValidationError
 from adiaframe.families import PAULI_X, PAULI_Z
 
@@ -87,6 +92,13 @@ class TestApparatusState:
                                 potential_grad=grad)
         assert_allclose(fd_app.potential_grad_at([0.3, 1.1]),
                         an_app.potential_grad_at([0.3, 1.1]), atol=1e-8)
+
+    def test_constant_metric_checked_when_built(self):
+        for metric in (-1.0, [[1.0, 2.0], [2.0, 1.0]]):
+            with pytest.raises(ValidationError, match="positive definite"):
+                ApparatusState(x=[0.0, 0.0], v=[0.0, 0.0], metric=metric)
+        with pytest.raises(ValidationError, match="shape"):
+            ApparatusState(x=[0.0, 0.0], v=[0.0, 0.0], metric=np.eye(3))
 
     def test_kinetic_energy(self):
         app = ApparatusState(x=[0.0], v=[2.0], metric=3.0)
@@ -382,6 +394,83 @@ class TestBranching:
         traj = run_branching(sc)[0]
         energy = traj.extras["apparatus_energy"]
         assert np.abs(energy - energy[0]).max() < 5e-4
+
+
+class TestLockstep:
+    """Every branch of a lockstep run is bit for bit the run of its pure state."""
+
+    @staticmethod
+    def assert_branches_match_single_runs(scenario):
+        runs = run_branching(scenario)
+        assert len(runs) > 1
+        for traj in runs:
+            pure = QuantumState.pure(traj.branch_label, scenario.family.dim)
+            alone, = run_branching(dataclasses.replace(scenario, state=pure))
+            for name in ("t", "x", "v", "rho", "e_mean", "q_cum", "w_cum"):
+                assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
+            for name in ("apparatus_energy", "friction_heat"):
+                assert np.array_equal(traj.extras[name], alone.extras[name]), name
+            assert traj.ledger == alone.ledger
+        return runs
+
+    def test_stern_gerlach_family(self):
+        cfg = SternGerlachConfig()
+        app = ApparatusState(x=[0.0, 0.0, 0.0], v=[0.0, 1.1, 0.0], metric=cfg.mass)
+        sc = DynamicsScenario(family=sg_family(cfg), apparatus=app,
+                              state=QuantumState.from_rho(np.diag([0.35, 0.65]).astype(complex)),
+                              dt=1.0 / 200, n_steps=200, record_every=20)
+        self.assert_branches_match_single_runs(sc)
+
+    def test_gue_family_two_coordinates(self):
+        fam = random_linear_family(8, 2, "gue", seed=11)
+        app = ApparatusState(x=[0.2, -0.3], v=[0.4, 0.1], metric=2.0)
+        sc = DynamicsScenario(family=fam, apparatus=app,
+                              state=QuantumState.from_rho(random_density_matrix(8, 5)),
+                              dt=1e-3, n_steps=150, record_every=15)
+        assert len(self.assert_branches_match_single_runs(sc)) == 8
+
+    @pytest.mark.parametrize("friction", [FrictionSpec.constant(0.8),
+                                          FrictionSpec(gamma=lambda x: [[0.8 + 0.1 * x[0]]])])
+    def test_friction_rows_converge_at_different_iterations(self, monkeypatch, friction):
+        rows_per_call = []
+        acceleration = dynamics._acceleration
+
+        def counted(*args):
+            accel = acceleration(*args)
+
+            def counting(v, rows):
+                rows_per_call.append(len(v))
+                return accel(v, rows)
+
+            return counting
+
+        monkeypatch.setattr(dynamics, "_acceleration", counted)
+        sc = DynamicsScenario(family=avoided_crossing_family(1.0, 0.5),
+                              apparatus=ApparatusState(x=[-1.0], v=[0.5]),
+                              state=QuantumState.from_rho(np.diag([0.3, 0.7]).astype(complex)),
+                              dt=1e-2, n_steps=100, friction=friction,
+                              record_every=10)
+        run_branching(sc)
+        assert 1 in rows_per_call and 2 in rows_per_call      # one row kept iterating alone
+        monkeypatch.undo()
+        runs = self.assert_branches_match_single_runs(sc)
+        assert all(tr.extras["friction_heat"][-1] > 0.0 for tr in runs)
+
+    def test_full_constant_mass_matrix(self):
+        fam = random_linear_family(3, 2, "gue", seed=3)
+        app = ApparatusState(x=[0.1, 0.2], v=[0.3, -0.2], metric=[[2.0, 0.3], [0.3, 1.5]])
+        sc = DynamicsScenario(family=fam, apparatus=app,
+                              state=QuantumState.from_rho(np.diag([0.2, 0.5, 0.3]).astype(complex)),
+                              dt=1e-3, n_steps=100, record_every=10)
+        self.assert_branches_match_single_runs(sc)
+
+    def test_callable_metric_with_potential(self):
+        app = ApparatusState(x=[0.8], v=[0.6], metric=lambda x: [[1.0 + 0.5 * np.sin(x[0])]],
+                             potential=lambda x: 0.5 * x[0] ** 2)
+        sc = DynamicsScenario(family=avoided_crossing_family(1.0, 0.5), apparatus=app,
+                              state=QuantumState.from_rho(np.diag([0.6, 0.4]).astype(complex)),
+                              dt=1e-3, n_steps=100, record_every=10)
+        self.assert_branches_match_single_runs(sc)
 
 
 class TestSampleBranchCounts:

@@ -30,6 +30,7 @@ from adiaframe import (
 )
 from adiaframe.errors import ValidationError
 from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
+from adiaframe.frames import _frame_kernel
 from adiaframe.operators import Spectrum, _align_to_reference
 from adiaframe.tolerances import active_profile
 
@@ -307,6 +308,42 @@ class TestDegenerateSpectra:
         assert gamma.shape == (2, 2)
         assert_allclose(gamma, gamma.T, rtol=1e-12, atol=0)
         assert np.all(np.diag(gamma) > 0.0)
+
+
+class TestPerRowReference:
+    """The kernel's per-row reference mode is B single-row calls, bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(fam, xs, refs):
+        stacked = _frame_kernel(fam, xs, refs)
+        for i in range(len(xs)):
+            single = _frame_kernel(fam, xs[i:i + 1], refs[i])
+            for got, want in zip(stacked[:5], single[:5]):
+                assert np.array_equal(got[i], want[0])
+            assert stacked[5][i] == single[5][0]
+        return stacked
+
+    def test_nondegenerate_step(self):
+        fam = random_linear_family(6, 2, "gue", seed=17)
+        rng = np.random.default_rng(4)
+        x0 = rng.uniform(-1.0, 1.0, (5, 2))
+        refs = np.array([_frame_kernel(fam, x[None])[1][0] for x in x0])
+        with mock.patch("adiaframe.frames._align_to_reference", side_effect=AssertionError("fell back")):
+            self.assert_rows_match(fam, x0 + rng.uniform(-1e-3, 1e-3, x0.shape), refs)
+
+    def test_degenerate_row_takes_the_fallback_alone(self):
+        fam = TestDegenerateSpectra.FAMILY
+        x1 = np.array([[0.3, -0.2], [0.0, 0.0], [-0.1, 0.4]])
+        refs = np.array([_frame_kernel(fam, x[None])[1][0] for x in x1 + 1e-3])
+        with mock.patch("adiaframe.frames._align_to_reference", wraps=_align_to_reference) as align:
+            stacked = self.assert_rows_match(fam, x1, refs)
+        assert align.call_count == 2        # the degenerate row, stacked and alone
+        assert stacked[5][0] == stacked[5][2] == () and stacked[5][1] != ()
+
+    def test_reference_shape_checked(self):
+        fam = random_linear_family(3, 1, "gue", seed=2)
+        with pytest.raises(ValidationError):
+            _frame_kernel(fam, np.zeros((2, 1)), np.tile(np.eye(3), (3, 1, 1)))
 
 
 class TestMovingFrame:

@@ -1,7 +1,14 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import adiaframe
 from adiaframe import (
     MatrixPolynomialFamily,
     avoided_crossing_family,
@@ -220,3 +227,20 @@ class TestKuboFriction:
         fam = avoided_crossing_family()
         with pytest.raises(ValidationError):
             kubo_friction(fam, [0.0], 1.0, eta=0.0)
+
+
+def test_scipy_special_waits_for_the_first_smoothed_count():
+    # scipy.special is most of the package's import time and only erf needs it
+    code = ("import json, sys\n"
+            "import numpy as np\n"
+            "import adiaframe\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "curve = adiaframe.entropy_temperature(np.arange(10.0), np.linspace(2.0, 7.0, 11), 0.8)\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "print(json.dumps(curve.entropy.tolist()))\n")
+    src = str(pathlib.Path(adiaframe.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    here = entropy_temperature(np.arange(10.0), np.linspace(2.0, 7.0, 11), 0.8).entropy
+    assert json.loads(out) == here.tolist()
