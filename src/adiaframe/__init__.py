@@ -23,10 +23,8 @@ from .errors import (AdiaframeError, ConfigError, DomainError, NumericalError,
                      StepSizeError, ValidationError)
 from .families import (MatrixPolynomialFamily, avoided_crossing_family, goe,
                        gue, random_linear_family, rotating_field_family)
-from .frames import (AdiabaticFrame, CallableFamily, ForcePair,
-                     HamiltonianFamily, build_frame, connection_ops,
-                     diabatic_forces, forces, frame_path,
-                     moving_frame_hamiltonian)
+from .frames import (AdiabaticFrame, CallableFamily, HamiltonianFamily,
+                     build_frame, frame_path, moving_frame_hamiltonian)
 from .operators import (Spectrum, commutator, expectation, hermitian_eig,
                         hermitize, require_hermitian, require_square,
                         require_unitary, spectral_function)
@@ -59,9 +57,8 @@ __all__ = [
     "MatrixPolynomialFamily", "avoided_crossing_family", "goe", "gue",
     "random_linear_family", "rotating_field_family",
     # frames
-    "AdiabaticFrame", "CallableFamily", "ForcePair", "HamiltonianFamily",
-    "build_frame", "connection_ops", "diabatic_forces", "forces", "frame_path",
-    "moving_frame_hamiltonian",
+    "AdiabaticFrame", "CallableFamily", "HamiltonianFamily", "build_frame",
+    "frame_path", "moving_frame_hamiltonian",
     # operators
     "Spectrum", "commutator", "expectation", "hermitian_eig", "hermitize",
     "require_hermitian", "require_square", "require_unitary", "spectral_function",

@@ -35,9 +35,10 @@ from .dynamics import (ApparatusState, DynamicsScenario, FrictionSpec,
 from .entropy import (ProjectorFamily, entropy_delta, entropy_series, project,
                       projected_diabatic_force, random_density_matrix,
                       von_neumann_entropy)
-from .errors import AdiaframeError, ConfigError
+from .errors import AdiaframeError, ConfigError, ValidationError
 from .families import MatrixPolynomialFamily
 from .frames import build_frame
+from .operators import require_hermitian
 from .stern_gerlach import SternGerlachConfig, sg_run
 from .thermo import entropy_temperature, kubo_friction, maxwell_check
 from .tolerances import active_profile
@@ -155,8 +156,10 @@ def _hermitian(val, path, root):
     mat, dim = _complex_matrix(val, path), root["family"]["dim"]
     if mat.shape != (dim, dim):
         _err(f"matrix must be {dim} x {dim}", path)
-    if np.abs(mat - mat.conj().T).max() > 1e-12 * max(1.0, np.abs(mat).max()):
-        _err("matrix must be Hermitian", path)
+    try:
+        require_hermitian(mat, name="matrix")
+    except ValidationError as exc:
+        _err(f"matrix must be Hermitian: {exc}", path)
 
 
 def _exponents(val, path, root):

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .frames import (AdiabaticFrame, HamiltonianFamily, _central_difference, _force_split,
-                     _frame_kernel, _generator, build_frame)
+from .frames import (AdiabaticFrame, HamiltonianFamily, _central_difference, _connections,
+                     _force_split, _frame_kernel, _generator, build_frame)
 from .operators import hermitize, require_square
 from .tolerances import active_profile
 from .units import HBAR
@@ -130,9 +130,9 @@ class ApparatusState:
 
     ``metric`` is a constant SPD matrix, a positive scalar mass, or a
     callable x -> SPD matrix, checked once when constant and at every x when
-    callable; ``potential`` an optional callable x -> float.  Analytic
-    derivative callables can be supplied; otherwise central differences
-    with ``fd_step`` are used.
+    callable; ``potential`` an optional callable x -> float with an optional
+    analytic gradient ``potential_grad``.  Other derivatives are central
+    differences with ``fd_step``.
     """
 
     x: np.ndarray
@@ -140,7 +140,6 @@ class ApparatusState:
     metric: object = 1.0
     potential: object = None
     potential_grad: object = None
-    metric_grad: object = None
     fd_step: float = 1e-6
 
     def __post_init__(self):
@@ -178,8 +177,7 @@ class ApparatusState:
         """d mu_ij / dx^k as [k, i, j], or None when the metric is constant."""
         if not callable(self.metric):
             return None
-        return self._derivative("metric_grad", lambda y: np.asarray(self.metric(y), dtype=float),
-                                x, (self.n_coords,) * 3)
+        return self._derivative(lambda y: np.asarray(self.metric(y), dtype=float), x)
 
     def potential_at(self, x) -> float:
         if self.potential is None:
@@ -189,17 +187,16 @@ class ApparatusState:
     def potential_grad_at(self, x) -> np.ndarray:
         if self.potential is None:
             return np.zeros(self.n_coords)
-        return self._derivative("potential_grad", self.potential_at, x, (self.n_coords,))
-
-    def _derivative(self, name: str, f, x, shape) -> np.ndarray:
-        """The analytic derivative field ``name`` at x, else central differences of f."""
-        x = np.asarray(x, dtype=float)
-        if getattr(self, name) is None:
-            return _central_difference(f, x, [self.fd_step] * self.n_coords)
-        g = np.asarray(getattr(self, name)(x), dtype=float)
-        if g.shape != shape:
-            raise ValidationError(f"{name} must return shape {shape}")
+        if self.potential_grad is None:
+            return self._derivative(self.potential_at, x)
+        g = np.asarray(self.potential_grad(np.asarray(x, dtype=float)), dtype=float)
+        if g.shape != (self.n_coords,):
+            raise ValidationError(f"potential_grad must return shape ({self.n_coords},)")
         return g
+
+    def _derivative(self, f, x) -> np.ndarray:
+        """Central differences of f at x with step ``fd_step``."""
+        return _central_difference(f, np.asarray(x, dtype=float), [self.fd_step] * self.n_coords)
 
     def kinetic_energy(self, x=None, v=None) -> float:
         x = self.x if x is None else x
@@ -211,15 +208,11 @@ class ApparatusState:
 class FrictionSpec:
     """Velocity-linear dissipative force -Gamma(x) v on the apparatus.
 
-    ``gamma`` is a constant tensor or a callable x -> tensor; None means no
-    friction.
+    ``gamma`` is a constant tensor or a callable x -> tensor; a run without
+    friction takes ``friction=None`` instead.
     """
 
-    gamma: object = None
-
-    @classmethod
-    def none(cls) -> "FrictionSpec":
-        return cls(gamma=None)
+    gamma: object
 
     @classmethod
     def constant(cls, gamma) -> "FrictionSpec":
@@ -230,10 +223,8 @@ class FrictionSpec:
             raise ValidationError("friction tensor must be square")
         return cls(gamma=g)
 
-    def gamma_at(self, x) -> np.ndarray | None:
+    def gamma_at(self, x) -> np.ndarray:
         """Gamma at x, or at each row of a (B, n) stack x when Gamma is callable."""
-        if self.gamma is None:
-            return None
         if callable(self.gamma):
             if np.ndim(x) == 2:
                 return np.array([self.gamma_at(xb) for xb in x])
@@ -497,7 +488,7 @@ def _kick(app: ApparatusState, x, v_start, cons_force, friction, half_dt):
     accel = _acceleration(app, x, cons_force, friction)
     rows = slice(None)                  # every row, as views, until one converges
     v = v_start + half_dt * accel(v_start, rows)
-    if (friction is None or friction.gamma is None) and not callable(app.metric):
+    if friction is None and not callable(app.metric):
         return v
     for _ in range(60):
         v_rows = v[rows]
@@ -593,7 +584,7 @@ def run_branching(scenario: DynamicsScenario) -> list:
         w1, force = _branch_levels(app, x1, w1, gad, levels)
         v1 = _kick(app, x1, v_half, force, friction, 0.5 * dt)
         w_cum += w1 - w
-        if friction is not None and friction.gamma is not None:
+        if friction is not None:
             heat += _friction_heat_step(friction, x, v, v_half, x1, v1, dt)
         x, v, w = x1, v1, w1
         if rec.want(step):
@@ -706,7 +697,8 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
     xs, vs = _path_nodes(fam, [path(float(t)) for t in times])
     # each (t, m, m) stack is freed as soon as it is used up: F overwrites
     # U^dag dH U, and P goes before the generator is Hermitized
-    w, _, gad, p, same, _ = _frame_kernel(fam, xs)
+    w, _, gad, same, _ = _frame_kernel(fam, xs)
+    p = _connections(w, gad, same)
     f_ops, gw = _force_split(w, p, gad, same, out=gad)
     del gad, same
     gw = _rate(vs, gw)

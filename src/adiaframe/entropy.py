@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import QuantumState
 from .errors import ValidationError
-from .frames import AdiabaticFrame, diabatic_forces
+from .frames import AdiabaticFrame
 from .operators import hermitize, require_square, require_unitary
 from .tolerances import active_profile
 from .units import KB
@@ -190,8 +190,7 @@ def projected_diabatic_force(frame: AdiabaticFrame, state,
         raise ValidationError("pinching for the force audit must act in the frame basis")
     pinched = project(state, family)
     rho_p = np.asarray(getattr(pinched, "rho", pinched), dtype=complex)
-    f_ops = diabatic_forces(frame)
-    return np.einsum("kij,ji->k", f_ops, rho_p).real
+    return np.einsum("kij,ji->k", frame.diabatic, rho_p).real
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:

@@ -25,11 +25,14 @@ configurations to W, U and U^dag dH U with continuous labels and phases.
 Chained, each row follows the one before: :func:`build_frame` runs it on a
 stack of one, :func:`frame_path` on a path and the driven integrator on its
 half-step nodes.  In the per-row reference mode each row follows its own
-basis: the branching integrator steps all branches in one call.  One split,
-``_force_split``, turns (W, P, U^dag dH U) into f and F; each frame makes it
-once, on first use, and the driven ledger makes it on the whole stack.
-Central finite differences of the gauge-aligned basis
-(``connection_ops(method="finite_difference")``) are kept as a reference.
+basis: the branching integrator steps all branches in one call.  P is built
+(``_connections``) only where it is read: for a frame's ``connections`` and
+for the driven integrator's generator.  One split, ``_force_split``, turns
+(W, P, U^dag dH U) into f and F; each frame makes it once, on first use, and
+the driven ledger makes it on the whole stack.  A frame's fields are the one
+way to read W, U, U^dag dH U, P, F and f.  Central finite differences of the
+gauge-aligned basis (``_finite_difference_connections``) are kept as the
+reference for P.
 """
 
 from __future__ import annotations
@@ -50,10 +53,6 @@ __all__ = [
     "CallableFamily",
     "AdiabaticFrame",
     "build_frame",
-    "connection_ops",
-    "forces",
-    "diabatic_forces",
-    "ForcePair",
     "moving_frame_hamiltonian",
     "frame_path",
 ]
@@ -135,7 +134,9 @@ class AdiabaticFrame:
     ``connections[k]`` is P_k in the frame's gauge (Hermitian, zero inside
     degeneracy clusters); ``grad_adiabatic[k]`` is U^dag (dH/dx^k) U, so
     force extraction does not re-evaluate the gradient; ``same_cluster`` is
-    the (m, m) mask of level pairs in one degeneracy cluster.
+    the (m, m) mask of level pairs in one degeneracy cluster.  The forces
+    are read as ``adiabatic`` (F) and ``diabatic`` (f), with
+    F_k + f_k = -U^dag (dH/dx^k) U.
     """
 
     x: np.ndarray
@@ -174,24 +175,6 @@ class AdiabaticFrame:
     @property
     def basis(self) -> np.ndarray:
         return self.spectrum.basis
-
-
-@dataclass(frozen=True)
-class ForcePair:
-    """Adiabatic/diabatic split of the transformed force operators.
-
-    ``adiabatic[k]`` is block-diagonal on the degeneracy clusters (diagonal,
-    the eigenvalue gradients with a minus sign, on a nondegenerate
-    spectrum); ``diabatic[k]`` vanishes on those blocks.  Their sum equals
-    U^dag (-dH/dx^k) U.
-    """
-
-    adiabatic: np.ndarray
-    diabatic: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.adiabatic + self.diabatic
 
 
 # Above this |overlap| between consecutive bases no other column can match
@@ -240,9 +223,9 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
     (or, without it, the deterministic gauge of :func:`hermitian_eig`) and
     every later row the one before it.  Per-row reference mode (``ref`` a
     (t, m, m) stack): row i follows ``ref[i]``.  Returns the stacks
-    W (t, m), U (t, m, m), U^dag dH U (t, n, m, m), P (t, n, m, m), the
-    same-cluster masks (t, m, m) and the label permutation of each row
-    (``()`` where none was applied).
+    W (t, m), U (t, m, m), U^dag dH U (t, n, m, m), the same-cluster masks
+    (t, m, m) and the label permutation of each row (``()`` where none was
+    applied).
 
     A nondegenerate row whose columns all overlap their references by more
     than 1/sqrt(2) only needs its phases fixed (chained: the cumulative
@@ -289,42 +272,26 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
             w[i], labels[i], perms[i] = w[i, perm], labels[i, perm], tuple(perm.tolist())
     same = labels[:, :, None] == labels[:, None, :]
     gad = _in_frame(u, fam.gradient_many(xs))
-    return w, u, gad, _connections(w, gad, same), same, perms
+    return w, u, gad, same, perms
 
 
 def _frames(fam: HamiltonianFamily, xs: np.ndarray, prev: AdiabaticFrame | None) -> list:
-    w, u, gad, p, same, perms = _frame_kernel(fam, xs, None if prev is None else prev.basis)
+    w, u, gad, same, perms = _frame_kernel(fam, xs, None if prev is None else prev.basis)
+    p = _connections(w, gad, same)
     return [AdiabaticFrame(x=xs[i], connections=p[i], grad_adiabatic=gad[i], same_cluster=same[i],
                            spectrum=Spectrum(w[i], u[i], perms[i], np.count_nonzero(same[i]) > fam.dim))
             for i in range(len(xs))]
 
 
 def _finite_difference_connections(fam, x, spectrum, fd_step=None) -> np.ndarray:
+    """P_k from centered differences of the basis of ``spectrum``, aligned by
+    :func:`hermitian_eig` at x +- h e_k and Hermitized: the reference for the
+    perturbative P away from degeneracies (h = ``fd_step`` or the family's)."""
     x = fam.coerce_x(x)
     steps = fam.fd_step if fd_step is None else np.full(fam.n_coords, float(fd_step))
     u = spectrum.basis
     du = _central_difference(lambda y: hermitian_eig(fam.evaluate(y), reference=u).basis, x, steps)
     return hermitize(1j * HBAR * (u.conj().T @ du))
-
-
-def connection_ops(fam: HamiltonianFamily, x, spectrum: Spectrum,
-                   method: str = "perturbative", fd_step: float | None = None) -> np.ndarray:
-    """Connection operators P_k = i*hbar*U^dag dU/dx^k at one configuration.
-
-    ``method`` is "perturbative" (matrix elements of dH over eigenvalue
-    gaps between degeneracy clusters, zero inside them) or
-    "finite_difference" (centered differences of the gauge-aligned basis,
-    Hermitized), the reference for the former away from degeneracies.
-    """
-    if method not in ("perturbative", "finite_difference"):
-        raise ValidationError(f"unknown connection method '{method}'")
-    if method == "finite_difference":
-        return _finite_difference_connections(fam, x, spectrum, fd_step)
-    w = spectrum.eigenvalues
-    order = np.argsort(w)
-    labels = np.empty(len(w), dtype=int)
-    labels[order] = _cluster_labels(w[order], active_profile().degeneracy_gap)
-    return _connections(w, _in_frame(spectrum.basis, fam.gradient(x)), labels[:, None] == labels)
 
 
 def build_frame(fam: HamiltonianFamily, x, prev: AdiabaticFrame | None = None) -> AdiabaticFrame:
@@ -334,20 +301,6 @@ def build_frame(fam: HamiltonianFamily, x, prev: AdiabaticFrame | None = None) -
     along a path; pass the frame from the previous configuration.
     """
     return _frames(fam, fam.coerce_x(x)[None], prev)[0]
-
-
-def diabatic_forces(frame: AdiabaticFrame) -> np.ndarray:
-    """f_k = -(i/hbar) [W, P_k]; zero inside degeneracy clusters."""
-    return frame.diabatic
-
-
-def forces(fam: HamiltonianFamily, frame: AdiabaticFrame) -> ForcePair:
-    """Adiabatic/diabatic force operators of the frame.
-
-    F_k is block-diagonal on the degeneracy clusters and f_k vanishes on
-    those blocks; U^dag (-dH/dx^k) U = F_k + f_k by construction.
-    """
-    return ForcePair(adiabatic=frame.adiabatic, diabatic=frame.diabatic)
 
 
 def moving_frame_hamiltonian(frame: AdiabaticFrame, v) -> np.ndarray:

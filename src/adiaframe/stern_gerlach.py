@@ -23,7 +23,7 @@ from .dynamics import (ApparatusState, DynamicsScenario, QuantumState,
                        sample_branch_counts)
 from .errors import ValidationError
 from .families import PAULI_X, PAULI_Y, PAULI_Z
-from .frames import CallableFamily, build_frame
+from .frames import CallableFamily
 from .units import HBAR
 
 __all__ = [
@@ -119,12 +119,6 @@ class SternGerlachResult:
         raise KeyError(f"no branch labeled {label!r}")
 
 
-def _branch_labels(frame) -> dict:
-    # aligned moment (lower eigenvalue for gamma > 0) carries the "+" label
-    order = np.argsort(frame.eigenvalues)
-    return {int(order[0]): "+", int(order[1]): "-"}
-
-
 def sg_run(config: SternGerlachConfig, *, state: QuantumState | None = None,
            r0=(0.0, 0.0, 0.0), v0=(0.0, 1.0, 0.0), duration: float = 1.0,
            n_steps: int = 400, mode: str = "branching", n_samples: int | None = None,
@@ -157,9 +151,9 @@ def sg_run(config: SternGerlachConfig, *, state: QuantumState | None = None,
         raise ValidationError(f"unknown mode {mode!r}")
 
     trajectories = run_branching(scenario)
-    frame0 = build_frame(fam, app.x)
-    label_of = _branch_labels(frame0)
-    labels = tuple(label_of[traj.branch_label] for traj in trajectories)
+    # branch k runs on level k of the frame at r0, whose levels ascend: the
+    # aligned moment (lower eigenvalue for gamma > 0) carries the "+" label
+    labels = tuple("+-"[traj.branch_label] for traj in trajectories)
     weights = np.array([traj.weight for traj in trajectories])
 
     closure = {}

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dynamics import QuantumState
 from .errors import DomainError, NumericalError, ValidationError
-from .frames import HamiltonianFamily, build_frame, forces
+from .frames import HamiltonianFamily, build_frame
 from .operators import Spectrum
 from .tolerances import active_profile
 from .units import HBAR, KB
@@ -302,12 +302,13 @@ def kubo_friction(fam: HamiltonianFamily, x, beta: float, *,
 
     The relaxation rate ``eta`` defaults to one tenth of the mean level
     spacing over hbar.  The population-weighted thermal factor is computed
-    as (p_b - p_a)/(W_a - W_b), which is finite for every gap and reduces
-    to beta p_a on degenerate pairs, so no exponential overflow can occur.
+    as (p_b - p_a)/(W_a - W_b) between degeneracy clusters and as its limit
+    beta p_a inside them (where f vanishes), so no exponential overflow can
+    occur.
     """
     frame = build_frame(fam, x)
     w = frame.eigenvalues
-    f_ops = forces(fam, frame).diabatic
+    f_ops = frame.diabatic
     pops = canonical_populations(w, beta)
 
     if eta is None:
@@ -317,10 +318,9 @@ def kubo_friction(fam: HamiltonianFamily, x, beta: float, *,
         raise ValidationError("relaxation rate eta must be positive")
 
     delta = w[:, None] - w[None, :]                      # W_a - W_b
-    gaps_small = np.abs(delta) < 1e-12 * max(1.0, float(np.abs(w).max()))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        thermal = np.where(gaps_small, beta * pops[:, None],
-                           (pops[None, :] - pops[:, None]) / np.where(gaps_small, 1.0, delta))
+    same = frame.same_cluster                           # f_ab = 0 there
+    thermal = np.where(same, beta * pops[:, None],
+                       (pops[None, :] - pops[:, None]) / np.where(same, 1.0, delta))
     lorentz = eta / (eta * eta + (delta / HBAR) ** 2)
     kernel = thermal * lorentz
 

@@ -188,6 +188,23 @@ class TestParseConfig:
             parse_config(cfg)
         assert "Hermitian" in str(exc.value)
 
+    def test_small_matrix_asymmetry_is_relative(self):
+        # an asymmetry of 1e-13 on entries near 1e-3 fails the family's own
+        # test, relative to the largest entry
+        cfg = driven_config()
+        cfg["family"]["terms"][1]["matrix"] = [[[1e-3, 0.0], [1e-3, 0.0]],
+                                               [[1e-3 + 1e-13, 0.0], [-1e-3, 0.0]]]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert exc.value.field == "family.terms[1].matrix"
+
+    def test_non_finite_matrix_rejected(self):
+        cfg = kubo_config()
+        cfg["family"]["terms"][1]["matrix"][0][1][0] = float("nan")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert exc.value.field == "family.terms[1].matrix"
+
     def test_state_needs_exactly_one_form(self):
         cfg = driven_config()
         cfg["state"] = {"amplitudes": [[1.0, 0.0], [0.0, 0.0]],

@@ -12,9 +12,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from adiaframe import (CallableFamily, QuantumState, diabatic_forces, frame_path,
-                       random_linear_family, run_driven, uniform_drive)
-from adiaframe.frames import _force_split, _frame_kernel
+from adiaframe import (CallableFamily, QuantumState, frame_path, random_linear_family,
+                       run_driven, uniform_drive)
+from adiaframe.frames import _connections, _force_split, _frame_kernel
 from adiaframe.operators import hermitize
 from adiaframe.units import HBAR
 
@@ -25,7 +25,8 @@ def reference_ledger(fam, path, rho0, duration, n_steps, events):
     times = 0.5 * dt * np.arange(2 * n_steps + 1)
     xs = np.array([path(t)[0] for t in times])
     vs = np.array([path(t)[1] for t in times])
-    w, _, gad, p, same, _ = _frame_kernel(fam, xs)
+    w, _, gad, same, _ = _frame_kernel(fam, xs)
+    p = _connections(w, gad, same)
     f_ops, f_ad = _force_split(w, p, gad, same)
     h = np.array([np.diag(wi) for wi in w]).astype(complex) - np.einsum("tk,tkij->tij", vs, p)
 
@@ -93,7 +94,8 @@ def test_node_routes_agree(dim, seed, v):
     fam = random_linear_family(dim, 1, "gue", seed=seed)
     xs = -1.0 + v * np.linspace(0.0, 1.0, 81)[:, None]
     with mock.patch("adiaframe.frames._align_to_reference", side_effect=AssertionError("fell back")):
-        w, _, gad, p, same, _ = _frame_kernel(fam, xs)
+        w, _, gad, same, _ = _frame_kernel(fam, xs)
+    p = _connections(w, gad, same)
     f_ops, f_ad = _force_split(w, p, gad, same)
     # no overlap passes a threshold of 1, so every node is aligned to the one before
     with mock.patch("adiaframe.frames._PHASE_ONLY_OVERLAP", 1.0):
@@ -101,7 +103,7 @@ def test_node_routes_agree(dim, seed, v):
     scale = max(1.0, max(np.abs(fr.connections).max() for fr in frames))
     assert_allclose(w, [fr.eigenvalues for fr in frames], rtol=0, atol=1e-10)
     assert_allclose(np.abs(p), [np.abs(fr.connections) for fr in frames], rtol=0, atol=1e-10 * scale)
-    assert_allclose(f_ops, [diabatic_forces(fr) for fr in frames], rtol=0, atol=1e-10 * scale)
+    assert_allclose(f_ops, [fr.diabatic for fr in frames], rtol=0, atol=1e-10 * scale)
     assert_allclose(f_ad, [-fr.grad_adiabatic * np.eye(dim) for fr in frames], rtol=0, atol=1e-10)
 
     # the base-class loops of a CallableFamily give the same run

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -370,10 +371,10 @@ class TestBranching:
             run_branching(sc)
 
     def test_friction_follows_the_tensor(self):
-        # a FrictionSpec holding a tensor damps, whichever constructor made it
+        # a FrictionSpec holding a tensor damps, whichever constructor made it;
+        # without one the apparatus coasts
         runs = []
-        for friction in (FrictionSpec(gamma=np.array([[5.0]])), FrictionSpec.constant(5.0),
-                         FrictionSpec.none()):
+        for friction in (FrictionSpec(gamma=np.array([[5.0]])), FrictionSpec.constant(5.0), None):
             sc = DynamicsScenario(family=CONSTANT_FAMILY, apparatus=ApparatusState(x=[0.0], v=[1.0]),
                                   state=QuantumState.pure(0, 2), dt=1e-3, n_steps=200,
                                   record_every=50, friction=friction)
@@ -413,13 +414,23 @@ class TestLockstep:
             assert traj.ledger == alone.ledger
         return runs
 
-    def test_stern_gerlach_family(self):
+    @staticmethod
+    def stern_gerlach_scenario():
         cfg = SternGerlachConfig()
         app = ApparatusState(x=[0.0, 0.0, 0.0], v=[0.0, 1.1, 0.0], metric=cfg.mass)
-        sc = DynamicsScenario(family=sg_family(cfg), apparatus=app,
-                              state=QuantumState.from_rho(np.diag([0.35, 0.65]).astype(complex)),
-                              dt=1.0 / 200, n_steps=200, record_every=20)
-        self.assert_branches_match_single_runs(sc)
+        return DynamicsScenario(family=sg_family(cfg), apparatus=app,
+                                state=QuantumState.from_rho(np.diag([0.35, 0.65]).astype(complex)),
+                                dt=1.0 / 200, n_steps=200, record_every=20)
+
+    def test_stern_gerlach_family(self):
+        self.assert_branches_match_single_runs(self.stern_gerlach_scenario())
+
+    def test_branching_builds_no_connections(self):
+        # the branches move on W_k with the Hellmann-Feynman forces: P is never read
+        built = AssertionError("P built")
+        with mock.patch("adiaframe.frames._connections", side_effect=built), \
+                mock.patch("adiaframe.dynamics._connections", side_effect=built):
+            assert len(run_branching(self.stern_gerlach_scenario())) == 2
 
     def test_gue_family_two_coordinates(self):
         fam = random_linear_family(8, 2, "gue", seed=11)

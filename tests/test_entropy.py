@@ -22,7 +22,6 @@ from adiaframe.entropy import (
     von_neumann_entropy,
 )
 from adiaframe.errors import ValidationError
-from adiaframe.frames import diabatic_forces
 from adiaframe.units import KB
 
 LN2 = float(np.log(2.0))
@@ -176,7 +175,7 @@ class TestProjectedDiabaticForce:
         out = projected_diabatic_force(frame, st)
         assert out.shape == (1,)
         assert out[0] == 0.0
-        raw = np.einsum("kij,ji->k", diabatic_forces(frame), st.rho).real
+        raw = np.einsum("kij,ji->k", frame.diabatic, st.rho).real
         assert abs(raw[0]) > 1e-3
 
     def test_block_pinching_keeps_in_block_force(self):
@@ -187,7 +186,7 @@ class TestProjectedDiabaticForce:
         block = ProjectorFamily.two_outcome(4, (0, 1))
         kept = projected_diabatic_force(frame, rho, block)
         pinched = project(rho, block)
-        direct = np.einsum("kij,ji->k", diabatic_forces(frame), pinched).real
+        direct = np.einsum("kij,ji->k", frame.diabatic, pinched).real
         assert_allclose(kept, direct, atol=1e-14)
 
     def test_rotated_family_rejected(self):

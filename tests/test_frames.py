@@ -11,9 +11,6 @@ from adiaframe import (
     MatrixPolynomialFamily,
     avoided_crossing_family,
     build_frame,
-    connection_ops,
-    diabatic_forces,
-    forces,
     frame_path,
     gue,
     haar_unitary,
@@ -30,7 +27,7 @@ from adiaframe import (
 )
 from adiaframe.errors import ValidationError
 from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
-from adiaframe.frames import _frame_kernel
+from adiaframe.frames import _connections, _finite_difference_connections, _frame_kernel
 from adiaframe.operators import Spectrum, _align_to_reference
 from adiaframe.tolerances import active_profile
 
@@ -70,8 +67,7 @@ class TestBuildFrame:
         fam = MatrixPolynomialFamily([((0,), 1.0 * PAULI_Z + 0.3 * PAULI_X)])
         frame = build_frame(fam, [1.7])
         assert_allclose(frame.connections, 0.0, atol=1e-13)
-        fp = forces(fam, frame)
-        assert_allclose(fp.total, 0.0, atol=1e-13)
+        assert_allclose(frame.adiabatic + frame.diabatic, 0.0, atol=1e-13)
 
     def test_grad_cached(self):
         fam = avoided_crossing_family()
@@ -87,8 +83,7 @@ class TestConnectionMethods:
         frame = build_frame(fam, x)
         errs = []
         for h in (1e-3, 5e-4):
-            p_fd = connection_ops(fam, x, frame.spectrum,
-                                  method="finite_difference", fd_step=h)
+            p_fd = _finite_difference_connections(fam, x, frame.spectrum, fd_step=h)
             errs.append(np.abs(p_fd - frame.connections).max())
         ratio = errs[0] / errs[1]
         assert 3.7 < ratio < 4.3
@@ -96,36 +91,25 @@ class TestConnectionMethods:
     def test_finite_difference_diagonal_small(self):
         fam = rotating_field_family(gamma=2.0, b0=1.0)
         frame = build_frame(fam, [0.4])
-        p_fd = connection_ops(fam, [0.4], frame.spectrum,
-                              method="finite_difference", fd_step=1e-5)
+        p_fd = _finite_difference_connections(fam, [0.4], frame.spectrum, fd_step=1e-5)
         scale = max(np.abs(p_fd).max(), 1.0)
         assert np.abs(np.einsum("kii->ki", p_fd)).max() < 5e-8 * scale
 
-    def test_unknown_method(self):
-        fam = avoided_crossing_family()
-        frame = build_frame(fam, [0.5])
-        with pytest.raises(ValidationError):
-            connection_ops(fam, [0.5], frame.spectrum, method="nope")
-
     def test_degenerate_perturbative_is_block_formula(self):
         fam = MatrixPolynomialFamily([((1,), np.diag([1.0, 1.0, 2.0]).astype(complex))])
-        spec = hermitian_eig(fam.evaluate([1.0]))
-        assert spec.degenerate
-        p = connection_ops(fam, [1.0], spec, method="perturbative")
+        frame = build_frame(fam, [1.0])
+        assert frame.spectrum.degenerate
+        p = frame.connections
         # zero inside the cluster {0, 1}; the gap formula to level 2, the
         # finite-difference oracle's value
         assert np.all(p[:, :2, :2] == 0.0)
-        p_fd = connection_ops(fam, [1.0], spec, method="finite_difference")
+        p_fd = _finite_difference_connections(fam, [1.0], frame.spectrum)
         assert_allclose(p, p_fd, atol=1e-9)
 
     def test_degenerate_default_needs_no_fallback(self):
         fam = MatrixPolynomialFamily([((1,), np.diag([1.0, 1.0, 2.0]).astype(complex))])
-        spec = hermitian_eig(fam.evaluate([1.0]))
-        p = connection_ops(fam, [1.0], spec)
         # diagonal gradient family: eigenvectors never rotate
-        assert_allclose(p, 0.0, atol=1e-9)
-        with pytest.raises(ValidationError):
-            connection_ops(fam, [1.0], spec, method="auto")
+        assert_allclose(build_frame(fam, [1.0]).connections, 0.0, atol=1e-9)
 
 
 class TestForces:
@@ -134,19 +118,17 @@ class TestForces:
         fam = random_linear_family(5, 2, "gue", seed=seed)
         x = np.array([0.4, 0.9])
         frame = build_frame(fam, x)
-        fp = forces(fam, frame)
         target = -frame.grad_adiabatic
-        assert_allclose(fp.total, target, atol=1e-10 * np.abs(target).max())
+        assert_allclose(frame.adiabatic + frame.diabatic, target, atol=1e-10 * np.abs(target).max())
 
     def test_structure(self):
         fam = random_linear_family(4, 1, "goe", seed=12)
         frame = build_frame(fam, [1.1])
-        fp = forces(fam, frame)
         for k in range(fam.n_coords):
-            fa = fp.adiabatic[k]
+            fa = frame.adiabatic[k]
             assert_allclose(fa, np.diag(np.diagonal(fa)), atol=1e-13)
             assert_allclose(fa.imag, 0.0, atol=1e-13)
-            fd = fp.diabatic[k]
+            fd = frame.diabatic[k]
             assert_allclose(np.diagonal(fd), 0.0, atol=1e-13)
             assert_allclose(fd, fd.conj().T, atol=1e-12)
 
@@ -165,7 +147,7 @@ class TestForces:
         w = np.diag(frame.eigenvalues.astype(complex))
         for k in range(fam.n_coords):
             direct = -1j * (w @ frame.connections[k] - frame.connections[k] @ w)
-            assert_allclose(diabatic_forces(frame)[k], direct, atol=1e-13)
+            assert_allclose(frame.diabatic[k], direct, atol=1e-13)
 
 
 @settings(max_examples=40)
@@ -176,13 +158,13 @@ def test_force_split_identity(dim, n_coords, ensemble, seed, x):
     # f_k zero on it; the mask is the identity on these generic draws
     fam = random_linear_family(dim, n_coords, ensemble, seed=seed)
     frame = build_frame(fam, x[:n_coords])
-    fp = forces(fam, frame)
     u = frame.basis
     target = -(u.conj().T @ fam.gradient(x[:n_coords]) @ u)
-    assert_allclose(fp.total, target, rtol=0, atol=1e-12 * np.abs(target).max())
+    assert_allclose(frame.adiabatic + frame.diabatic, target, rtol=0,
+                    atol=1e-12 * np.abs(target).max())
     assert np.array_equal(frame.same_cluster, np.eye(dim, dtype=bool))
-    assert np.all(fp.adiabatic[:, ~frame.same_cluster] == 0.0)
-    assert np.all(fp.diabatic[:, frame.same_cluster] == 0.0)
+    assert np.all(frame.adiabatic[:, ~frame.same_cluster] == 0.0)
+    assert np.all(frame.diabatic[:, frame.same_cluster] == 0.0)
 
 
 class TestGaugeRule:
@@ -236,7 +218,8 @@ class TestGaugeInvariance:
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
         ref = Spectrum(frame.eigenvalues, frame.basis * phases[None, :])
         spec2 = hermitian_eig(fam.evaluate(x), reference=ref)
-        p2 = connection_ops(fam, x, spec2, method="perturbative")
+        u2 = spec2.basis
+        p2 = _connections(spec2.eigenvalues, u2.conj().T @ fam.gradient(x) @ u2, frame.same_cluster)
         assert_allclose(np.abs(p2), np.abs(frame.connections), atol=1e-10)
         assert_allclose(spec2.eigenvalues, frame.eigenvalues, atol=1e-12)
 
@@ -269,10 +252,10 @@ class TestGaugeInvariance:
             v[np.ix_(idx, idx)] = haar_unitary(len(idx), rng)
         v *= np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim))[None, :]
         u = frame.basis @ v
-        spec = Spectrum(frame.eigenvalues, u)
-        turned = AdiabaticFrame(x=x, spectrum=spec, connections=connection_ops(fam, x, spec),
-                                grad_adiabatic=u.conj().T @ fam.gradient(x) @ u,
-                                same_cluster=frame.same_cluster)
+        gad = u.conj().T @ fam.gradient(x) @ u
+        p = _connections(frame.eigenvalues, gad, frame.same_cluster)
+        turned = AdiabaticFrame(x=x, spectrum=Spectrum(frame.eigenvalues, u), connections=p,
+                                grad_adiabatic=gad, same_cluster=frame.same_cluster)
         rho = random_density_matrix(dim, rng)
         tol = active_profile().gauge_invariance
         for name in ("adiabatic", "diabatic"):
@@ -294,14 +277,14 @@ class TestDegenerateSpectra:
     def test_forces_split_block_wise(self):
         frame = build_frame(self.FAMILY, [0.0, 0.0])
         assert frame.spectrum.degenerate
-        fp = forces(self.FAMILY, frame)
         u = frame.basis
         target = -(u.conj().T @ self.FAMILY.gradient([0.0, 0.0]) @ u)
-        assert_allclose(fp.total, target, rtol=0, atol=1e-12 * np.abs(target).max())
+        assert_allclose(frame.adiabatic + frame.diabatic, target, rtol=0,
+                        atol=1e-12 * np.abs(target).max())
         inside = frame.same_cluster & ~np.eye(3, dtype=bool)
-        assert np.abs(fp.adiabatic[0][inside]).min() > 0.5
-        assert np.all(fp.adiabatic[:, ~frame.same_cluster] == 0.0)
-        assert np.all(fp.diabatic[:, frame.same_cluster] == 0.0)
+        assert np.abs(frame.adiabatic[0][inside]).min() > 0.5
+        assert np.all(frame.adiabatic[:, ~frame.same_cluster] == 0.0)
+        assert np.all(frame.diabatic[:, frame.same_cluster] == 0.0)
 
     def test_kubo_friction_symmetric(self):
         gamma = kubo_friction(self.FAMILY, [0.0, 0.0], 1.0).gamma
@@ -318,9 +301,9 @@ class TestPerRowReference:
         stacked = _frame_kernel(fam, xs, refs)
         for i in range(len(xs)):
             single = _frame_kernel(fam, xs[i:i + 1], refs[i])
-            for got, want in zip(stacked[:5], single[:5]):
+            for got, want in zip(stacked[:4], single[:4]):
                 assert np.array_equal(got[i], want[0])
-            assert stacked[5][i] == single[5][0]
+            assert stacked[4][i] == single[4][0]
         return stacked
 
     def test_nondegenerate_step(self):
@@ -338,7 +321,7 @@ class TestPerRowReference:
         with mock.patch("adiaframe.frames._align_to_reference", wraps=_align_to_reference) as align:
             stacked = self.assert_rows_match(fam, x1, refs)
         assert align.call_count == 2        # the degenerate row, stacked and alone
-        assert stacked[5][0] == stacked[5][2] == () and stacked[5][1] != ()
+        assert stacked[4][0] == stacked[4][2] == () and stacked[4][1] != ()
 
     def test_reference_shape_checked(self):
         fam = random_linear_family(3, 1, "gue", seed=2)
