@@ -11,10 +11,9 @@ and entropy audits of projective events round out the toolkit.
 __version__ = "0.1.0"
 
 from .dynamics import (ApparatusState, DynamicsScenario, EnergyLedger,
-                       FrictionSpec, QuantumState, Trajectory, quantum_step,
-                       run_branching, run_driven, run_mean_force,
-                       sample_branch_counts, time_averaged_diabatic_force,
-                       uniform_drive)
+                       FrictionSpec, QuantumState, Trajectory, run_branching,
+                       run_driven, run_mean_force, sample_branch_counts,
+                       time_averaged_diabatic_force, uniform_drive)
 from .entropy import (ProjectorFamily, entropy_delta, entropy_series,
                       haar_unitary, max_entropy_drift, project,
                       projected_diabatic_force, random_density_matrix,
@@ -43,7 +42,7 @@ __all__ = [
     "__version__",
     # dynamics
     "ApparatusState", "DynamicsScenario", "EnergyLedger", "FrictionSpec",
-    "QuantumState", "Trajectory", "quantum_step", "run_branching", "run_driven",
+    "QuantumState", "Trajectory", "run_branching", "run_driven",
     "run_mean_force", "sample_branch_counts", "time_averaged_diabatic_force",
     "uniform_drive",
     # entropy

@@ -10,8 +10,10 @@ come from the one frame kernel of :mod:`adiaframe.frames`, with gauge
 continuity along the path.  The apparatus moves with a velocity-Verlet
 step that supports a configuration-dependent mass metric and a friction
 force -Gamma v (both velocity couplings are resolved by a fixed-point
-corrector on the kick).  Branching runs step every branch in lockstep, one
-frame-kernel call per step in the kernel's per-row reference mode.
+corrector on the kick).  Every run steps on the kernel's arrays, not on
+frame objects: driven runs take all half-step nodes in one call, mean-force
+runs one call per node, and branching runs step every branch in lockstep,
+one call per step in the kernel's per-row reference mode.
 
 Energy bookkeeping follows the first-law split of the object's mean energy
 E = Tr(rho W): work flows through the adiabatic forces F_k (block-diagonal on
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .frames import (AdiabaticFrame, HamiltonianFamily, _central_difference, _connections,
-                     _force_split, _frame_kernel, _generator, build_frame)
+from .frames import (HamiltonianFamily, _central_difference, _connections, _force_split,
+                     _frame_kernel, _generator)
 from .operators import hermitize, require_square
 from .tolerances import active_profile
 from .units import HBAR
@@ -44,7 +46,6 @@ __all__ = [
     "EnergyLedger",
     "Trajectory",
     "DynamicsScenario",
-    "quantum_step",
     "run_branching",
     "run_mean_force",
     "run_driven",
@@ -284,8 +285,9 @@ class Trajectory:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (0.0 <= self.weight <= 1.0):
-            raise ValidationError(f"branch weight {self.weight} outside [0, 1]")
+        top = 1.0 + active_profile().amplitude_norm     # Born weights of admitted amplitudes
+        if not (0.0 <= self.weight <= top):
+            raise ValidationError(f"branch weight {self.weight} outside [0, {top!r}]")
         if np.any(np.diff(self.t) <= 0.0):
             raise ValidationError("trajectory timestamps must be strictly increasing")
 
@@ -406,53 +408,6 @@ def _path_nodes(fam: HamiltonianFamily, pts):
         return [np.array(a, dtype=float).reshape(shape) for a in (xs, vs)]
     except ValueError:
         raise ValidationError(f"path x and v must have shape {shape[1:]} at every node") from None
-
-
-def quantum_step(fam: HamiltonianFamily, frame_prev: AdiabaticFrame, state: QuantumState,
-                 segment, dt: float, *, ledger: EnergyLedger | None = None):
-    """One RK4 step of the moving-frame evolution along a path segment.
-
-    Parameters
-    ----------
-    segment : callable or sequence
-        ``s -> (x, v)`` for s in [0, dt], or the three (x, v) pairs at
-        s = 0, dt/2, dt.  The start must coincide with ``frame_prev.x``.
-    ledger : EnergyLedger, optional
-        When given, heat and work increments are accumulated with the same
-        Runge-Kutta stages used for the state.
-
-    Returns
-    -------
-    (QuantumState, AdiabaticFrame)
-        The advanced state and the frame at the segment end.
-    """
-    prof = active_profile()
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    pts = [segment(s) for s in (0.0, 0.5 * dt, dt)] if callable(segment) else list(segment)
-    if len(pts) != 3:
-        raise ValidationError("path segment must supply (x, v) at s = 0, dt/2, dt")
-    xs, vs = _path_nodes(fam, pts)
-    if not np.abs(xs[0] - frame_prev.x).max() <= 1e-9 * (1.0 + np.abs(frame_prev.x).max()):
-        raise ValidationError("segment start does not match the previous frame's configuration")
-
-    frame_m = build_frame(fam, xs[1], prev=frame_prev)
-    frame_1 = build_frame(fam, xs[2], prev=frame_m)
-    frames = (frame_prev, frame_m, frame_1)
-
-    def stacked(name):
-        return np.array([getattr(fr, name) for fr in frames])
-
-    h = hermitize(_generator(stacked("eigenvalues"), stacked("connections"), vs))
-    _check_step_size(h, dt, "x", xs)
-
-    stages = np.empty((1, 3, fam.dim, fam.dim), dtype=complex)
-    rho_new = _rk4_step(hermitize(state.rho), h, dt, prof, stages[0])
-    if ledger is not None:
-        gq, gw = (_rate(vs, stacked(name))[None] for name in ("diabatic", "adiabatic"))
-        dq, dw = _ledger_increments(stages, gq, gw, dt)
-        ledger.record(dq[0], dw[0], float(rho_new.diagonal().real @ frame_1.eigenvalues))
-    return QuantumState(rho=rho_new), frame_1
 
 
 # ---------------------------------------------------------------------------
@@ -614,36 +569,48 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
     The apparatus feels the state-averaged transformed force
     Tr(rho (F_k + f_k)) while the state evolves in the moving frame along
     the resulting path; heat and work are accumulated stage-consistently.
+    Each step makes two one-row frame-kernel calls, the midpoint aligned to
+    the start basis and the end to the midpoint's; the end node starts the
+    next step and gives the force of the closing kick.
     """
-    fam, app = scenario.family, scenario.apparatus
-    state = scenario.state.copy()
-    state.validate()
-    friction, dt = scenario.friction, scenario.dt
-    x, v = app.x, app.v
-    frame = build_frame(fam, x)
-    ledger = EnergyLedger.open(float(state.rho.diagonal().real @ frame.eigenvalues))
+    prof = active_profile()
+    fam, app, friction, dt = scenario.family, scenario.apparatus, scenario.friction, scenario.dt
+
+    def node(x, ref=None):
+        """(W, P, f, F) at x as stacks of one row, and the basis there."""
+        w, u, gad, same, _ = _frame_kernel(fam, x[None], ref)
+        p = _connections(w, gad, same)
+        return (w, p, *_force_split(w, p, gad, same)), u[0]
+
+    def cons_force(nd, rho, x):
+        """Tr(rho (F_k + f_k)) - dV/dx^k at the node ``nd`` at x."""
+        _, _, f_ops, f_ad = nd
+        return np.einsum("kij,ji->k", f_ad[0] + f_ops[0], rho).real - app.potential_grad_at(x)
+
+    x, v, rho = app.x, app.v, scenario.state.validate().rho
+    start, basis = node(x)
+    ledger = EnergyLedger.open(float(rho.diagonal().real @ start[0][0]))
     rec = _Recorder(scenario.record_every, scenario.n_steps)
-    rec.add(0.0, x, v, state.rho, ledger)
-
-    potential_grad = app.potential_grad_at
-
-    def cons_force(frame, state):
-        mean_force = np.einsum("kij,ji->k", frame.adiabatic + frame.diabatic, state.rho).real
-        return mean_force - potential_grad(frame.x)
-
-    cons = cons_force(frame, state)
+    rec.add(0.0, x, v, rho, ledger)
+    stages = np.empty((1, 3, fam.dim, fam.dim), dtype=complex)
+    cons = cons_force(start, rho, x)
     for step in range(1, scenario.n_steps + 1):
         v_half = _kick(app, x[None], v[None], cons[None], friction, 0.5 * dt)[0]
-        x1 = x + dt * v_half
-
-        def segment(s, x=x, vh=v_half):
-            return x + s * vh, vh
-
-        state, frame = quantum_step(fam, frame, state, segment, dt, ledger=ledger)
-        cons = cons_force(frame, state)      # also the next step's starting force
-        x, v = x1, _kick(app, x1[None], v_half[None], cons[None], friction, 0.5 * dt)[0]
+        xs = np.array([x, x + (0.5 * dt) * v_half, x + dt * v_half])
+        vs = np.array([v_half] * 3)
+        mid, basis = node(xs[1], basis)
+        end, basis = node(xs[2], basis)
+        w, p, f_ops, f_ad = (np.concatenate(a) for a in zip(start, mid, end))
+        h = hermitize(_generator(w, p, vs))
+        _check_step_size(h, dt, "x", xs)
+        rho = _rk4_step(hermitize(rho), h, dt, prof, stages[0])
+        dq, dw = _ledger_increments(stages, _rate(vs, f_ops)[None], _rate(vs, f_ad)[None], dt)
+        ledger.record(dq[0], dw[0], float(rho.diagonal().real @ w[2]))
+        start, x = end, xs[2]
+        cons = cons_force(end, rho, x)
+        v = _kick(app, x[None], v_half[None], cons[None], friction, 0.5 * dt)[0]
         if rec.want(step):
-            rec.add(step * dt, x, v, state.rho, ledger)
+            rec.add(step * dt, x, v, rho, ledger)
     return rec.build(ledger)
 
 

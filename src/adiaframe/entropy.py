@@ -15,7 +15,7 @@ blocks, average to zero on the pinched state identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

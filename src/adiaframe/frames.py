@@ -23,14 +23,17 @@ H_mov(x, v) = W(x) - v^k P_k(x).
 Every frame comes from one kernel, ``_frame_kernel``, which maps a stack of
 configurations to W, U and U^dag dH U with continuous labels and phases.
 Chained, each row follows the one before: :func:`build_frame` runs it on a
-stack of one, :func:`frame_path` on a path and the driven integrator on its
-half-step nodes.  In the per-row reference mode each row follows its own
-basis: the branching integrator steps all branches in one call.  P is built
-(``_connections``) only where it is read: for a frame's ``connections`` and
-for the driven integrator's generator.  One split, ``_force_split``, turns
-(W, P, U^dag dH U) into f and F; each frame makes it once, on first use, and
-the driven ledger makes it on the whole stack.  A frame's fields are the one
-way to read W, U, U^dag dH U, P, F and f.  Central finite differences of the
+stack of one, :func:`frame_path` on a path, the driven integrator on its
+half-step nodes and the mean-force integrator on each step's midpoint and
+end, one row per call.  In the per-row reference mode each row follows its
+own basis: the branching integrator steps all branches in one call.  P is
+built (``_connections``) only where it is read: for a frame's
+``connections`` and for the driven and mean-force generators.  One split,
+``_force_split``, turns (W, P, U^dag dH U) into f and F; each frame makes it
+once, on first use, the driven ledger on the whole stack and the mean-force
+run at each node.  The integrators read the kernel's arrays; the fields of
+:class:`AdiabaticFrame` serve the public API, the thermodynamics, the
+entropy audits and the CLI.  Central finite differences of the
 gauge-aligned basis (``_finite_difference_connections``) are kept as the
 reference for P.
 """

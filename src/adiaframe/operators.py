@@ -15,7 +15,7 @@ swap.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError, ValidationError
 from .tolerances import active_profile

@@ -10,7 +10,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.random import default_rng
 from numpy.testing import assert_allclose

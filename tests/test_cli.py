@@ -398,6 +398,15 @@ class TestMain:
         report = json.loads((tmp_path / "report.json").read_text())
         assert not report["all_passed"]
 
+    def test_amplitudes_within_norm_tolerance_run(self, tmp_path):
+        cfg = {"kind": "stern_gerlach",
+               "stern_gerlach": {"amplitudes": [[1.00000000001, 0.0], [0.0, 0.0]]}}
+        rc = main(["--config", self.write(tmp_path, cfg), "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["all_passed"]
+        assert report["summary"]["weights"] == [1.00000000001 ** 2]
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"kind": ')

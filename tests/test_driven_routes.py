@@ -3,7 +3,7 @@ the ledger quadrature.
 
 The reference below is the four-stage formula the ledger quadrature
 replaced: two-product commutators and one einsum of every stage state with
-the diabatic and adiabatic forces of its node.
+the diabatic and adiabatic forces of its node, stepping the state as well.
 """
 
 from unittest import mock
@@ -12,15 +12,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from adiaframe import (CallableFamily, QuantumState, frame_path, random_linear_family,
-                       run_driven, uniform_drive)
+from adiaframe import (CallableFamily, QuantumState, avoided_crossing_family, frame_path,
+                       random_linear_family, run_driven, uniform_drive)
 from adiaframe.frames import _connections, _force_split, _frame_kernel
 from adiaframe.operators import hermitize
 from adiaframe.units import HBAR
 
 
 def reference_ledger(fam, path, rho0, duration, n_steps, events):
-    """Cumulative (Q, W) after every step by the four-stage einsum formula."""
+    """Cumulative (Q, W) and rho after every step by the four-stage einsum formula."""
     dt = duration / n_steps
     times = 0.5 * dt * np.arange(2 * n_steps + 1)
     xs = np.array([path(t)[0] for t in times])
@@ -33,7 +33,7 @@ def reference_ledger(fam, path, rho0, duration, n_steps, events):
     def rhs(hh, r):
         return (-1j / HBAR) * (hh @ r - r @ hh)
 
-    rho, q, wk, out = rho0.astype(complex), 0.0, 0.0, []
+    rho, q, wk, out, rhos = rho0.astype(complex), 0.0, 0.0, [], []
     for step in range(1, n_steps + 1):
         a, b, c = 2 * step - 2, 2 * step - 1, 2 * step
         k1 = rhs(h[a], rho)
@@ -51,7 +51,8 @@ def reference_ledger(fam, path, rho0, duration, n_steps, events):
         if step in events:
             rho = events[step](QuantumState(rho=rho)).rho
         out.append((q, wk))
-    return np.array(out)
+        rhos.append(rho)
+    return np.array(out), np.array(rhos)
 
 
 def dephase(state):
@@ -66,12 +67,23 @@ class TestLedgerQuadrature:
         events = {23: dephase}
         traj = run_driven(fam, path, QuantumState.from_rho(rho0), 2.0, 60,
                           record_every=7, events=events)
-        ref = reference_ledger(fam, path, rho0, 2.0, 60, events)
-        steps = [7 * k for k in range(1, 9)] + [60]
-        assert_allclose(traj.q_cum[1:], ref[np.array(steps) - 1, 0], rtol=1e-12, atol=0)
-        assert_allclose(traj.w_cum[1:], ref[np.array(steps) - 1, 1], rtol=1e-12, atol=0)
+        ref, rhos = reference_ledger(fam, path, rho0, 2.0, 60, events)
+        rows = np.array([7 * k for k in range(1, 9)] + [60]) - 1
+        assert_allclose(traj.q_cum[1:], ref[rows, 0], rtol=1e-12, atol=0)
+        assert_allclose(traj.w_cum[1:], ref[rows, 1], rtol=1e-12, atol=0)
+        assert_allclose(traj.rho[1:], rhos[rows], rtol=0, atol=1e-12)
         assert traj.q_cum[0] == 0.0 and traj.w_cum[0] == 0.0
         assert_allclose([traj.ledger.q_cum, traj.ledger.w_cum], ref[-1], rtol=1e-12, atol=0)
+
+    def test_matches_four_stage_formula_through_avoided_crossing(self):
+        fam = avoided_crossing_family(1.0, 0.5)
+        path = uniform_drive([-1.0], [1.0])
+        rho0 = QuantumState.pure(0, 2).rho
+        traj = run_driven(fam, path, QuantumState(rho=rho0), 2.0, 400, record_every=400)
+        ref, rhos = reference_ledger(fam, path, rho0, 2.0, 400, {})
+        assert_allclose(traj.rho[-1], rhos[-1], rtol=0, atol=1e-12)
+        assert_allclose([traj.q_cum[-1], traj.w_cum[-1]], ref[-1], rtol=0, atol=1e-12)
+        assert traj.ledger.closure_ok()
 
     def test_fourth_order_closure_three_levels(self):
         fam = random_linear_family(3, 1, "gue", seed=1)

@@ -16,7 +16,6 @@ from adiaframe import (
     Trajectory,
     avoided_crossing_family,
     build_frame,
-    quantum_step,
     random_density_matrix,
     random_linear_family,
     rotating_field_family,
@@ -29,6 +28,7 @@ from adiaframe import (
     uniform_drive,
 )
 import adiaframe.dynamics as dynamics
+import adiaframe.frames as frames
 from adiaframe.errors import StepSizeError, ValidationError
 from adiaframe.families import PAULI_X, PAULI_Z
 
@@ -152,30 +152,6 @@ class TestContainers:
             DynamicsScenario(family=fam, apparatus=app2, state=st, dt=0.1, n_steps=10)
 
 
-class TestQuantumStep:
-    def test_stationary_eigenstate(self):
-        fam = avoided_crossing_family(1.0, 0.5)
-        frame = build_frame(fam, [0.4])
-        st = QuantumState.pure(0, 2)
-        seg = [([0.4], [0.0])] * 3
-        st1, frame1 = quantum_step(fam, frame, st, seg, 0.05)
-        assert_allclose(st1.rho, st.rho, atol=1e-15)
-        assert_allclose(frame1.eigenvalues, frame.eigenvalues)
-
-    def test_segment_start_must_match(self):
-        fam = avoided_crossing_family()
-        frame = build_frame(fam, [0.0])
-        seg = [([0.5], [1.0]), ([0.55], [1.0]), ([0.6], [1.0])]
-        with pytest.raises(ValidationError):
-            quantum_step(fam, frame, QuantumState.pure(0, 2), seg, 0.1)
-
-    def test_bad_dt(self):
-        fam = avoided_crossing_family()
-        frame = build_frame(fam, [0.0])
-        with pytest.raises(ValidationError):
-            quantum_step(fam, frame, QuantumState.pure(0, 2), [([0.0], [0.0])] * 3, -0.1)
-
-
 class TestRunDriven:
     def test_static_diagonal_state_is_fixed(self):
         fam = avoided_crossing_family(1.0, 0.5)
@@ -202,23 +178,6 @@ class TestRunDriven:
         purity = np.einsum("tij,tji->t", traj.rho, traj.rho).real
         assert np.abs(purity - purity[0]).max() < 1e-9
 
-    def test_matches_manual_stepping(self):
-        fam = avoided_crossing_family(1.0, 0.5)
-        path = uniform_drive([-1.0], [1.0])
-        traj = run_driven(fam, path, QuantumState.pure(0, 2), 2.0, 400,
-                          record_every=400)
-        frame = build_frame(fam, [-1.0])
-        state = QuantumState.pure(0, 2)
-        ledger = EnergyLedger.open(frame.eigenvalues[0])
-        dt = 2.0 / 400
-        for i in range(400):
-            seg = lambda s, t0=i * dt: path(t0 + s)
-            state, frame = quantum_step(fam, frame, state, seg, dt, ledger=ledger)
-        assert np.abs(state.rho - traj.rho[-1]).max() < 1e-12
-        assert abs(ledger.q_cum - traj.q_cum[-1]) < 1e-12
-        assert abs(ledger.w_cum - traj.w_cum[-1]) < 1e-12
-        assert traj.ledger.closure_ok()
-
     def test_sudden_sweep_transition_probability(self):
         # two-level crossing swept at finite speed: the surviving adiabatic
         # population follows the standard exponential crossing formula
@@ -244,13 +203,6 @@ class TestRunDriven:
             run_driven(fam, uniform_drive([-0.5], [1.0]), st, 1.0, 1)
         traj = run_driven(fam, uniform_drive([-0.5], [1.0]), st, 1.0, 100)
         assert np.linalg.eigvalsh(traj.rho[-1]).min() > -1e-10
-
-    def test_quantum_step_checks_step_size(self):
-        fam = random_linear_family(32, 1, "gue", seed=1, scale=0.3)
-        st = QuantumState.from_rho(random_density_matrix(32, np.random.default_rng(0)))
-        frame = build_frame(fam, [-0.5])
-        with pytest.raises(StepSizeError, match=r"dt = 1\.000e\+00 at x = "):
-            quantum_step(fam, frame, st, uniform_drive([-0.5], [1.0]), 1.0)
 
     def test_events_applied_and_logged(self):
         fam = avoided_crossing_family(1.0, 0.5)
@@ -513,6 +465,57 @@ class TestMeanForce:
         mean = run_mean_force(DynamicsScenario(apparatus=make_app(), **kw))
         assert np.abs(mean.x - branch.x).max() < 1e-3
         assert abs(mean.ledger.residual) < 1e-9
+
+    def test_fourth_order_closure(self):
+        # a mixed 3-level state on two coordinates with a mass matrix and friction:
+        # the ledger residual falls by about 2^4 each time dt halves
+        fam = random_linear_family(3, 2, "gue", seed=1)
+
+        def residual(n_steps):
+            app = ApparatusState(x=[0.1, 0.2], v=[0.8, -0.5], metric=[[2.0, 0.3], [0.3, 1.5]])
+            traj = run_mean_force(DynamicsScenario(
+                family=fam, apparatus=app, state=QuantumState.from_rho(random_density_matrix(3, 4)),
+                dt=1.0 / n_steps, n_steps=n_steps, record_every=n_steps,
+                friction=FrictionSpec.constant([[0.3, 0.05], [0.05, 0.2]])))
+            assert traj.ledger.closure_ok()
+            return abs(traj.ledger.residual)
+
+        r50, r100, r200 = residual(50), residual(100), residual(200)
+        assert r50 < 1e-8
+        assert r50 / r100 > 12.0 and r100 / r200 > 12.0
+
+    def test_ledger_closes_through_exact_crossing(self):
+        # level 1 of H(x) = [[x, 0, a x], [0, -x, 0], [a x, 0, 2]] never couples and
+        # crosses the lowest level of the other block at x = 0: past it the labels
+        # no longer ascend, so every kernel row there is aligned by assignment
+        a = 0.6
+        fam = MatrixPolynomialFamily([((0,), np.diag([0.0, 0.0, 2.0]).astype(complex)),
+                                      ((1,), np.array([[1.0, 0.0, a], [0.0, -1.0, 0.0],
+                                                       [a, 0.0, 0.0]], dtype=complex))])
+        state = QuantumState.from_rho(np.diag([0.5, 0.3, 0.2]).astype(complex))
+
+        def residual(n_steps):
+            sc = DynamicsScenario(family=fam, apparatus=ApparatusState(x=[-1.0], v=[1.5], metric=5.0),
+                                  state=state, dt=1.5 / n_steps, n_steps=n_steps, record_every=10)
+            with mock.patch("adiaframe.frames._align_to_reference",
+                            wraps=frames._align_to_reference) as aligned:
+                traj = run_mean_force(sc)
+            assert traj.x[0, 0] < 0.0 < traj.x[-1, 0]
+            assert aligned.call_count > n_steps
+            assert_allclose(traj.populations[:, 1], 0.3, rtol=0, atol=1e-12)
+            return abs(traj.ledger.residual)
+
+        coarse, fine = residual(100), residual(200)
+        assert coarse < 1e-8
+        assert coarse / fine > 12.0
+
+    def test_checks_step_size(self):
+        fam = random_linear_family(32, 1, "gue", seed=1, scale=0.3)
+        st = QuantumState.from_rho(random_density_matrix(32, np.random.default_rng(0)))
+        sc = DynamicsScenario(family=fam, apparatus=ApparatusState(x=[-0.5], v=[1.0]),
+                              state=st, dt=1.0, n_steps=1)
+        with pytest.raises(StepSizeError, match=r"dt = 1\.000e\+00 at x = "):
+            run_mean_force(sc)
 
 
 class TestAveragedDiabaticForce:

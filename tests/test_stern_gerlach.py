@@ -95,6 +95,14 @@ class TestBranchingRun:
         assert res.weights[0] == 0.25
         assert res.weights[1] == 0.75
 
+    def test_weight_within_norm_tolerance(self):
+        # |c|^2 = 1.00000000002 is within the amplitude-norm tolerance: the run
+        # keeps the weight as the state gives it
+        st = QuantumState.from_amplitudes([1.00000000001, 0.0])
+        res = sg_run(SternGerlachConfig(), state=st, duration=0.1, n_steps=10)
+        assert res.labels == ("+",)
+        assert res.weights[0] == st.populations[0] > 1.0
+
     def test_gradient_mirror(self, result):
         mirrored = sg_run(SternGerlachConfig(field_gradient=-0.5), duration=1.0,
                           n_steps=800, record_every=8)
