@@ -178,7 +178,7 @@ def _parse_amplitudes(raw, path):
         _err("amplitudes must be [re, im] pairs", field=path)
     c = arr[:, 0] + 1j * arr[:, 1]
     norm = float(np.vdot(c, c).real)
-    if abs(norm - 1.0) > active_profile().amplitude_norm:
+    if abs(norm - 1.0) > active_profile().trace:
         _err(f"amplitudes have norm {norm!r}, expected 1", field=path)
     return c
 
@@ -410,15 +410,15 @@ def _check(name: str, passed: bool, value: float, tolerance: float) -> dict:
             "tolerance": float(tolerance)}
 
 
-def _single_series(traj, out_dir, prof):
+def _single_series(traj, out_dir):
     """series.csv of one trajectory and its ledger_closure check."""
     _write_trajectory(os.path.join(out_dir, "series.csv"), traj)
     res = abs(traj.ledger.residual)
-    tol = prof.ledger_closure * traj.ledger.closure_scale(prof.ledger_floor)
+    tol = active_profile().ledger_closure * traj.ledger.closure_scale()
     return [_check("ledger_closure", res <= tol, res, tol)], ["series.csv"]
 
 
-def _branch_series(trajs, tags, out_dir, prof):
+def _branch_series(trajs, tags, out_dir):
     """One series per branch and its check that apparatus energy + friction heat is kept."""
     checks, outputs = [], []
     for tag, traj in zip(tags, trajs):
@@ -427,7 +427,7 @@ def _branch_series(trajs, tags, out_dir, prof):
         outputs.append(name)
         e_app = traj.extras["apparatus_energy"]
         res = float(np.abs((e_app + traj.extras["friction_heat"]) - e_app[0]).max())
-        tol = prof.branch_energy * max(1.0, abs(float(e_app[0])))
+        tol = active_profile().branch_energy * max(1.0, abs(float(e_app[0])))
         checks.append(_check(f"branch_energy_closure_{tag}", res <= tol, res, tol))
     return checks, outputs
 
@@ -443,7 +443,7 @@ def _drive(fam, drive: dict, state, **kwargs):
 # scenario runners
 
 
-def _run_stern_gerlach(cfg, seed, out_dir, prof):
+def _run_stern_gerlach(cfg, seed, out_dir):
     sg, mode = cfg["stern_gerlach"], cfg["mode"]
     config = SternGerlachConfig(gamma=sg["gamma"], field_strength=sg["field_strength"],
                                 field_gradient=sg["field_gradient"], mass=sg["mass"])
@@ -459,12 +459,12 @@ def _run_stern_gerlach(cfg, seed, out_dir, prof):
     if mode == "mean_force":
         traj = result.trajectories[0]
         summary["final_position"] = [float(c) for c in traj.x[-1]]
-        return (*_single_series(traj, out_dir, prof), summary)
+        return (*_single_series(traj, out_dir), summary)
     tags = ["plus" if label == "+" else "minus" for label in result.labels]
-    checks, outputs = _branch_series(result.trajectories, tags, out_dir, prof)
+    checks, outputs = _branch_series(result.trajectories, tags, out_dir)
     wsum = float(np.sum([t.weight for t in result.trajectories]))
-    checks.append(_check("weights_normalized", abs(wsum - 1.0) <= prof.amplitude_norm,
-                         abs(wsum - 1.0), prof.amplitude_norm))
+    tol = active_profile().trace
+    checks.append(_check("weights_normalized", abs(wsum - 1.0) <= tol, abs(wsum - 1.0), tol))
     summary["separation"] = result.separation
     summary["labels"] = list(result.labels)
     summary["weights"] = [float(w) for w in result.weights]
@@ -473,17 +473,18 @@ def _run_stern_gerlach(cfg, seed, out_dir, prof):
     return checks, outputs, summary
 
 
-def _run_custom_family(cfg, seed, out_dir, prof):
+def _run_custom_family(cfg, seed, out_dir):
     fam = _build_family(cfg)
     state = _build_state(cfg, fam.dim, seed)
 
     if "drive" in cfg:
         drive = cfg["drive"]
         path_fn, traj = _drive(fam, drive, state)
-        checks, outputs = _single_series(traj, out_dir, prof)
+        checks, outputs = _single_series(traj, out_dir)
         tr_final = float(traj.populations[-1].sum())
-        checks.append(_check("trace_preserved", abs(tr_final - 1.0) <= prof.trace,
-                             abs(tr_final - 1.0), prof.trace))
+        tol = active_profile().trace
+        drift = abs(tr_final - 1.0)
+        checks.append(_check("trace_preserved", drift <= tol, drift, tol))
         summary = {"mode": "driven",
                    "final_populations": [float(p) for p in traj.populations[-1]]}
 
@@ -516,9 +517,9 @@ def _run_custom_family(cfg, seed, out_dir, prof):
     if mode == "mean_force":
         traj = run_mean_force(scenario)
         summary["final_position"] = [float(c) for c in traj.x[-1]]
-        return (*_single_series(traj, out_dir, prof), summary)
+        return (*_single_series(traj, out_dir), summary)
     trajs = run_branching(scenario)
-    checks, outputs = _branch_series(trajs, [t.branch_label for t in trajs], out_dir, prof)
+    checks, outputs = _branch_series(trajs, [t.branch_label for t in trajs], out_dir)
     summary["weights"] = [float(t.weight) for t in trajs]
     if mode == "sampled":
         counts = sample_branch_counts(state, cfg["n_samples"], seed)
@@ -526,7 +527,8 @@ def _run_custom_family(cfg, seed, out_dir, prof):
     return checks, outputs, summary
 
 
-def _run_thermo_curve(cfg, seed, out_dir, prof):
+def _run_thermo_curve(cfg, seed, out_dir):
+    prof = active_profile()
     fam = _build_family(cfg)
     th = cfg["thermo"]
     x = np.asarray(th["x"], dtype=float)
@@ -557,7 +559,8 @@ def _run_thermo_curve(cfg, seed, out_dir, prof):
     return checks, ["curve.csv"], summary
 
 
-def _run_kubo(cfg, seed, out_dir, prof):
+def _run_kubo(cfg, seed, out_dir):
+    prof = active_profile()
     fam = _build_family(cfg)
     kb = cfg["kubo"]
     tensor = kubo_friction(fam, np.asarray(kb["x"], float), kb["beta"], **_present(kb, "eta"))
@@ -580,7 +583,8 @@ def _run_kubo(cfg, seed, out_dir, prof):
     return checks, ["gamma.csv"], summary
 
 
-def _run_entropy_audit(cfg, seed, out_dir, prof):
+def _run_entropy_audit(cfg, seed, out_dir):
+    prof = active_profile()
     fam = _build_family(cfg)
     state = _build_state(cfg, fam.dim, seed)
     drive, ev = cfg["drive"], cfg["event"]
@@ -661,7 +665,7 @@ def run_scenario(cfg: dict, out_dir: str, seed: int | None = None) -> dict:
     kind = cfg["kind"]
     used_seed = int(cfg["seed"]) if seed is None else int(seed)
     os.makedirs(out_dir, exist_ok=True)
-    checks, outputs, summary = _RUNNERS[kind](cfg, used_seed, out_dir, prof)
+    checks, outputs, summary = _RUNNERS[kind](cfg, used_seed, out_dir)
     report = {
         "version": __version__,
         "kind": kind,

@@ -72,7 +72,7 @@ class QuantumState:
     def from_amplitudes(cls, c) -> "QuantumState":
         c = np.asarray(c, dtype=complex).ravel()
         norm = float(np.vdot(c, c).real)
-        if abs(norm - 1.0) > active_profile().amplitude_norm:
+        if abs(norm - 1.0) > active_profile().trace:
             raise ValidationError(f"amplitude norm {norm!r} differs from 1 beyond tolerance")
         return cls(rho=np.outer(c, c.conj()))
 
@@ -103,12 +103,8 @@ class QuantumState:
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.rho, self.rho).real)
 
-    def expectation(self, a) -> float:
-        from .operators import expectation
-        return expectation(self.rho, a)
-
-    def validate(self, prof=None) -> "QuantumState":
-        prof = prof or active_profile()
+    def validate(self) -> "QuantumState":
+        prof = active_profile()
         rho = require_square(self.rho, "density matrix")
         tr = complex(np.trace(rho))
         if not (abs(tr - 1.0) <= prof.trace):
@@ -257,14 +253,12 @@ class EnergyLedger:
     def residual(self) -> float:
         return self.e_mean - self.e_start - self.q_cum - self.w_cum
 
-    def closure_scale(self, floor: float | None = None) -> float:
-        if floor is None:
-            floor = active_profile().ledger_floor
-        return max(abs(self.e_mean - self.e_start), abs(self.q_cum), abs(self.w_cum), floor)
+    def closure_scale(self) -> float:
+        return max(abs(self.e_mean - self.e_start), abs(self.q_cum), abs(self.w_cum),
+                   active_profile().ledger_floor)
 
-    def closure_ok(self, prof=None) -> bool:
-        prof = prof or active_profile()
-        return abs(self.residual) <= prof.ledger_closure * self.closure_scale(prof.ledger_floor)
+    def closure_ok(self) -> bool:
+        return abs(self.residual) <= active_profile().ledger_closure * self.closure_scale()
 
 
 @dataclass
@@ -285,7 +279,7 @@ class Trajectory:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        top = 1.0 + active_profile().amplitude_norm     # Born weights of admitted amplitudes
+        top = 1.0 + active_profile().trace     # Born weights of admitted amplitudes
         if not (0.0 <= self.weight <= top):
             raise ValidationError(f"branch weight {self.weight} outside [0, {top!r}]")
         if np.any(np.diff(self.t) <= 0.0):
@@ -361,7 +355,7 @@ def _rate(vs, ops):
     return np.negative(g, out=g)
 
 
-def _rk4_step(rho, h, dt, prof, stages):
+def _rk4_step(rho, h, dt, stages):
     """One cleaned RK4 step of i hbar drho/dt = [h, rho] over nodes h[0..2].
 
     With ``rho`` exactly Hermitian every stage state is too, so -i[h, r] =
@@ -383,11 +377,10 @@ def _rk4_step(rho, h, dt, prof, stages):
     stages[2] = r4
     rho_new = rho + (c / 3.0) * (d1 + 2.0 * (d2 + d3) + (x - x.conj().T))
     tr = complex(rho_new.trace())
-    drift = abs(tr - 1.0)
-    if not (drift <= prof.trace_drift_per_step):
+    drift, tol = abs(tr - 1.0), active_profile().trace_drift_per_step
+    if not (drift <= tol):
         raise StepSizeError(
-            f"trace drifted by {drift:.3e} in one step (tolerance "
-            f"{prof.trace_drift_per_step:.1e}); reduce dt"
+            f"trace drifted by {drift:.3e} in one step (tolerance {tol:.1e}); reduce dt"
         )
     return hermitize(rho_new) / tr.real
 
@@ -498,7 +491,7 @@ def sample_branch_counts(state: QuantumState, n_samples: int, seed) -> np.ndarra
         raise ValidationError("n_samples must be >= 1")
     weights = state.populations
     total = float(weights.sum())
-    if abs(total - 1.0) > active_profile().amplitude_norm or np.any(weights < -1e-12):
+    if abs(total - 1.0) > active_profile().trace or np.any(weights < -1e-12):
         raise ValidationError(f"branch weights {weights} do not form a distribution")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return rng.multinomial(n_samples, np.clip(weights, 0.0, None) / total)
@@ -518,7 +511,7 @@ def run_branching(scenario: DynamicsScenario) -> list:
     fam, app, friction, dt = scenario.family, scenario.apparatus, scenario.friction, scenario.dt
     weights = scenario.state.populations
     total = float(weights.sum())
-    if abs(total - 1.0) > active_profile().amplitude_norm:
+    if abs(total - 1.0) > active_profile().trace:
         raise ValidationError(f"branch weights sum to {total!r}, expected 1")
     levels = np.flatnonzero(weights != 0.0)
     x, v = np.tile(app.x, (len(levels), 1)), np.tile(app.v, (len(levels), 1))
@@ -573,7 +566,6 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
     the start basis and the end to the midpoint's; the end node starts the
     next step and gives the force of the closing kick.
     """
-    prof = active_profile()
     fam, app, friction, dt = scenario.family, scenario.apparatus, scenario.friction, scenario.dt
 
     def node(x, ref=None):
@@ -603,7 +595,7 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
         w, p, f_ops, f_ad = (np.concatenate(a) for a in zip(start, mid, end))
         h = hermitize(_generator(w, p, vs))
         _check_step_size(h, dt, "x", xs)
-        rho = _rk4_step(hermitize(rho), h, dt, prof, stages[0])
+        rho = _rk4_step(hermitize(rho), h, dt, stages[0])
         dq, dw = _ledger_increments(stages, _rate(vs, f_ops)[None], _rate(vs, f_ad)[None], dt)
         ledger.record(dq[0], dw[0], float(rho.diagonal().real @ w[2]))
         start, x = end, xs[2]
@@ -630,7 +622,7 @@ def uniform_drive(x0, v):
 
 
 def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: float,
-               n_steps: int, *, t0: float = 0.0, record_every: int = 1,
+               n_steps: int, *, record_every: int = 1,
                events: dict | None = None) -> Trajectory:
     """Evolve the quantum state along a prescribed apparatus path.
 
@@ -649,7 +641,6 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
         Sampled every ``record_every`` steps; ``extras['diabatic_mean']``
         holds Tr(rho f_k) at the recorded samples.
     """
-    prof = active_profile()
     if duration <= 0.0 or n_steps < 1:
         raise ValidationError("duration must be positive and n_steps >= 1")
     if record_every < 1:
@@ -660,7 +651,7 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
             raise ValidationError(f"event step {step} outside 1..{n_steps}")
 
     dt = duration / n_steps
-    times = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
+    times = 0.5 * dt * np.arange(2 * n_steps + 1)
     xs, vs = _path_nodes(fam, [path(float(t)) for t in times])
     # each (t, m, m) stack is freed as soon as it is used up: F overwrites
     # U^dag dH U, and P goes before the generator is Hermitized
@@ -689,7 +680,7 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
 
     for step in range(1, n_steps + 1):
         c = 2 * step
-        rho = _rk4_step(rho, h_mov[c - 2:c + 1], dt, prof, stages[step - 1])
+        rho = _rk4_step(rho, h_mov[c - 2:c + 1], dt, stages[step - 1])
         if step in events:
             before = rho.copy()
             out = events[step](QuantumState(rho=rho))

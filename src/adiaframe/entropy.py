@@ -39,17 +39,15 @@ __all__ = [
 ]
 
 
-def von_neumann_entropy(rho, *, tol: float | None = None) -> float:
+def von_neumann_entropy(rho) -> float:
     """S = -k_B sum lambda_i ln lambda_i of a density matrix.
 
     Eigenvalues more negative than the positivity tolerance raise; small
     negative roundoff is clipped, and 0 ln 0 counts as zero.
     """
     rho = require_square(getattr(rho, "rho", rho), "density matrix")
-    prof = active_profile()
-    tol = tol if tol is not None else prof.entropy_positivity
     lam = np.linalg.eigvalsh(hermitize(rho))
-    if lam.min() < -tol:
+    if lam.min() < -active_profile().entropy_positivity:
         raise ValidationError(f"density matrix has negative eigenvalue {lam.min():.3e}")
     lam = np.clip(lam, 0.0, 1.0)
     nz = lam[lam > 0.0]

@@ -33,7 +33,9 @@ class MatrixPolynomialFamily(HamiltonianFamily):
 
     ``terms`` is a sequence of ``(exponents, matrix)`` pairs; every exponent
     tuple must have one nonnegative integer per coordinate.  The gradient is
-    analytic (term-by-term differentiation of the monomials).
+    analytic (term-by-term differentiation of the monomials).  H and its
+    gradient have one implementation each, on a stack of configurations;
+    :meth:`evaluate` and :meth:`gradient` are its one-row case.
     """
 
     def __init__(self, terms, fd_step=1e-5):
@@ -55,30 +57,10 @@ class MatrixPolynomialFamily(HamiltonianFamily):
             self.terms.append((exps, mat))
 
     def evaluate(self, x):
-        x = self.coerce_x(x)
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        for exps, mat in self.terms:
-            coeff = 1.0
-            for xk, e in zip(x, exps):
-                if e:
-                    coeff *= xk ** e
-            h += coeff * mat
-        return h
+        return self.evaluate_many(self.coerce_x(x)[None])[0]
 
     def gradient(self, x):
-        x = self.coerce_x(x)
-        g = np.zeros((self.n_coords, self.dim, self.dim), dtype=complex)
-        for exps, mat in self.terms:
-            for k, e in enumerate(exps):
-                if e == 0:
-                    continue
-                coeff = float(e)
-                for j, (xj, ej) in enumerate(zip(x, exps)):
-                    power = ej - 1 if j == k else ej
-                    if power:
-                        coeff *= xj ** power
-                g[k] += coeff * mat
-        return g
+        return self.gradient_many(self.coerce_x(x)[None])[0]
 
     def _stacked(self, xs):
         """``xs`` checked, with the exponents [term, k] and matrices [term, i, j]."""

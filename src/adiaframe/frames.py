@@ -22,6 +22,8 @@ H_mov(x, v) = W(x) - v^k P_k(x).
 
 Every frame comes from one kernel, ``_frame_kernel``, which maps a stack of
 configurations to W, U and U^dag dH U with continuous labels and phases.
+Labels and phases come from the one gauge routine of :mod:`adiaframe.operators`
+(``_eigenframes``), which also serves :func:`hermitian_eig`.
 Chained, each row follows the one before: :func:`build_frame` runs it on a
 stack of one, :func:`frame_path` on a path, the driven integrator on its
 half-step nodes and the mean-force integrator on each step's midpoint and
@@ -45,9 +47,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, NumericalError
-from .operators import (Spectrum, _align_to_reference, _cluster_labels, _fix_gauge_deterministic,
-                        hermitian_eig, hermitize)
+from .errors import ValidationError
+from .operators import Spectrum, _eigenframes, hermitian_eig, hermitize
 from .tolerances import active_profile
 from .units import HBAR
 
@@ -180,11 +181,6 @@ class AdiabaticFrame:
         return self.spectrum.basis
 
 
-# Above this |overlap| between consecutive bases no other column can match
-# better, so the permutation is the identity and only phases need fixing.
-_PHASE_ONLY_OVERLAP = 1.0 / np.sqrt(2.0)
-
-
 def _in_frame(u, g):
     """U^dag G_k U for bases ``u`` (..., m, m) and operators ``g`` (..., n, m, m)."""
     return u.conj().swapaxes(-1, -2)[..., None, :, :] @ g @ u[..., None, :, :]
@@ -222,20 +218,20 @@ def _generator(w, p, v):
 def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None = None):
     """Eigenframes at every row of ``xs`` with continuous labels and phases.
 
-    Chained mode (``ref`` None or an (m, m) basis): row 0 follows ``ref``
-    (or, without it, the deterministic gauge of :func:`hermitian_eig`) and
-    every later row the one before it.  Per-row reference mode (``ref`` a
-    (t, m, m) stack): row i follows ``ref[i]``.  Returns the stacks
-    W (t, m), U (t, m, m), U^dag dH U (t, n, m, m), the same-cluster masks
-    (t, m, m) and the label permutation of each row (``()`` where none was
-    applied).
-
-    A nondegenerate row whose columns all overlap their references by more
-    than 1/sqrt(2) only needs its phases fixed (chained: the cumulative
-    product of the overlaps, taken only when every row qualifies); other
-    rows are aligned to their references (linear assignment, cluster rotation).
+    ``ref`` is None, an (m, m) basis for row 0 of a chain, or a (t, m, m)
+    stack of per-row references, as for ``operators._eigenframes``.  Returns
+    the stacks W (t, m), U (t, m, m), U^dag dH U (t, n, m, m), the
+    same-cluster masks (t, m, m) and the label permutation of each row
+    (``()`` where none was applied).
     """
-    prof = active_profile()
+    w, u, labels, perms = _eigenframes(_evaluate_checked(fam, xs), ref)
+    same = labels[:, :, None] == labels[:, None, :]
+    gad = _in_frame(u, fam.gradient_many(xs))
+    return w, u, gad, same, perms
+
+
+def _evaluate_checked(fam: HamiltonianFamily, xs: np.ndarray) -> np.ndarray:
+    """H at every row of ``xs``, checked for shape, finiteness and self-adjointness."""
     t, m = len(xs), fam.dim
     hs = fam.evaluate_many(xs)
     if hs.shape != (t, m, m):
@@ -243,39 +239,9 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
     if not np.all(np.isfinite(hs)):
         raise ValidationError("H(x) contains non-finite entries")
     dev = np.abs(hs - hs.conj().swapaxes(-1, -2)).max()
-    if dev > prof.hermiticity * np.abs(hs).max():
+    if dev > active_profile().hermiticity * np.abs(hs).max():
         raise ValidationError(f"H(x) is not self-adjoint: max |H - H^dag| = {dev:.3e}")
-    per_row = ref is not None and ref.ndim == 3
-    if ref is not None and ref.shape != ((t, m, m) if per_row else (m, m)):
-        raise ValidationError(f"reference frame shape {ref.shape} does not match operator dim {m}")
-    try:
-        w, u = np.linalg.eigh(hs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge on a {m}x{m} matrix") from exc
-    del hs                                    # one (t, m, m) stack less at the peak
-    labels = _cluster_labels(w, prof.degeneracy_gap)
-    degenerate = labels[:, -1] < m - 1        # levels ascend: the last label is clusters - 1
-    perms = [()] * t
-    if ref is None:
-        u[0] = _fix_gauge_deterministic(u[0])
-        prev, nxt = u[:-1], u[1:]
-    else:
-        prev, nxt = ref if per_row else np.concatenate([ref[None], u[:-1]]), u
-    ov = np.einsum("tik,tik->tk", prev.conj(), nxt)
-    if not degenerate.any() and np.all(np.abs(ov) > _PHASE_ONLY_OVERLAP):
-        phase = ov / np.abs(ov)
-        nxt *= (phase if per_row else np.cumprod(phase, axis=0)).conj()[:, None, :]
-    else:       # chained phases are a cumulative product, so there every row is aligned
-        phase_only = (per_row & np.all(np.abs(ov) > _PHASE_ONLY_OVERLAP, axis=1)
-                      & ~degenerate[t - len(ov):])
-        nxt[phase_only] *= (ov[phase_only] / np.abs(ov[phase_only])).conj()[:, None, :]
-        for i in t - len(ov) + np.flatnonzero(~phase_only):
-            basis = ref[i] if per_row else u[i - 1] if i else ref
-            perm, u[i] = _align_to_reference(u[i], basis, labels[i])
-            w[i], labels[i], perms[i] = w[i, perm], labels[i, perm], tuple(perm.tolist())
-    same = labels[:, :, None] == labels[:, None, :]
-    gad = _in_frame(u, fam.gradient_many(xs))
-    return w, u, gad, same, perms
+    return hs
 
 
 def _frames(fam: HamiltonianFamily, xs: np.ndarray, prev: AdiabaticFrame | None) -> list:

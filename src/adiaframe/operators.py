@@ -1,15 +1,16 @@
 """Dense Hermitian operator algebra with a deterministic eigenframe gauge.
 
 Operators are plain complex ndarrays; the functions here validate the
-invariants (self-adjointness, unitarity) instead of wrapping arrays in
-classes.  :func:`hermitian_eig` eigendecomposes one matrix in a
-deterministic gauge, and when a reference frame is supplied it keeps labels
-and phases continuous along a parameter path, reporting the column
-permutation it applied.  One cluster rule (``_cluster_labels``) says which
-levels count as degenerate; the gauge rotates each such cluster as one block,
-and the frame kernel of :mod:`adiaframe.frames` uses the same rule for its
-block force split and the same alignment on whole stacks where labels may
-swap.
+invariants (self-adjointness, unitarity) against the active tolerance
+profile instead of wrapping arrays in classes.  One gauge routine,
+``_eigenframes``, eigendecomposes a stack of matrices with continuous labels
+and phases: each row follows a reference basis, or without one takes a
+deterministic gauge, and reports the column permutation it applied.  It
+serves both the frame kernel of :mod:`adiaframe.frames` and
+:func:`hermitian_eig`, which is the routine on a stack of one.  One cluster
+rule (``_cluster_labels``) says which levels count as degenerate; the gauge
+rotates each such cluster as one block, and the kernel uses the same labels
+for its block force split.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ def require_square(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def require_hermitian(a, tol: float | None = None, name: str = "operator") -> np.ndarray:
-    """Validate self-adjointness within ``tol`` relative to the largest entry."""
+def require_hermitian(a, name: str = "operator") -> np.ndarray:
+    """Validate self-adjointness within the profile's ``hermiticity`` relative
+    to the largest entry."""
     arr = require_square(a, name)
-    if tol is None:
-        tol = active_profile().hermiticity
+    tol = active_profile().hermiticity
     scale = np.abs(arr).max()
     if scale > 0.0:
         dev = np.abs(arr - arr.conj().T).max()
@@ -63,10 +64,9 @@ def require_hermitian(a, tol: float | None = None, name: str = "operator") -> np
     return arr
 
 
-def require_unitary(u, tol: float | None = None, name: str = "matrix") -> np.ndarray:
+def require_unitary(u, name: str = "matrix") -> np.ndarray:
     arr = require_square(u, name)
-    if tol is None:
-        tol = active_profile().unitarity
+    tol = active_profile().unitarity
     dev = np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
     if dev > tol * arr.shape[0]:
         raise ValidationError(f"{name} is not unitary: ||U^dag U - 1||_F = {dev:.3e}")
@@ -169,6 +169,59 @@ def _align_to_reference(v, reference, labels):
     return perm, v
 
 
+# Above this |overlap| between consecutive bases no other column can match
+# better, so the permutation is the identity and only phases need fixing.
+_PHASE_ONLY_OVERLAP = 1.0 / np.sqrt(2.0)
+
+
+def _eigenframes(hs: np.ndarray, ref: np.ndarray | None = None):
+    """Eigendecompose a stack ``hs`` (t, m, m) with continuous labels and phases.
+
+    Chained mode (``ref`` None or an (m, m) basis): row 0 follows ``ref``
+    (or, without it, takes the deterministic gauge) and every later row the
+    one before it.  Per-row reference mode (``ref`` a (t, m, m) stack): row i
+    follows ``ref[i]``.  Returns W (t, m), U (t, m, m), the cluster labels
+    (t, m) of the columns of U and the label permutation of each row (``()``
+    where none was applied).  ``hs`` is dropped after the eigensolver, so a
+    caller that holds no other reference frees it before the gauge step.
+
+    A nondegenerate row whose columns all overlap their references by more
+    than 1/sqrt(2) only needs its phases fixed (chained: the cumulative
+    product of the overlaps, taken only when every row qualifies); other
+    rows are aligned to their references (linear assignment, cluster rotation).
+    """
+    t, m = hs.shape[:2]
+    per_row = ref is not None and ref.ndim == 3
+    if ref is not None and ref.shape != ((t, m, m) if per_row else (m, m)):
+        raise ValidationError(f"reference frame shape {ref.shape} does not match operator dim {m}")
+    try:
+        w, u = np.linalg.eigh(hs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge on a {m}x{m} matrix") from exc
+    del hs                                    # one (t, m, m) stack less at the peak
+    labels = _cluster_labels(w, active_profile().degeneracy_gap)
+    degenerate = labels[:, -1] < m - 1        # levels ascend: the last label is clusters - 1
+    perms = [()] * t
+    if ref is None:
+        u[0] = _fix_gauge_deterministic(u[0])
+        prev, nxt = u[:-1], u[1:]
+    else:
+        prev, nxt = ref if per_row else np.concatenate([ref[None], u[:-1]]), u
+    ov = np.einsum("tik,tik->tk", prev.conj(), nxt)
+    if not degenerate.any() and np.all(np.abs(ov) > _PHASE_ONLY_OVERLAP):
+        phase = ov / np.abs(ov)
+        nxt *= (phase if per_row else np.cumprod(phase, axis=0)).conj()[:, None, :]
+    else:       # chained phases are a cumulative product, so there every row is aligned
+        phase_only = (per_row & np.all(np.abs(ov) > _PHASE_ONLY_OVERLAP, axis=1)
+                      & ~degenerate[t - len(ov):])
+        nxt[phase_only] *= (ov[phase_only] / np.abs(ov[phase_only])).conj()[:, None, :]
+        for i in t - len(ov) + np.flatnonzero(~phase_only):
+            basis = ref[i] if per_row else u[i - 1] if i else ref
+            perm, u[i] = _align_to_reference(u[i], basis, labels[i])
+            w[i], labels[i], perms[i] = w[i, perm], labels[i, perm], tuple(perm.tolist())
+    return w, u, labels, perms
+
+
 def hermitian_eig(h, reference: np.ndarray | Spectrum | None = None) -> Spectrum:
     """Eigendecompose a Hermitian matrix in a deterministic gauge.
 
@@ -188,26 +241,12 @@ def hermitian_eig(h, reference: np.ndarray | Spectrum | None = None) -> Spectrum
     Spectrum
     """
     h = require_hermitian(h)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver failed to converge on a {h.shape[0]}x{h.shape[0]} matrix "
-            f"with ||H||_max = {np.abs(h).max():.3e}"
-        ) from exc
-
-    m = h.shape[0]
-    labels = _cluster_labels(w, active_profile().degeneracy_gap)
-    if reference is not None:
-        ref = reference.basis if isinstance(reference, Spectrum) else np.asarray(reference, dtype=complex)
-        if ref.shape != (m, m):
-            raise ValidationError(f"reference frame shape {ref.shape} does not match operator dim {m}")
-        perm, v = _align_to_reference(v, ref, labels)
-        w = w[perm]
-    else:
-        v = _fix_gauge_deterministic(v)
-        perm = np.arange(m)
-    return Spectrum(w, v, tuple(int(p) for p in perm), bool(labels.max() < m - 1))
+    if isinstance(reference, Spectrum):
+        reference = reference.basis
+    elif reference is not None:
+        reference = np.asarray(reference, dtype=complex)
+    w, u, labels, perms = _eigenframes(h[None], reference)
+    return Spectrum(w[0], u[0], perms[0], bool(labels[0].max() < h.shape[0] - 1))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -219,7 +258,7 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def expectation(rho, a, *, imag_tol: float | None = None) -> float:
+def expectation(rho, a) -> float:
     """Tr(rho A) for a density matrix and a Hermitian observable.
 
     The imaginary part is checked against the profile tolerance (it is zero
@@ -230,8 +269,7 @@ def expectation(rho, a, *, imag_tol: float | None = None) -> float:
     a = require_square(a, "observable")
     if rho.shape != a.shape:
         raise ValidationError(f"dimension mismatch: rho {rho.shape}, observable {a.shape}")
-    if imag_tol is None:
-        imag_tol = active_profile().expectation_imag
+    imag_tol = active_profile().expectation_imag
     val = complex(np.einsum("ij,ji->", rho, a))
     scale = max(1.0, abs(val), float(np.abs(a).max()) * a.shape[0])
     if abs(val.imag) > imag_tol * scale:
@@ -242,13 +280,13 @@ def expectation(rho, a, *, imag_tol: float | None = None) -> float:
     return val.real
 
 
-def spectral_function(h, f, *, tol: float | None = None) -> np.ndarray:
+def spectral_function(h, f) -> np.ndarray:
     """Apply a real scalar function to a Hermitian matrix through its spectrum.
 
     Exactly diagonal input short-circuits to applying ``f`` entrywise on the
     diagonal, so staircase functions of already-diagonal operators are exact.
     """
-    h = require_hermitian(h, tol=tol)
+    h = require_hermitian(h)
     m = h.shape[0]
     off = h.copy()
     np.fill_diagonal(off, 0.0)

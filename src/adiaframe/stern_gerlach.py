@@ -39,18 +39,13 @@ _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 @dataclass
 class SternGerlachConfig:
-    """Geometry and coupling of the beam-splitting magnet.
-
-    ``field``/``field_grad`` may override the default quadrupole-plus-bias
-    profile; ``field_grad`` must return d B_c / d r^k indexed as [k, c].
-    """
+    """Geometry and coupling of the beam-splitting magnet (the
+    quadrupole-plus-bias field of the module docstring)."""
 
     gamma: float = 1.0
     field_strength: float = 1.0
     field_gradient: float = 0.5
     mass: float = 1.0
-    field: object = None
-    field_grad: object = None
 
     def __post_init__(self):
         if self.gamma <= 0.0:
@@ -60,17 +55,11 @@ class SternGerlachConfig:
 
     def field_at(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if self.field is not None:
-            return np.asarray(self.field(r), dtype=float)
         g, b0 = self.field_gradient, self.field_strength
         return np.array([-g * r[0], 0.0, b0 + g * r[2]])
 
     def field_grad_at(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.field is not None:
-            if self.field_grad is None:
-                raise ValidationError("custom field requires field_grad")
-            return np.asarray(self.field_grad(r), dtype=float)
+        """d B_c / d r^k indexed as [k, c]; constant for this field."""
         g = self.field_gradient
         db = np.zeros((3, 3))
         db[0, 0] = -g        # dBx/dx

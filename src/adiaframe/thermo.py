@@ -186,8 +186,8 @@ class MaxwellReport:
         scale = np.maximum(np.abs(self.force), 1e-12)
         return np.abs(self.force - self.isentropic_form) / scale
 
-    def ok(self, tol: float | None = None) -> bool:
-        tol = tol if tol is not None else active_profile().maxwell_identity
+    def ok(self) -> bool:
+        tol = active_profile().maxwell_identity
         return bool((self.residual_entropy_form <= tol).all()
                     and (self.residual_isentropic_form <= tol).all())
 

@@ -35,10 +35,10 @@ class ToleranceProfile:
     degeneracy_gap: float = 1e-9
     # adiabatic frame
     gauge_invariance: float = 1e-10
-    # quantum / classical state
+    # quantum / classical state; ``trace`` bounds every sum of probabilities
+    # (amplitude norm, Born weights, populations, density-matrix trace)
     trace: float = 1e-10
     positivity: float = 1e-10
-    amplitude_norm: float = 1e-10
     trace_drift_per_step: float = 1e-8
     # energy bookkeeping
     ledger_closure: float = 1e-6

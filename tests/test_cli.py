@@ -156,8 +156,9 @@ class TestParseConfig:
         assert "norm" in str(exc.value)
 
     def test_amplitude_norm_uses_the_state_tolerance(self):
-        # within 1e-8 of 1 but outside the profile's amplitude_norm, which
-        # QuantumState.from_amplitudes applies when the run starts
+        # within 1e-8 of 1 but outside the profile's trace tolerance (every
+        # sum of probabilities), which QuantumState.from_amplitudes applies
+        # when the run starts
         cfg = {"kind": "stern_gerlach",
                "stern_gerlach": {"amplitudes": [[1.000000003, 0.0], [0.0, 0.0]]}}
         with pytest.raises(ConfigError) as exc:

@@ -105,12 +105,12 @@ class TestLedgerQuadrature:
 def test_node_routes_agree(dim, seed, v):
     fam = random_linear_family(dim, 1, "gue", seed=seed)
     xs = -1.0 + v * np.linspace(0.0, 1.0, 81)[:, None]
-    with mock.patch("adiaframe.frames._align_to_reference", side_effect=AssertionError("fell back")):
+    with mock.patch("adiaframe.operators._align_to_reference", side_effect=AssertionError("fell back")):
         w, _, gad, same, _ = _frame_kernel(fam, xs)
     p = _connections(w, gad, same)
     f_ops, f_ad = _force_split(w, p, gad, same)
     # no overlap passes a threshold of 1, so every node is aligned to the one before
-    with mock.patch("adiaframe.frames._PHASE_ONLY_OVERLAP", 1.0):
+    with mock.patch("adiaframe.operators._PHASE_ONLY_OVERLAP", 1.0):
         frames = frame_path(fam, xs)
     scale = max(1.0, max(np.abs(fr.connections).max() for fr in frames))
     assert_allclose(w, [fr.eigenvalues for fr in frames], rtol=0, atol=1e-10)

@@ -28,7 +28,7 @@ from adiaframe import (
     uniform_drive,
 )
 import adiaframe.dynamics as dynamics
-import adiaframe.frames as frames
+import adiaframe.operators as operators
 from adiaframe.errors import StepSizeError, ValidationError
 from adiaframe.families import PAULI_X, PAULI_Z
 
@@ -497,8 +497,8 @@ class TestMeanForce:
         def residual(n_steps):
             sc = DynamicsScenario(family=fam, apparatus=ApparatusState(x=[-1.0], v=[1.5], metric=5.0),
                                   state=state, dt=1.5 / n_steps, n_steps=n_steps, record_every=10)
-            with mock.patch("adiaframe.frames._align_to_reference",
-                            wraps=frames._align_to_reference) as aligned:
+            with mock.patch("adiaframe.operators._align_to_reference",
+                            wraps=operators._align_to_reference) as aligned:
                 traj = run_mean_force(sc)
             assert traj.x[0, 0] < 0.0 < traj.x[-1, 0]
             assert aligned.call_count > n_steps

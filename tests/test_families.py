@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from adiaframe import (CallableFamily, MatrixPolynomialFamily, QuantumState,
                        avoided_crossing_family, run_driven, uniform_drive)
 from adiaframe.errors import ValidationError
-from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
+from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z, gue
 
 # rows with zeros, negatives and both signs of each coordinate
 POINTS = np.array([[0.0, 0.0], [0.7, -1.2], [-0.3, 0.0], [0.0, 2.5], [-1.1, -0.4]])
@@ -33,7 +33,27 @@ def assert_matches_per_point(fam, xs):
 
 class TestBatchedEvaluation:
     def test_polynomial_mixed_exponents(self):
-        assert_matches_per_point(polynomial_family(), POINTS)
+        fam = polynomial_family()
+        assert_matches_per_point(fam, POINTS)
+        # the closed form of polynomial_family and of its gradient
+        c = 0.1 * PAULI_Z + 0.4 * PAULI_X
+        for (x, y), h, (gx, gy) in zip(POINTS, fam.evaluate_many(POINTS), fam.gradient_many(POINTS)):
+            assert_allclose(h, 0.5 * x * x * y * PAULI_Z + 0.3 * PAULI_X + 0.2 * x * PAULI_Y + y ** 3 * c,
+                            rtol=0, atol=1e-14)
+            assert_allclose(gx, x * y * PAULI_Z + 0.2 * PAULI_Y, rtol=0, atol=1e-14)
+            assert_allclose(gy, 0.5 * x * x * PAULI_Z + 3.0 * y * y * c, rtol=0, atol=1e-14)
+
+    def test_one_row_is_the_stack_bit_for_bit(self):
+        # nonlinear monomials, where a per-term sum and the stacked einsum
+        # round differently: evaluate/gradient must be the stack's row
+        rng = np.random.default_rng(5)
+        mats = [gue(3, rng) for _ in range(3)]
+        fam = MatrixPolynomialFamily(zip([(2, 1), (0, 3), (1, 1)], mats))
+        xs = rng.uniform(-2.0, 2.0, size=(200, 2))
+        many, grads = fam.evaluate_many(xs), fam.gradient_many(xs)
+        for x, h, g in zip(xs, many, grads):
+            assert np.array_equal(fam.evaluate(x), h)
+            assert np.array_equal(fam.gradient(x), g)
 
     def test_callable_family_with_gradient(self):
         fam = polynomial_family()

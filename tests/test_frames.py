@@ -173,7 +173,7 @@ class TestGaugeRule:
            step=st.floats(-1e-3, 1e-3))
     def test_phase_only_path_matches_hermitian_eig(self, dim, seed, x, step):
         fam = random_linear_family(dim, 1, "gue", seed=seed)
-        with mock.patch("adiaframe.frames._align_to_reference", side_effect=AssertionError("fell back")):
+        with mock.patch("adiaframe.operators._align_to_reference", side_effect=AssertionError("fell back")):
             first = build_frame(fam, [x])
             frame = build_frame(fam, [x + step], prev=first)
         for got, spec in ((first, hermitian_eig(fam.evaluate([x]))),
@@ -183,11 +183,31 @@ class TestGaugeRule:
             assert got.spectrum.permutation == spec.permutation
             assert not got.spectrum.degenerate
 
+    @pytest.mark.parametrize("case", ["crossing", "degenerate", "degenerate_no_reference"])
+    def test_fallback_paths_match_hermitian_eig(self, case):
+        # hermitian_eig is the kernel's gauge on a stack of one, also where
+        # the gauge aligns by assignment and cluster rotation
+        if case == "crossing":      # W(x) = x*sigma_z, reference across x = 0
+            fam, x, ref_x = MatrixPolynomialFamily([((1,), PAULI_Z)]), [0.05], [-0.05]
+        else:                       # levels 0 and 1 degenerate at x = 0
+            fam, x, ref_x = TestDegenerateSpectra.FAMILY, [0.0, 0.0], [1e-3, -2e-3]
+        ref = None if case == "degenerate_no_reference" else hermitian_eig(fam.evaluate(ref_x)).basis
+        with mock.patch("adiaframe.operators._align_to_reference", wraps=_align_to_reference) as align:
+            w, u, _, same, perms = _frame_kernel(fam, np.array([x]), ref)
+            spec = hermitian_eig(fam.evaluate(x), reference=ref)
+        assert align.call_count == (0 if ref is None else 2)
+        assert np.array_equal(u[0], spec.basis)
+        assert np.array_equal(w[0], spec.eigenvalues)
+        assert Spectrum(w[0], u[0], perms[0]).permutation == spec.permutation
+        assert (np.count_nonzero(same[0]) > fam.dim) == spec.degenerate == (case != "crossing")
+        if case == "crossing":
+            assert spec.permutation == (1, 0)
+
     def test_frame_path_takes_assignment_across_true_crossing(self):
         # W(x) = x*sigma_z: consecutive bases across x = 0 do not overlap
         fam = MatrixPolynomialFamily([((1,), PAULI_Z)])
         xs = [-1.0, -0.5, -0.05, 0.05, 0.5, 1.0]
-        with mock.patch("adiaframe.frames._align_to_reference", wraps=_align_to_reference) as align:
+        with mock.patch("adiaframe.operators._align_to_reference", wraps=_align_to_reference) as align:
             frames = frame_path(fam, xs)
         assert align.call_count == len(xs) - 1
         assert [fr.spectrum.permutation for fr in frames] == [(0, 1)] * 3 + [(1, 0)] * 3
@@ -197,7 +217,7 @@ class TestGaugeRule:
     def test_run_driven_follows_true_crossing_and_closes_ledger(self):
         fam = MatrixPolynomialFamily([((1,), PAULI_Z)])
         state = QuantumState.from_rho(np.diag([0.7, 0.3]).astype(complex))
-        with mock.patch("adiaframe.frames._align_to_reference", wraps=_align_to_reference) as align:
+        with mock.patch("adiaframe.operators._align_to_reference", wraps=_align_to_reference) as align:
             traj = run_driven(fam, uniform_drive([-0.99], [1.0]), state, 2.0, 10)
         assert align.call_count == 20
         # labels follow the states: level 0 keeps W = x, level 1 keeps W = -x
@@ -311,14 +331,14 @@ class TestPerRowReference:
         rng = np.random.default_rng(4)
         x0 = rng.uniform(-1.0, 1.0, (5, 2))
         refs = np.array([_frame_kernel(fam, x[None])[1][0] for x in x0])
-        with mock.patch("adiaframe.frames._align_to_reference", side_effect=AssertionError("fell back")):
+        with mock.patch("adiaframe.operators._align_to_reference", side_effect=AssertionError("fell back")):
             self.assert_rows_match(fam, x0 + rng.uniform(-1e-3, 1e-3, x0.shape), refs)
 
     def test_degenerate_row_takes_the_fallback_alone(self):
         fam = TestDegenerateSpectra.FAMILY
         x1 = np.array([[0.3, -0.2], [0.0, 0.0], [-0.1, 0.4]])
         refs = np.array([_frame_kernel(fam, x[None])[1][0] for x in x1 + 1e-3])
-        with mock.patch("adiaframe.frames._align_to_reference", wraps=_align_to_reference) as align:
+        with mock.patch("adiaframe.operators._align_to_reference", wraps=_align_to_reference) as align:
             stacked = self.assert_rows_match(fam, x1, refs)
         assert align.call_count == 2        # the degenerate row, stacked and alone
         assert stacked[4][0] == stacked[4][2] == () and stacked[4][1] != ()

@@ -45,11 +45,6 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SternGerlachConfig(mass=-1.0)
 
-    def test_custom_field_needs_gradient(self):
-        cfg = SternGerlachConfig(field=lambda r: np.array([0.0, 0.0, 1.0 + r[2]]))
-        with pytest.raises(ValidationError):
-            cfg.field_grad_at([0.0, 0.0, 0.0])
-
     def test_family_gradient_matches_field(self):
         cfg = SternGerlachConfig(gamma=1.3, field_strength=0.9, field_gradient=0.4)
         fam = sg_family(cfg)
