@@ -11,6 +11,10 @@ Scenario kinds:
 Every run writes ``report.json`` (sorted keys, config digest, pass/fail
 checks) plus scenario CSV files into --out.  Exit status: 0 when all checks
 pass, 1 when any check fails, 2 on configuration or runtime errors.
+
+The digest ``config_sha256`` is the SHA-256 of the parsed config (defaults
+written in) as canonical JSON text, in which each family term matrix stands
+as the hex SHA-256 of its values: little-endian complex128, in C order.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .entropy import (ProjectorFamily, entropy_delta, entropy_series, project,
 from .errors import AdiaframeError, ConfigError, ValidationError
 from .families import MatrixPolynomialFamily
 from .frames import build_frame
-from .operators import require_hermitian
+from .operators import hermitian_eig, require_hermitian
 from .stern_gerlach import SternGerlachConfig, sg_run
 from .thermo import entropy_temperature, kubo_friction, maxwell_check
 from .tolerances import active_profile
@@ -443,7 +447,7 @@ def _drive(fam, drive: dict, state, **kwargs):
 # scenario runners
 
 
-def _run_stern_gerlach(cfg, seed, out_dir):
+def _run_stern_gerlach(cfg, fam, seed, out_dir):
     sg, mode = cfg["stern_gerlach"], cfg["mode"]
     config = SternGerlachConfig(gamma=sg["gamma"], field_strength=sg["field_strength"],
                                 field_gradient=sg["field_gradient"], mass=sg["mass"])
@@ -473,8 +477,7 @@ def _run_stern_gerlach(cfg, seed, out_dir):
     return checks, outputs, summary
 
 
-def _run_custom_family(cfg, seed, out_dir):
-    fam = _build_family(cfg)
+def _run_custom_family(cfg, fam, seed, out_dir):
     state = _build_state(cfg, fam.dim, seed)
 
     if "drive" in cfg:
@@ -527,14 +530,13 @@ def _run_custom_family(cfg, seed, out_dir):
     return checks, outputs, summary
 
 
-def _run_thermo_curve(cfg, seed, out_dir):
+def _run_thermo_curve(cfg, fam, seed, out_dir):
     prof = active_profile()
-    fam = _build_family(cfg)
     th = cfg["thermo"]
     x = np.asarray(th["x"], dtype=float)
-    frame = build_frame(fam, x)
+    levels = hermitian_eig(fam.evaluate(x)).eigenvalues
     e_grid = np.linspace(th["e_min"], th["e_max"], th["n_grid"])
-    curve = entropy_temperature(frame.eigenvalues, e_grid, th["sigma"])
+    curve = entropy_temperature(levels, e_grid, th["sigma"])
     _write_csv(os.path.join(out_dir, "curve.csv"),
                ["e", "omega", "dos", "entropy", "temperature"],
                [[curve.e[i], curve.omega[i], curve.dos[i], curve.entropy[i],
@@ -544,7 +546,7 @@ def _run_thermo_curve(cfg, seed, out_dir):
     resid = float(curve.counting_identity_residual().max())
     checks = [_check("counting_identity", resid <= prof.counting_identity,
                      resid, prof.counting_identity)]
-    summary = {"levels": [float(v) for v in frame.eigenvalues],
+    summary = {"levels": [float(v) for v in levels],
                "counting_identity_residual": resid}
 
     if "check_energy" in th:
@@ -559,9 +561,8 @@ def _run_thermo_curve(cfg, seed, out_dir):
     return checks, ["curve.csv"], summary
 
 
-def _run_kubo(cfg, seed, out_dir):
+def _run_kubo(cfg, fam, seed, out_dir):
     prof = active_profile()
-    fam = _build_family(cfg)
     kb = cfg["kubo"]
     tensor = kubo_friction(fam, np.asarray(kb["x"], float), kb["beta"], **_present(kb, "eta"))
     n = tensor.n_coords
@@ -583,9 +584,8 @@ def _run_kubo(cfg, seed, out_dir):
     return checks, ["gamma.csv"], summary
 
 
-def _run_entropy_audit(cfg, seed, out_dir):
+def _run_entropy_audit(cfg, fam, seed, out_dir):
     prof = active_profile()
-    fam = _build_family(cfg)
     state = _build_state(cfg, fam.dim, seed)
     drive, ev = cfg["drive"], cfg["event"]
     family_proj = (ProjectorFamily(dim=fam.dim, blocks=tuple(tuple(b) for b in ev["blocks"]))
@@ -654,7 +654,26 @@ _RUNNERS = {
 # entry point
 
 
-def _config_digest(cfg: dict) -> str:
+def _reads_family(cfg: dict) -> bool:
+    return "family" in _TABLES[cfg["kind"]]
+
+
+def _config_digest(cfg: dict, fam: MatrixPolynomialFamily | None = None) -> str:
+    """SHA-256 of ``cfg`` as canonical JSON (sorted keys, no spaces).
+
+    Each ``family.terms[i].matrix`` enters the text as the hex SHA-256 of its
+    values as :func:`_complex_matrix` returns them, in C order as
+    little-endian complex128: the shape is fixed by ``family.dim``, and the
+    text does not grow with it.  The values are read from ``fam``, the family
+    built from ``cfg`` (built here when not given).  A config whose kind reads
+    no family block, even one kept as an unknown field in non-strict parsing,
+    is hashed as it is.
+    """
+    if _reads_family(cfg):
+        fam = _build_family(cfg) if fam is None else fam
+        terms = [dict(t, matrix=hashlib.sha256(mat.astype("<c16").tobytes()).hexdigest())
+                 for t, (_, mat) in zip(cfg["family"]["terms"], fam.terms)]
+        cfg = dict(cfg, family=dict(cfg["family"], terms=terms))
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -665,12 +684,13 @@ def run_scenario(cfg: dict, out_dir: str, seed: int | None = None) -> dict:
     kind = cfg["kind"]
     used_seed = int(cfg["seed"]) if seed is None else int(seed)
     os.makedirs(out_dir, exist_ok=True)
-    checks, outputs, summary = _RUNNERS[kind](cfg, used_seed, out_dir)
+    fam = _build_family(cfg) if _reads_family(cfg) else None
+    checks, outputs, summary = _RUNNERS[kind](cfg, fam, used_seed, out_dir)
     report = {
         "version": __version__,
         "kind": kind,
         "seed": used_seed,
-        "config_sha256": _config_digest(cfg),
+        "config_sha256": _config_digest(cfg, fam),
         "tolerance_profile": prof.name,
         "checks": checks,
         "outputs": outputs,

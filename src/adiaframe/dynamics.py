@@ -315,6 +315,11 @@ class DynamicsScenario:
             raise ValidationError("record_every must be >= 1")
         if self.apparatus.n_coords != self.family.n_coords:
             raise ValidationError("apparatus and family disagree on the number of coordinates")
+        n = self.apparatus.n_coords
+        if (self.friction is not None and not callable(self.friction.gamma)
+                and np.shape(self.friction.gamma) != (n, n)):
+            raise ValidationError(f"friction tensor has shape {np.shape(self.friction.gamma)}, "
+                                  f"but the apparatus has {n} coordinate(s)")
         if self.state.dim != self.family.dim:
             raise ValidationError("quantum state and family disagree on the Hilbert dimension")
 

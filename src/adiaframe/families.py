@@ -55,6 +55,11 @@ class MatrixPolynomialFamily(HamiltonianFamily):
             if mat.shape != (dim, dim):
                 raise ValidationError("all term matrices must share one dimension")
             self.terms.append((exps, mat))
+        # the terms stacked once: exponents [term, k] and matrices [term, i, j],
+        # with each term's matrix a view of the stack
+        self._exps = np.array([exps for exps, _ in self.terms])
+        self._mats = np.array([mat for _, mat in self.terms])
+        self.terms = [(exps, mat) for (exps, _), mat in zip(self.terms, self._mats)]
 
     def evaluate(self, x):
         return self.evaluate_many(self.coerce_x(x)[None])[0]
@@ -62,24 +67,23 @@ class MatrixPolynomialFamily(HamiltonianFamily):
     def gradient(self, x):
         return self.gradient_many(self.coerce_x(x)[None])[0]
 
-    def _stacked(self, xs):
-        """``xs`` checked, with the exponents [term, k] and matrices [term, i, j]."""
+    def _checked(self, xs):
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.n_coords:
             raise ValidationError(f"xs must have shape (t, {self.n_coords}), got {xs.shape}")
-        exps, mats = zip(*self.terms)
-        return xs, np.array(exps), np.array(mats)
+        return xs
 
     def evaluate_many(self, xs):
-        xs, exps, mats = self._stacked(xs)
-        return np.einsum("tj,jab->tab", np.prod(xs[:, None, :] ** exps, axis=-1), mats)
+        xs = self._checked(xs)
+        return np.einsum("tj,jab->tab", np.prod(xs[:, None, :] ** self._exps, axis=-1),
+                         self._mats)
 
     def gradient_many(self, xs):
         # d/dx_k of prod_i x_i^e_i = e_k x_k^(e_k - 1) prod_{i != k} x_i^e_i
-        xs, exps, mats = self._stacked(xs)
+        xs, exps = self._checked(xs), self._exps
         lowered = exps[None, :, :] - np.eye(self.n_coords, dtype=int)[:, None, :]
         coeff = exps.T * np.prod(xs[:, None, None, :] ** np.maximum(lowered, 0), axis=-1)
-        return np.einsum("tkj,jab->tkab", coeff, mats)
+        return np.einsum("tkj,jab->tkab", coeff, self._mats)
 
 
 def rotating_field_family(gamma: float = 1.0, b0: float = 1.0) -> CallableFamily:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -280,23 +282,69 @@ class TestConfigDigest:
     PINNED = {
         "sg": (sg_config, "fb2c8eba18c59c992575bcb4ddeed88b7b6410d31ff03d2be2ffcce941146901"),
         "driven_scales": (lambda: driven_config(velocity_scales=[1.0, 0.5]),
-                          "78f127ab0f853ad20c06f0718359682f55e43a37569eb340b3ea6609e2492cce"),
+                          "050d47551ffd44d97823d1c7ede9906aa8224a2fdb6433e2221a2e59d53c759d"),
         "friction": (friction_config,
-                     "ba726ea3dcfaf87dfe2292f0ed7ce68006b036630118b54f18bc22bb08d9f451"),
+                     "5ce41f49d98ca4aec23319855830d8e347ea63f050983501a1fcbf5a41cdb6e1"),
         "thermo": (thermo_config,
-                   "ed44edc60ee8730ad7f15890d4dbfeca5bf81c4a1b7858afb66f52d4be1b2703"),
-        "kubo": (kubo_config, "c6b893aa1e6c8fbdf101ec2cca84dee5130c524392091193d4c460529f937a09"),
-        "audit": (audit_config, "8547d09d9243d1e7e987a13e362ed0354f9dba31210f96a013fe1d30f05ba961"),
+                   "67845eb339714d89992f00c9d05575d89923b82b9854cd7a0d1efb93efff07c0"),
+        "kubo": (kubo_config, "493790c14d4f427799f2995854fc1f76cdb970b7eff346733b53cc2634432da2"),
+        "audit": (audit_config, "ae8b12481d4efd9798fc2b59afabde25b83d13b21b0e0756d7d53f689d9d390e"),
         "random_state": (random_state_config,
-                         "5f83ba59a6eed912eb629c876cfc0e4187b7f1ece85be5942c62f935866feead"),
+                         "3b7460a2a9941e7e450420b0c6d46278d2cafa95c3abfaadfe247bf1bfe6796c"),
         "failing_thermo": (failing_thermo_config,
-                           "2aaab6bc5a47ce38939e296c92ac938764377dac755a7873bbb361ceef650f45"),
+                           "4f25a92b8c7c4bf8713d977e2e0440efc6ed9d749b6354699a1f2ca572a0093c"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_digest_pinned(self, name):
         make, digest = self.PINNED[name]
         assert _config_digest(parse_config(make())) == digest
+
+    def test_matrix_enters_as_the_sha256_of_its_complex128_bytes(self, tmp_path):
+        cfg = parse_config(kubo_config())
+        expected = json.loads(json.dumps(cfg))
+        for term in expected["family"]["terms"]:
+            pairs = np.array(term["matrix"], dtype=float)
+            values = (pairs[..., 0] + 1j * pairs[..., 1]).astype("<c16")
+            term["matrix"] = hashlib.sha256(values.tobytes()).hexdigest()
+        canon = json.dumps(expected, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canon.encode()).hexdigest()
+        assert _config_digest(cfg) == digest
+        assert run_scenario(cfg, str(tmp_path))["config_sha256"] == digest
+
+    def test_matrix_hashed_by_value_not_by_spelling(self):
+        as_ints = kubo_config()
+        as_ints["family"]["terms"][0]["matrix"] = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+        assert as_ints["family"]["terms"][0]["matrix"] == kubo_config()["family"]["terms"][0]["matrix"]
+        assert json.dumps(as_ints) != json.dumps(kubo_config())
+        assert _config_digest(parse_config(as_ints)) == _config_digest(parse_config(kubo_config()))
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_one_ulp_moves_the_digest(self, part):
+        # real part 0.7 -> its next double; imaginary part 0.0 -> the smallest subnormal
+        base = kubo_config()
+        moved = kubo_config()
+        entry = moved["family"]["terms"][1]["matrix"][0][1]
+        entry[part] = float(np.nextafter(entry[part], 1.0))
+        assert entry != base["family"]["terms"][1]["matrix"][0][1]
+        assert _config_digest(parse_config(moved)) != _config_digest(parse_config(base))
+
+    def test_family_field_the_kind_ignores_is_hashed_as_written(self):
+        # non-strict parsing keeps an unknown field; stern_gerlach reads no family
+        raw = sg_config(family={"terms": "not read"})
+        with pytest.warns(UserWarning, match="family"):
+            cfg = parse_config(raw, strict=False)
+        canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+        assert _config_digest(cfg) == hashlib.sha256(canon.encode()).hexdigest()
+
+    def test_canonical_text_does_not_grow_with_dim(self):
+        cfg = parse_config(thermo_config(dim=200))
+        with mock.patch("adiaframe.cli.json.dumps", wraps=json.dumps) as dumps:
+            _config_digest(cfg)
+        (args, kwargs), = dumps.call_args_list
+        canon = json.dumps(*args, **kwargs)
+        assert len(canon) < 1000
+        assert json.dumps(cfg["thermo"], sort_keys=True, separators=(",", ":")) in canon
 
 
 class TestRunScenario:

@@ -336,6 +336,22 @@ class TestBranching:
         assert_allclose(runs[0].v[-1, 0], np.exp(-5.0 * 0.2), rtol=1e-2)
         assert np.all(runs[2].v == 1.0)
 
+    def test_friction_tensor_must_match_the_apparatus(self):
+        # a scalar gamma is a 1 x 1 tensor: on two coordinates the scenario names
+        # both shapes instead of the kick failing inside numpy
+        fam = random_linear_family(2, 2, "goe", seed=0)
+
+        def run(friction):
+            app = ApparatusState(x=[0.1, 0.2], v=[0.3, -0.1])
+            return run_branching(DynamicsScenario(family=fam, apparatus=app,
+                                                  state=QuantumState.pure(0, 2), dt=1e-3,
+                                                  n_steps=10, friction=friction))
+
+        with pytest.raises(ValidationError, match=r"shape \(1, 1\).*2 coordinate"):
+            run(FrictionSpec.constant(0.5))
+        damped = run(FrictionSpec.constant(0.5 * np.eye(2)))[0]
+        assert damped.extras["friction_heat"][-1] > 0.0
+
     def test_position_dependent_metric_energy_drift(self):
         app = ApparatusState(x=[0.8], v=[0.6],
                              metric=lambda x: [[1.0 + 0.5 * np.sin(x[0])]],

@@ -55,6 +55,18 @@ class TestBatchedEvaluation:
             assert np.array_equal(fam.evaluate(x), h)
             assert np.array_equal(fam.gradient(x), g)
 
+    def test_terms_are_checked_and_stacked_at_construction(self):
+        # the family keeps the matrices it checked: writing into the caller's
+        # array afterwards, even a non-Hermitian entry, does not reach H(x)
+        m = 0.4 * PAULI_X + 0.1 * PAULI_Z
+        fam = MatrixPolynomialFamily([((0, 0), m), ((1, 0), PAULI_Z.copy())])
+        before = fam.evaluate_many(POINTS)
+        m[0, 1] = 7.0
+        assert np.array_equal(fam.evaluate_many(POINTS), before)
+        assert fam.terms[0][1][0, 1] == 0.4
+        with pytest.raises(ValidationError):
+            MatrixPolynomialFamily([((0, 0), m)])
+
     def test_callable_family_with_gradient(self):
         fam = polynomial_family()
         assert_matches_per_point(CallableFamily(2, 2, fam.evaluate, fam.gradient), POINTS)
