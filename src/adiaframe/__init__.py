@@ -34,8 +34,7 @@ from .thermo import (FrictionTensor, MaxwellReport, ThermoCurve,
                      counting_function, density_of_states,
                      entropy_temperature, kubo_friction, maxwell_check,
                      mean_level_spacing, microcanonical_force)
-from .tolerances import (PROFILES, ToleranceProfile, active_profile,
-                         get_profile, set_active_profile)
+from .tolerances import ToleranceProfile, active_profile
 from .units import HBAR, KB
 
 __all__ = [
@@ -70,6 +69,5 @@ __all__ = [
     "entropy_temperature", "kubo_friction", "maxwell_check",
     "mean_level_spacing", "microcanonical_force",
     # tolerances and units
-    "PROFILES", "ToleranceProfile", "active_profile", "get_profile",
-    "set_active_profile", "HBAR", "KB",
+    "ToleranceProfile", "active_profile", "HBAR", "KB",
 ]

@@ -243,8 +243,10 @@ _DRIVE = {"x0": (_vector("coords"), _REQUIRED), "velocity": (_vector("coords"), 
 
 _TABLES = {
     "stern_gerlach": {**_COMMON, "mode": _MODE, "stern_gerlach": ({
-        "gamma": (_number(positive=True), 1.0), "field_strength": (_number(), 1.0),
-        "field_gradient": (_number(), 0.5), "mass": (_number(positive=True), 1.0),
+        "gamma": (_number(positive=True), SternGerlachConfig.gamma),
+        "field_strength": (_number(), SternGerlachConfig.field_strength),
+        "field_gradient": (_number(), SternGerlachConfig.field_gradient),
+        "mass": (_number(positive=True), SternGerlachConfig.mass),
         "r0": (_vector(3), None), "v0": (_vector(3), None),
         "duration": (_number(positive=True), 1.0), "steps": (_integer(1), 400),
         "record_every": (_integer(1), 1), "n_samples": (_integer(1), _if_sampled(1000)),
@@ -312,7 +314,8 @@ def parse_config(source, *, strict: bool = True) -> dict:
     Returns the config with every default written in, so parsing is
     idempotent.  Unknown fields raise in strict mode and warn otherwise;
     structural and type errors always raise :class:`ConfigError` naming the
-    field (and the line/column for JSON syntax problems).
+    field (and the line/column for JSON syntax problems), as does a dict
+    holding a value JSON cannot hold, such as a numpy scalar.
     """
     if isinstance(source, (bytes, str)):
         try:
@@ -321,7 +324,10 @@ def parse_config(source, *, strict: bool = True) -> dict:
             raise ConfigError(f"invalid JSON: {exc.msg}", line=exc.lineno,
                               column=exc.colno) from None
     elif isinstance(source, dict):
-        cfg = json.loads(json.dumps(source))
+        try:
+            cfg = json.loads(json.dumps(source))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config is not JSON data: {exc}") from None
     else:
         _err(f"config must be a JSON object, got {type(source).__name__}")
     if not isinstance(cfg, dict):

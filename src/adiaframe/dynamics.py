@@ -100,9 +100,6 @@ class QuantumState:
     def populations(self) -> np.ndarray:
         return self.rho.diagonal().real.copy()
 
-    def purity(self) -> float:
-        return float(np.einsum("ij,ji->", self.rho, self.rho).real)
-
     def validate(self) -> "QuantumState":
         prof = active_profile()
         rho = require_square(self.rho, "density matrix")

@@ -1,8 +1,8 @@
 """Dense Hermitian operator algebra with a deterministic eigenframe gauge.
 
 Operators are plain complex ndarrays; the functions here validate the
-invariants (self-adjointness, unitarity) against the active tolerance
-profile instead of wrapping arrays in classes.  One gauge routine,
+invariants (self-adjointness, unitarity) against the package tolerances
+instead of wrapping arrays in classes.  One gauge routine,
 ``_eigenframes``, eigendecomposes a stack of matrices with continuous labels
 and phases: each row follows a reference basis, or without one takes a
 deterministic gauge, and reports the column permutation it applied.  It
@@ -103,14 +103,6 @@ class Spectrum:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
-
-    def reconstruct(self) -> np.ndarray:
-        """basis @ diag(w) @ basis^dag, for residual checks."""
-        return (self.basis * self.eigenvalues) @ self.basis.conj().T
-
-    def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
-        """Conjugate an operator into this eigenbasis: U^dag A U."""
-        return self.basis.conj().T @ a @ self.basis
 
 
 def _cluster_labels(w: np.ndarray, gap: float) -> np.ndarray:

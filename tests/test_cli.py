@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from unittest import mock
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adiaframe import random_linear_family
+from adiaframe import SternGerlachConfig, random_linear_family
 from adiaframe.cli import _config_digest, main, parse_config, run_scenario
 from adiaframe.errors import ConfigError
 
@@ -137,6 +138,15 @@ class TestParseConfig:
             parse_config("[1, 2]")
         with pytest.raises(ConfigError):
             parse_config(42)
+
+    def test_dict_with_values_json_cannot_hold(self):
+        with pytest.raises(ConfigError, match="not JSON data"):
+            parse_config({"kind": "stern_gerlach", "seed": np.int64(3)})
+
+    def test_stern_gerlach_defaults_are_the_config_class_defaults(self):
+        sg = parse_config({"kind": "stern_gerlach"})["stern_gerlach"]
+        defaults = dataclasses.asdict(SternGerlachConfig())
+        assert {name: sg[name] for name in defaults} == defaults
 
     def test_bad_field_is_named(self):
         cfg = sg_config()

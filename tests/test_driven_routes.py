@@ -100,7 +100,7 @@ class TestLedgerQuadrature:
         assert coarse / fine >= 8.0
 
 
-@settings(max_examples=20)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(dim=st.integers(2, 5), seed=st.integers(0, 2 ** 16), v=st.floats(0.5, 2.0))
 def test_node_routes_agree(dim, seed, v):
     fam = random_linear_family(dim, 1, "gue", seed=seed)

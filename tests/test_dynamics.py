@@ -40,7 +40,7 @@ class TestQuantumState:
         st = QuantumState.from_amplitudes([1.0, 1.0] / np.sqrt(2))
         assert_allclose(st.rho, 0.5 * np.ones((2, 2)), atol=1e-15)
         assert_allclose(st.populations, [0.5, 0.5])
-        assert_allclose(st.purity(), 1.0, atol=1e-14)
+        assert_allclose(np.trace(st.rho @ st.rho).real, 1.0, atol=1e-14)
 
     def test_from_amplitudes_norm_checked(self):
         with pytest.raises(ValidationError):
@@ -50,7 +50,7 @@ class TestQuantumState:
         st = QuantumState.pure(1, 3)
         assert_allclose(st.populations, [0.0, 1.0, 0.0])
         mm = QuantumState.maximally_mixed(4)
-        assert_allclose(mm.purity(), 0.25, atol=1e-15)
+        assert_allclose(np.trace(mm.rho @ mm.rho).real, 0.25, atol=1e-15)
 
     def test_from_rho_validation(self):
         with pytest.raises(ValidationError):

@@ -29,9 +29,11 @@ from adiaframe.errors import ValidationError
 from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
 from adiaframe.frames import _connections, _finite_difference_connections, _frame_kernel
 from adiaframe.operators import Spectrum, _align_to_reference
-from adiaframe.tolerances import active_profile
 
 SIGMA_Y_HALF = 0.5 * np.array([[0.0, -1j], [1j, 0.0]])
+# relative bound on how far F and f move under a change of gauge inside the
+# degeneracy clusters
+GAUGE_INVARIANCE = 1e-10
 
 
 class TestBuildFrame:
@@ -150,7 +152,7 @@ class TestForces:
             assert_allclose(frame.diabatic[k], direct, atol=1e-13)
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(dim=st.integers(2, 6), n_coords=st.integers(1, 2), ensemble=st.sampled_from(["goe", "gue"]),
        seed=st.integers(0, 2 ** 16), x=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
 def test_force_split_identity(dim, n_coords, ensemble, seed, x):
@@ -168,7 +170,7 @@ def test_force_split_identity(dim, n_coords, ensemble, seed, x):
 
 
 class TestGaugeRule:
-    @settings(max_examples=30)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(dim=st.integers(2, 6), seed=st.integers(0, 2 ** 16), x=st.floats(-1.0, 1.0),
            step=st.floats(-1e-3, 1e-3))
     def test_phase_only_path_matches_hermitian_eig(self, dim, seed, x, step):
@@ -243,7 +245,7 @@ class TestGaugeInvariance:
         assert_allclose(np.abs(p2), np.abs(frame.connections), atol=1e-10)
         assert_allclose(spec2.eigenvalues, frame.eigenvalues, atol=1e-12)
 
-    @settings(max_examples=30)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(block=st.integers(1, 3), copies=st.integers(2, 3), extra=st.integers(0, 2),
            n_coords=st.integers(1, 2), seed=st.integers(0, 2 ** 16))
     def test_block_split_gauge_covariant(self, block, copies, extra, n_coords, seed):
@@ -277,13 +279,12 @@ class TestGaugeInvariance:
         turned = AdiabaticFrame(x=x, spectrum=Spectrum(frame.eigenvalues, u), connections=p,
                                 grad_adiabatic=gad, same_cluster=frame.same_cluster)
         rho = random_density_matrix(dim, rng)
-        tol = active_profile().gauge_invariance
         for name in ("adiabatic", "diabatic"):
             op, op_turned = getattr(frame, name), getattr(turned, name)
             scale = max(1.0, np.abs(op).max())
-            assert_allclose(op_turned, v.conj().T @ op @ v, rtol=0, atol=tol * scale)
+            assert_allclose(op_turned, v.conj().T @ op @ v, rtol=0, atol=GAUGE_INVARIANCE * scale)
             assert_allclose(np.einsum("kij,ji->k", op_turned, v.conj().T @ rho @ v),
-                            np.einsum("kij,ji->k", op, rho), rtol=0, atol=tol * scale)
+                            np.einsum("kij,ji->k", op, rho), rtol=0, atol=GAUGE_INVARIANCE * scale)
 
 
 class TestDegenerateSpectra:
