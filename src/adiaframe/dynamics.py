@@ -12,8 +12,9 @@ step that supports a configuration-dependent mass metric and a friction
 force -Gamma v (both velocity couplings are resolved by a fixed-point
 corrector on the kick).  Every run steps on the kernel's arrays, not on
 frame objects: driven runs take all half-step nodes in one call, mean-force
-runs one call per node, and branching runs step every branch in lockstep,
-one call per step in the kernel's per-row reference mode.
+runs one call per step on its midpoint and end, and branching runs step
+every branch in lockstep, one call per step in the kernel's per-row
+reference mode.
 
 Energy bookkeeping follows the first-law split of the object's mean energy
 E = Tr(rho W): work flows through the adiabatic forces F_k (block-diagonal on
@@ -141,6 +142,9 @@ class ApparatusState:
         self.v = np.atleast_1d(np.asarray(self.v, dtype=float))
         if self.x.shape != self.v.shape:
             raise ValidationError(f"x shape {self.x.shape} and v shape {self.v.shape} differ")
+        for name, arr in (("x", self.x), ("v", self.v)):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"apparatus {name} = {arr} is not finite")
         self._metric = None                     # metric_at returns this cache once set
         self._metric = None if callable(self.metric) else self.metric_at(None)
 
@@ -564,25 +568,27 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
     The apparatus feels the state-averaged transformed force
     Tr(rho (F_k + f_k)) while the state evolves in the moving frame along
     the resulting path; heat and work are accumulated stage-consistently.
-    Each step makes two one-row frame-kernel calls, the midpoint aligned to
-    the start basis and the end to the midpoint's; the end node starts the
-    next step and gives the force of the closing kick.
+    Each step makes one frame-kernel call on its midpoint and end: they
+    share evaluation, eigensolve and the force split, and only the gauge
+    runs row by row, the midpoint aligned to the start basis and the end to
+    the midpoint's.  The end node starts the next step and gives the force
+    of the closing kick.
     """
     fam, app, friction, dt = scenario.family, scenario.apparatus, scenario.friction, scenario.dt
 
-    def node(x, ref=None):
-        """(W, P, f, F) at x as stacks of one row, and the basis there."""
-        w, u, gad, same, _ = _frame_kernel(fam, x[None], ref)
+    def nodes(xs, ref=None):
+        """(W, P, f, F) at the rows of ``xs``, and the basis at the last."""
+        w, u, gad, same, _ = _frame_kernel(fam, xs, ref, stepwise=True)
         p = _connections(w, gad, same)
-        return (w, p, *_force_split(w, p, gad, same)), u[0]
+        return (w, p, *_force_split(w, p, gad, same)), u[-1]
 
     def cons_force(nd, rho, x):
-        """Tr(rho (F_k + f_k)) - dV/dx^k at the node ``nd`` at x."""
+        """Tr(rho (F_k + f_k)) - dV/dx^k at the last row of the nodes ``nd``, at x."""
         _, _, f_ops, f_ad = nd
-        return np.einsum("kij,ji->k", f_ad[0] + f_ops[0], rho).real - app.potential_grad_at(x)
+        return np.einsum("kij,ji->k", f_ad[-1] + f_ops[-1], rho).real - app.potential_grad_at(x)
 
     x, v, rho = app.x, app.v, scenario.state.validate().rho
-    start, basis = node(x)
+    start, basis = nodes(x[None])
     ledger = EnergyLedger.open(float(rho.diagonal().real @ start[0][0]))
     rec = _Recorder(scenario.record_every, scenario.n_steps)
     rec.add(0.0, x, v, rho, ledger)
@@ -592,16 +598,15 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
         v_half = _kick(app, x[None], v[None], cons[None], friction, 0.5 * dt)[0]
         xs = np.array([x, x + (0.5 * dt) * v_half, x + dt * v_half])
         vs = np.array([v_half] * 3)
-        mid, basis = node(xs[1], basis)
-        end, basis = node(xs[2], basis)
-        w, p, f_ops, f_ad = (np.concatenate(a) for a in zip(start, mid, end))
+        ahead, basis = nodes(xs[1:], basis)
+        w, p, f_ops, f_ad = (np.concatenate(a) for a in zip(start, ahead))
         h = hermitize(_generator(w, p, vs))
         _check_step_size(h, dt, "x", xs)
         rho = _rk4_step(hermitize(rho), h, dt, stages[0])
         dq, dw = _ledger_increments(stages, _rate(vs, f_ops)[None], _rate(vs, f_ad)[None], dt)
         ledger.record(dq[0], dw[0], float(rho.diagonal().real @ w[2]))
-        start, x = end, xs[2]
-        cons = cons_force(end, rho, x)
+        start, x = tuple(a[1:] for a in ahead), xs[2]
+        cons = cons_force(start, rho, x)
         v = _kick(app, x[None], v_half[None], cons[None], friction, 0.5 * dt)[0]
         if rec.want(step):
             rec.add(step * dt, x, v, rho, ledger)

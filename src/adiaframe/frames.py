@@ -22,22 +22,25 @@ H_mov(x, v) = W(x) - v^k P_k(x).
 
 Every frame comes from one kernel, ``_frame_kernel``, which maps a stack of
 configurations to W, U and U^dag dH U with continuous labels and phases.
-Labels and phases come from the one gauge routine of :mod:`adiaframe.operators`
-(``_eigenframes``), which also serves :func:`hermitian_eig`.
-Chained, each row follows the one before: :func:`build_frame` runs it on a
-stack of one, :func:`frame_path` on a path, the driven integrator on its
-half-step nodes and the mean-force integrator on each step's midpoint and
-end, one row per call.  In the per-row reference mode each row follows its
-own basis: the branching integrator steps all branches in one call.  P is
-built (``_connections``) only where it is read: for a frame's
-``connections`` and for the driven and mean-force generators.  One split,
-``_force_split``, turns (W, P, U^dag dH U) into f and F; each frame makes it
-once, on first use, the driven ledger on the whole stack and the mean-force
-run at each node.  The integrators read the kernel's arrays; the fields of
-:class:`AdiabaticFrame` serve the public API, the thermodynamics, the
-entropy audits and the CLI.  Central finite differences of the
-gauge-aligned basis (``_finite_difference_connections``) are kept as the
-reference for P.
+It evaluates and checks H on the whole stack, eigensolves it in one call
+(``_eigensolve`` of :mod:`adiaframe.operators`), and takes labels and
+phases from the one gauge routine there (``_gauge``), which also serves
+:func:`hermitian_eig`.  Chained, each row follows the one before:
+:func:`build_frame` runs it on a stack of one, :func:`frame_path` on a
+path and the driven integrator on its half-step nodes.  The mean-force
+integrator runs each step's midpoint and end in one call whose chain is
+gauged stepwise, one row at a time from the gauged row before, so each row
+is bit for bit its own one-row call.  In the per-row reference mode each
+row follows its own basis: the branching integrator steps all branches in
+one call.  P is built (``_connections``) only where it is read: for a
+frame's ``connections`` and for the driven and mean-force generators.  One
+split, ``_force_split``, turns (W, P, U^dag dH U) into f and F; each frame
+makes it once, on first use, the driven ledger on the whole stack and the
+mean-force run once per step, on its midpoint and end.  The integrators
+read the kernel's arrays; the fields of :class:`AdiabaticFrame` serve the
+public API, the thermodynamics, the entropy audits and the CLI.  Central
+finite differences of the gauge-aligned basis
+(``_finite_difference_connections``) are kept as the reference for P.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .operators import Spectrum, _eigenframes, hermitian_eig, hermitize
+from .operators import Spectrum, _eigensolve, _gauge, hermitian_eig, hermitize
 from .tolerances import active_profile
 from .units import HBAR
 
@@ -215,32 +218,47 @@ def _generator(w, p, v):
     return np.subtract(w[..., :, None] * np.eye(w.shape[-1]), vp, out=vp)
 
 
-def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None = None):
+def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None = None,
+                  stepwise: bool = False):
     """Eigenframes at every row of ``xs`` with continuous labels and phases.
 
     ``ref`` is None, an (m, m) basis for row 0 of a chain, or a (t, m, m)
-    stack of per-row references, as for ``operators._eigenframes``.  Returns
+    stack of per-row references, as for ``operators._gauge``.  With
+    ``stepwise`` a chain is gauged one row at a time, each row a chain of
+    one from the gauged row before: bit for bit one call per row, while
+    evaluation, eigensolve and U^dag dH U run once on the stack.  Returns
     the stacks W (t, m), U (t, m, m), U^dag dH U (t, n, m, m), the
     same-cluster masks (t, m, m) and the label permutation of each row
     (``()`` where none was applied).
     """
-    w, u, labels, perms = _eigenframes(_evaluate_checked(fam, xs), ref)
+    w, u, labels = _eigensolve(_evaluate_checked(fam, xs))
+    if stepwise:
+        perms = [_gauge(w[i:i + 1], u[i:i + 1], labels[i:i + 1], u[i - 1] if i else ref)[0]
+                 for i in range(len(xs))]
+    else:
+        perms = _gauge(w, u, labels, ref)
     same = labels[:, :, None] == labels[:, None, :]
     gad = _in_frame(u, fam.gradient_many(xs))
     return w, u, gad, same, perms
 
 
 def _evaluate_checked(fam: HamiltonianFamily, xs: np.ndarray) -> np.ndarray:
-    """H at every row of ``xs``, checked for shape, finiteness and self-adjointness."""
+    """H at every row of ``xs``, checked for shape, finiteness and
+    self-adjointness; a failed check names the first row of ``xs`` it fails at."""
     t, m = len(xs), fam.dim
     hs = fam.evaluate_many(xs)
     if hs.shape != (t, m, m):
-        raise ValidationError(f"family evaluated to shape {hs.shape[1:]}, expected ({m}, {m})")
+        raise ValidationError(f"family evaluated to shape {hs.shape[1:]} at x = {xs[0]}, "
+                              f"expected ({m}, {m})")
     if not np.all(np.isfinite(hs)):
-        raise ValidationError("H(x) contains non-finite entries")
-    dev = np.abs(hs - hs.conj().swapaxes(-1, -2)).max()
-    if dev > active_profile().hermiticity * np.abs(hs).max():
-        raise ValidationError(f"H(x) is not self-adjoint: max |H - H^dag| = {dev:.3e}")
+        i = np.argmin(np.isfinite(hs).all(axis=(1, 2)))
+        raise ValidationError(f"H(x) contains non-finite entries at x = {xs[i]}")
+    dev = np.abs(hs - hs.conj().swapaxes(-1, -2))
+    bound = active_profile().hermiticity * np.abs(hs).max()
+    if dev.max() > bound:
+        dev = dev.max(axis=(1, 2))
+        i = np.argmax(dev > bound)
+        raise ValidationError(f"H(x) is not self-adjoint at x = {xs[i]}: max |H - H^dag| = {dev[i]:.3e}")
     return hs
 
 

@@ -2,15 +2,17 @@
 
 Operators are plain complex ndarrays; the functions here validate the
 invariants (self-adjointness, unitarity) against the package tolerances
-instead of wrapping arrays in classes.  One gauge routine,
-``_eigenframes``, eigendecomposes a stack of matrices with continuous labels
-and phases: each row follows a reference basis, or without one takes a
-deterministic gauge, and reports the column permutation it applied.  It
-serves both the frame kernel of :mod:`adiaframe.frames` and
-:func:`hermitian_eig`, which is the routine on a stack of one.  One cluster
-rule (``_cluster_labels``) says which levels count as degenerate; the gauge
-rotates each such cluster as one block, and the kernel uses the same labels
-for its block force split.
+instead of wrapping arrays in classes.  Eigenframes of a stack of
+matrices come from two routines: ``_eigensolve`` (the only ``eigh`` call
+besides :func:`spectral_function`) gives the ascending spectra, bases and
+cluster labels, and the one gauge routine, ``_gauge``, gives them
+continuous labels and phases: each row follows a reference basis, or
+without one takes a deterministic gauge, and reports the column
+permutation it applied.  Both serve the frame kernel of
+:mod:`adiaframe.frames` and :func:`hermitian_eig`, which is the pair on a
+stack of one.  One cluster rule (``_cluster_labels``) says which levels
+count as degenerate; the gauge rotates each such cluster as one block, and
+the kernel uses the same labels for its block force split.
 """
 
 from __future__ import annotations
@@ -166,32 +168,42 @@ def _align_to_reference(v, reference, labels):
 _PHASE_ONLY_OVERLAP = 1.0 / np.sqrt(2.0)
 
 
-def _eigenframes(hs: np.ndarray, ref: np.ndarray | None = None):
-    """Eigendecompose a stack ``hs`` (t, m, m) with continuous labels and phases.
+def _eigensolve(hs: np.ndarray):
+    """Eigendecompose a stack ``hs`` (t, m, m) of Hermitian matrices.
+
+    Returns the ascending W (t, m), the eigh basis U (t, m, m) and the
+    cluster labels (t, m) of the levels.  ``hs`` is dropped after the
+    eigensolver, so a caller that holds no other reference frees it before
+    the gauge step.
+    """
+    m = hs.shape[-1]
+    try:
+        w, u = np.linalg.eigh(hs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge on a {m}x{m} matrix") from exc
+    del hs                                    # one (t, m, m) stack less at the peak
+    return w, u, _cluster_labels(w, active_profile().degeneracy_gap)
+
+
+def _gauge(w: np.ndarray, u: np.ndarray, labels: np.ndarray, ref: np.ndarray | None = None) -> list:
+    """Give the eigenframes of :func:`_eigensolve` continuous labels and phases, in place.
 
     Chained mode (``ref`` None or an (m, m) basis): row 0 follows ``ref``
     (or, without it, takes the deterministic gauge) and every later row the
     one before it.  Per-row reference mode (``ref`` a (t, m, m) stack): row i
-    follows ``ref[i]``.  Returns W (t, m), U (t, m, m), the cluster labels
-    (t, m) of the columns of U and the label permutation of each row (``()``
-    where none was applied).  ``hs`` is dropped after the eigensolver, so a
-    caller that holds no other reference frees it before the gauge step.
+    follows ``ref[i]``.  Permutes the levels of ``w``, the columns of ``u``
+    and ``labels`` where a row is relabelled, and returns the label
+    permutation of each row (``()`` where none was applied).
 
     A nondegenerate row whose columns all overlap their references by more
     than 1/sqrt(2) only needs its phases fixed (chained: the cumulative
     product of the overlaps, taken only when every row qualifies); other
     rows are aligned to their references (linear assignment, cluster rotation).
     """
-    t, m = hs.shape[:2]
+    t, m = w.shape
     per_row = ref is not None and ref.ndim == 3
     if ref is not None and ref.shape != ((t, m, m) if per_row else (m, m)):
         raise ValidationError(f"reference frame shape {ref.shape} does not match operator dim {m}")
-    try:
-        w, u = np.linalg.eigh(hs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge on a {m}x{m} matrix") from exc
-    del hs                                    # one (t, m, m) stack less at the peak
-    labels = _cluster_labels(w, active_profile().degeneracy_gap)
     degenerate = labels[:, -1] < m - 1        # levels ascend: the last label is clusters - 1
     perms = [()] * t
     if ref is None:
@@ -211,7 +223,7 @@ def _eigenframes(hs: np.ndarray, ref: np.ndarray | None = None):
             basis = ref[i] if per_row else u[i - 1] if i else ref
             perm, u[i] = _align_to_reference(u[i], basis, labels[i])
             w[i], labels[i], perms[i] = w[i, perm], labels[i, perm], tuple(perm.tolist())
-    return w, u, labels, perms
+    return perms
 
 
 def hermitian_eig(h, reference: np.ndarray | Spectrum | None = None) -> Spectrum:
@@ -237,7 +249,8 @@ def hermitian_eig(h, reference: np.ndarray | Spectrum | None = None) -> Spectrum
         reference = reference.basis
     elif reference is not None:
         reference = np.asarray(reference, dtype=complex)
-    w, u, labels, perms = _eigenframes(h[None], reference)
+    w, u, labels = _eigensolve(h[None])
+    perms = _gauge(w, u, labels, reference)
     return Spectrum(w[0], u[0], perms[0], bool(labels[0].max() < h.shape[0] - 1))
 
 

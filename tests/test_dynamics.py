@@ -101,6 +101,11 @@ class TestApparatusState:
         with pytest.raises(ValidationError, match="shape"):
             ApparatusState(x=[0.0, 0.0], v=[0.0, 0.0], metric=np.eye(3))
 
+    def test_non_finite_configuration_named(self):
+        for x, v, name in (([np.nan], [0.0], "x"), ([0.0, 1.0], [0.0, np.inf], "v")):
+            with pytest.raises(ValidationError, match=rf"apparatus {name} = .* is not finite"):
+                ApparatusState(x=x, v=v)
+
     def test_kinetic_energy(self):
         app = ApparatusState(x=[0.0], v=[2.0], metric=3.0)
         assert_allclose(app.kinetic_energy(), 6.0)
@@ -524,6 +529,17 @@ class TestMeanForce:
         coarse, fine = residual(100), residual(200)
         assert coarse < 1e-8
         assert coarse / fine > 12.0
+
+    def test_one_eigensolve_per_step(self):
+        # a step's midpoint and end share one kernel call, so an n-step run
+        # eigensolves n + 1 times: once per step and once for the start
+        fam = random_linear_family(4, 2, "gue", seed=6)
+        st = QuantumState.from_rho(random_density_matrix(4, np.random.default_rng(2)))
+        sc = DynamicsScenario(family=fam, apparatus=ApparatusState(x=[0.1, -0.3], v=[0.5, 0.2]),
+                              state=st, dt=1e-2, n_steps=25)
+        with mock.patch("adiaframe.frames._eigensolve", wraps=operators._eigensolve) as solve:
+            run_mean_force(sc)
+        assert solve.call_count == sc.n_steps + 1
 
     def test_checks_step_size(self):
         fam = random_linear_family(32, 1, "gue", seed=1, scale=0.3)

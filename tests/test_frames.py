@@ -350,6 +350,53 @@ class TestPerRowReference:
             _frame_kernel(fam, np.zeros((2, 1)), np.tile(np.eye(3), (3, 1, 1)))
 
 
+class TestStepwiseChain:
+    """The kernel's stepwise chain is one single-row chained call per row, byte for byte."""
+
+    @staticmethod
+    def assert_rows_match(fam, xs, ref):
+        stacked = _frame_kernel(fam, xs, ref, stepwise=True)
+        for i in range(len(xs)):
+            single = _frame_kernel(fam, xs[i:i + 1], ref)
+            for got, want in zip(stacked[:4], single[:4]):
+                assert got[i].tobytes() == want[0].tobytes()
+            assert stacked[4][i] == single[4][0]
+            ref = single[1][0]
+        return stacked
+
+    def test_phase_only_rows(self):
+        fam = random_linear_family(8, 2, "gue", seed=12)
+        x0, v = np.array([0.3, -0.1]), np.array([0.7, -0.4])
+        ref = _frame_kernel(fam, x0[None])[1][0]
+        xs = x0 + np.array([[0.5e-3], [1e-3]]) * v
+        with mock.patch("adiaframe.operators._align_to_reference", side_effect=AssertionError("fell back")):
+            self.assert_rows_match(fam, xs, ref)
+            self.assert_rows_match(fam, xs, None)
+
+    def test_assignment_on_each_row_past_a_true_crossing(self):
+        # the family of the exact-crossing mean-force test: past x = 0 the
+        # labels no longer ascend, so each row is aligned by assignment
+        a = 0.6
+        fam = MatrixPolynomialFamily([((0,), np.diag([0.0, 0.0, 2.0]).astype(complex)),
+                                      ((1,), np.array([[1.0, 0.0, a], [0.0, -1.0, 0.0],
+                                                       [a, 0.0, 0.0]], dtype=complex))])
+        ref = frame_path(fam, np.linspace(-1.0, 0.2, 25)[:, None])[-1].basis
+        with mock.patch("adiaframe.operators._align_to_reference", wraps=_align_to_reference) as align:
+            stacked = self.assert_rows_match(fam, np.array([[0.21], [0.22]]), ref)
+        assert align.call_count == 4        # each row, stacked and alone
+        assert all(perm not in ((), (0, 1, 2)) for perm in stacked[4])
+
+    def test_cluster_rotation_on_a_family_degenerate_everywhere(self):
+        rng = np.random.default_rng(8)
+        a, b = gue(3, rng), gue(3, rng)
+        fam = MatrixPolynomialFamily([((0,), np.kron(np.eye(2), a)), ((1,), np.kron(np.eye(2), b))])
+        ref = _frame_kernel(fam, np.array([[0.4]]))[1][0]
+        with mock.patch("adiaframe.operators._align_to_reference", wraps=_align_to_reference) as align:
+            stacked = self.assert_rows_match(fam, np.array([[0.41], [0.42]]), ref)
+        assert align.call_count == 4
+        assert all(np.count_nonzero(same) == 12 for same in stacked[3])
+
+
 class TestMovingFrame:
     def test_rotating_field_generator(self):
         fam = rotating_field_family(gamma=1.5, b0=0.8)
@@ -382,8 +429,16 @@ class TestFramePath:
 
     def test_family_dimension_guard(self):
         fam = CallableFamily(1, 2, lambda x: np.eye(3, dtype=complex))
-        with pytest.raises(ValidationError):
-            build_frame(fam, [0.0])
+        with pytest.raises(ValidationError, match=r"shape \(3, 3\) at x = \[0\.25\]"):
+            build_frame(fam, [0.25])
+
+    @pytest.mark.parametrize("defect", ["non-finite", "not self-adjoint"])
+    def test_failed_check_names_first_bad_configuration(self, defect):
+        # H(x) turns bad past x = 0.5; the message names the first such row
+        bad = {"non-finite": np.nan * PAULI_Z, "not self-adjoint": 0.1j * PAULI_X}[defect]
+        fam = CallableFamily(1, 2, lambda x: PAULI_X + (bad if x[0] > 0.5 else 0.0 * PAULI_Z))
+        with pytest.raises(ValidationError, match=rf"^H\(x\) (contains|is) {defect}.* at x = \[0\.7\]"):
+            frame_path(fam, [[0.0], [0.3], [0.7], [0.9]])
 
 
 class TestFamilies:
