@@ -180,16 +180,22 @@ class ApparatusState:
     def potential_at(self, x) -> float:
         if self.potential is None:
             return 0.0
-        return float(self.potential(np.asarray(x, dtype=float)))
+        value = float(self.potential(np.asarray(x, dtype=float)))
+        if not np.isfinite(value):
+            raise ValidationError(f"potential is {value} at x = {x}")
+        return value
 
     def potential_grad_at(self, x) -> np.ndarray:
         if self.potential is None:
             return np.zeros(self.n_coords)
         if self.potential_grad is None:
-            return self._derivative(self.potential_at, x)
-        g = np.asarray(self.potential_grad(np.asarray(x, dtype=float)), dtype=float)
-        if g.shape != (self.n_coords,):
-            raise ValidationError(f"potential_grad must return shape ({self.n_coords},)")
+            g = self._derivative(self.potential_at, x)
+        else:
+            g = np.asarray(self.potential_grad(np.asarray(x, dtype=float)), dtype=float)
+            if g.shape != (self.n_coords,):
+                raise ValidationError(f"potential_grad must return shape ({self.n_coords},)")
+        if not np.all(np.isfinite(g)):
+            raise ValidationError(f"potential gradient is {g} at x = {x}")
         return g
 
     def _derivative(self, f, x) -> np.ndarray:
@@ -308,8 +314,8 @@ class DynamicsScenario:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.record_every < 1:

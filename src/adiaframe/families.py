@@ -67,20 +67,14 @@ class MatrixPolynomialFamily(HamiltonianFamily):
     def gradient(self, x):
         return self.gradient_many(self.coerce_x(x)[None])[0]
 
-    def _checked(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.n_coords:
-            raise ValidationError(f"xs must have shape (t, {self.n_coords}), got {xs.shape}")
-        return xs
-
     def evaluate_many(self, xs):
-        xs = self._checked(xs)
+        xs = self._coerce_xs(xs)
         return np.einsum("tj,jab->tab", np.prod(xs[:, None, :] ** self._exps, axis=-1),
                          self._mats)
 
     def gradient_many(self, xs):
         # d/dx_k of prod_i x_i^e_i = e_k x_k^(e_k - 1) prod_{i != k} x_i^e_i
-        xs, exps = self._checked(xs), self._exps
+        xs, exps = self._coerce_xs(xs), self._exps
         lowered = exps[None, :, :] - np.eye(self.n_coords, dtype=int)[:, None, :]
         coeff = exps.T * np.prod(xs[:, None, None, :] ** np.maximum(lowered, 0), axis=-1)
         return np.einsum("tkj,jab->tkab", coeff, self._mats)

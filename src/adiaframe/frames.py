@@ -97,6 +97,12 @@ class HamiltonianFamily:
             raise ValidationError(f"configuration must have shape ({self.n_coords},), got {arr.shape}")
         return arr
 
+    def _coerce_xs(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.n_coords:
+            raise ValidationError(f"xs must have shape (t, {self.n_coords}), got {xs.shape}")
+        return xs
+
     def evaluate(self, x) -> np.ndarray:
         raise NotImplementedError
 
@@ -244,20 +250,22 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
 
 def _evaluate_checked(fam: HamiltonianFamily, xs: np.ndarray) -> np.ndarray:
     """H at every row of ``xs``, checked for shape, finiteness and
-    self-adjointness; a failed check names the first row of ``xs`` it fails at."""
+    self-adjointness (|H - H^dag| within ``hermiticity`` times the row's
+    largest |entry|); a failed check names the first row of ``xs`` it fails at."""
     t, m = len(xs), fam.dim
     hs = fam.evaluate_many(xs)
     if hs.shape != (t, m, m):
         raise ValidationError(f"family evaluated to shape {hs.shape[1:]} at x = {xs[0]}, "
                               f"expected ({m}, {m})")
-    if not np.all(np.isfinite(hs)):
-        i = np.argmin(np.isfinite(hs).all(axis=(1, 2)))
-        raise ValidationError(f"H(x) contains non-finite entries at x = {xs[i]}")
-    dev = np.abs(hs - hs.conj().swapaxes(-1, -2))
-    bound = active_profile().hermiticity * np.abs(hs).max()
-    if dev.max() > bound:
-        dev = dev.max(axis=(1, 2))
-        i = np.argmax(dev > bound)
+    scale = np.abs(hs).max(axis=(1, 2))
+    if not np.isfinite(scale).all():        # a non-finite entry, or |H_ij| past the float range
+        finite = np.isfinite(hs).all(axis=(1, 2))
+        if not finite.all():
+            raise ValidationError(f"H(x) contains non-finite entries at x = {xs[np.argmin(finite)]}")
+    dev = np.abs(hs - hs.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+    bad = dev > active_profile().hermiticity * scale
+    if bad.any():
+        i = np.argmax(bad)
         raise ValidationError(f"H(x) is not self-adjoint at x = {xs[i]}: max |H - H^dag| = {dev[i]:.3e}")
     return hs
 

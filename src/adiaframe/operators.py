@@ -113,9 +113,9 @@ def _cluster_labels(w: np.ndarray, gap: float) -> np.ndarray:
     Neighbours closer than ``gap`` * max(spread, max|W|, 1) share a cluster,
     so clusters chain; labels count clusters up from the lowest level.
     """
-    scale = np.maximum(np.maximum(w[..., -1] - w[..., 0], np.abs(w).max(axis=-1)), 1.0)
+    scale = np.maximum(w[..., -1:] - w[..., :1], np.abs(w).max(axis=-1, keepdims=True, initial=1.0))
     labels = np.zeros(w.shape, dtype=int)
-    (np.diff(w, axis=-1) >= gap * scale[..., None]).cumsum(axis=-1, out=labels[..., 1:])
+    np.add.accumulate(w[..., 1:] - w[..., :-1] >= gap * scale, axis=-1, dtype=int, out=labels[..., 1:])
     return labels
 
 
@@ -212,13 +212,14 @@ def _gauge(w: np.ndarray, u: np.ndarray, labels: np.ndarray, ref: np.ndarray | N
     else:
         prev, nxt = ref if per_row else np.concatenate([ref[None], u[:-1]]), u
     ov = np.einsum("tik,tik->tk", prev.conj(), nxt)
-    if not degenerate.any() and np.all(np.abs(ov) > _PHASE_ONLY_OVERLAP):
-        phase = ov / np.abs(ov)
+    mag = np.abs(ov)
+    if not degenerate.any() and (mag > _PHASE_ONLY_OVERLAP).all():
+        phase = ov / mag
         nxt *= (phase if per_row else np.cumprod(phase, axis=0)).conj()[:, None, :]
     else:       # chained phases are a cumulative product, so there every row is aligned
-        phase_only = (per_row & np.all(np.abs(ov) > _PHASE_ONLY_OVERLAP, axis=1)
+        phase_only = (per_row & np.all(mag > _PHASE_ONLY_OVERLAP, axis=1)
                       & ~degenerate[t - len(ov):])
-        nxt[phase_only] *= (ov[phase_only] / np.abs(ov[phase_only])).conj()[:, None, :]
+        nxt[phase_only] *= (ov[phase_only] / mag[phase_only]).conj()[:, None, :]
         for i in t - len(ov) + np.flatnonzero(~phase_only):
             basis = ref[i] if per_row else u[i - 1] if i else ref
             perm, u[i] = _align_to_reference(u[i], basis, labels[i])

@@ -23,7 +23,7 @@ from .dynamics import (ApparatusState, DynamicsScenario, QuantumState,
                        sample_branch_counts)
 from .errors import ValidationError
 from .families import PAULI_X, PAULI_Y, PAULI_Z
-from .frames import CallableFamily
+from .frames import HamiltonianFamily
 from .units import HBAR
 
 __all__ = [
@@ -75,17 +75,43 @@ def sg_hamiltonian(b_vec, gamma: float = 1.0) -> np.ndarray:
     return (-0.5 * HBAR * gamma) * np.einsum("c,cij->ij", b_vec, _PAULIS)
 
 
-def sg_family(config: SternGerlachConfig) -> CallableFamily:
-    """Hamiltonian family over the beam coordinates (x, y, z)."""
+class _SternGerlachFamily(HamiltonianFamily):
+    """H(r) = -(hbar * gamma / 2) B(r) . sigma over the beam coordinates
+    (x, y, z), with the field of ``config`` as it is at construction.
 
-    def func(r):
-        return sg_hamiltonian(config.field_at(r), config.gamma)
+    H has one implementation, on a stack of configurations, and the
+    gradient is constant for this field, so it is built once;
+    :meth:`evaluate` and :meth:`gradient` are the one-row case.
+    """
 
-    def grad(r):
-        db = config.field_grad_at(r)
-        return (-0.5 * HBAR * config.gamma) * np.einsum("kc,cij->kij", db, _PAULIS)
+    def __init__(self, config: SternGerlachConfig):
+        super().__init__(3, 2)
+        self._g, self._b0 = config.field_gradient, config.field_strength
+        self._coupling = -0.5 * HBAR * config.gamma
+        self._grad = self._coupling * np.einsum("kc,cij->kij", config.field_grad_at(None), _PAULIS)
 
-    return CallableFamily(3, 2, func, grad=grad)
+    def evaluate(self, x):
+        return self.evaluate_many(self.coerce_x(x)[None])[0]
+
+    def gradient(self, x):
+        return self.gradient_many(self.coerce_x(x)[None])[0]
+
+    def evaluate_many(self, xs):
+        xs = self._coerce_xs(xs)
+        b = np.zeros((len(xs), 3))          # B = (-g x, 0, B0 + g z) at each row
+        b[:, 0] = -self._g * xs[:, 0]
+        b[:, 2] = self._b0 + self._g * xs[:, 2]
+        return self._coupling * np.einsum("tc,cij->tij", b, _PAULIS)
+
+    def gradient_many(self, xs):
+        return np.repeat(self._grad[None], len(self._coerce_xs(xs)), axis=0)
+
+
+def sg_family(config: SternGerlachConfig) -> HamiltonianFamily:
+    """Hamiltonian family over the beam coordinates (x, y, z): the Zeeman
+    coupling of :func:`sg_hamiltonian` in the field of ``config``, evaluated
+    on whole stacks of configurations, with its constant gradient built once."""
+    return _SternGerlachFamily(config)
 
 
 @dataclass

@@ -106,6 +106,21 @@ class TestApparatusState:
             with pytest.raises(ValidationError, match=rf"apparatus {name} = .* is not finite"):
                 ApparatusState(x=x, v=v)
 
+    def test_non_finite_potential_named(self):
+        def pot(x):
+            return np.nan if x[0] > 0.5 else 0.5 * x[0] ** 2
+
+        fd = ApparatusState(x=[0.0], v=[1.0], potential=pot)
+        analytic = ApparatusState(x=[0.0], v=[1.0], potential=pot,
+                                  potential_grad=lambda x: np.array([np.inf * x[0]]))
+        assert fd.potential_at([0.25]) == 0.03125
+        with pytest.raises(ValidationError, match=r"potential is nan at x = \[0\.75\]"):
+            fd.potential_at([0.75])
+        with pytest.raises(ValidationError, match=r"potential is nan at x = "):
+            fd.potential_grad_at([0.5])         # the central difference reaches past 0.5
+        with pytest.raises(ValidationError, match=r"potential gradient is \[inf\] at x = \[0\.25\]"):
+            analytic.potential_grad_at([0.25])
+
     def test_kinetic_energy(self):
         app = ApparatusState(x=[0.0], v=[2.0], metric=3.0)
         assert_allclose(app.kinetic_energy(), 6.0)
@@ -155,6 +170,22 @@ class TestContainers:
         app2 = ApparatusState(x=[0.0, 0.0], v=[0.0, 0.0])
         with pytest.raises(ValidationError):
             DynamicsScenario(family=fam, apparatus=app2, state=st, dt=0.1, n_steps=10)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_named(self, dt):
+        with pytest.raises(ValidationError, match=r"^dt must be positive and finite, got (nan|inf)"):
+            DynamicsScenario(family=avoided_crossing_family(), apparatus=ApparatusState(x=[0.0], v=[1.0]),
+                             state=QuantumState.pure(0, 2), dt=dt, n_steps=10)
+
+    @pytest.mark.parametrize("run", [run_branching, run_mean_force])
+    def test_non_finite_potential_stops_the_run(self, run):
+        # the potential is blamed where it turns nan, not the family one step later
+        app = ApparatusState(x=[0.0], v=[1.0], potential=lambda x: np.nan if x[0] > 0.05 else 0.0,
+                             potential_grad=lambda x: np.array([np.nan if x[0] > 0.05 else 0.0]))
+        sc = DynamicsScenario(family=random_linear_family(3, 1, "gue", seed=2), apparatus=app,
+                              state=QuantumState.pure(0, 3), dt=0.01, n_steps=20)
+        with pytest.raises(ValidationError, match=r"^potential (gradient )?is .*nan.* at x = "):
+            run(sc)
 
 
 class TestRunDriven:

@@ -440,6 +440,15 @@ class TestFramePath:
         with pytest.raises(ValidationError, match=rf"^H\(x\) (contains|is) {defect}.* at x = \[0\.7\]"):
             frame_path(fam, [[0.0], [0.3], [0.7], [0.9]])
 
+    def test_self_adjointness_bound_is_per_row(self):
+        # at x = 1e-12 the anti-Hermitian 1e-3 i sigma_x is a tenth of H; at
+        # x = 1 it is below 1e-12 of the largest entry, which must not excuse row 0
+        fam = CallableFamily(1, 2, lambda x: 1e10 * x[0] * PAULI_Z + 1e-3j * PAULI_X)
+        for call in (lambda: build_frame(fam, [1e-12]), lambda: frame_path(fam, [[1e-12], [1.0]])):
+            with pytest.raises(ValidationError, match=r"not self-adjoint at x = \[1\.e-12\]"):
+                call()
+        assert len(frame_path(fam, [[1.0], [2.0]])) == 2
+
 
 class TestFamilies:
     def test_polynomial_gradient_matches_fd(self):

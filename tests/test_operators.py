@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from adiaframe import (
@@ -14,6 +15,7 @@ from adiaframe import (
     spectral_function,
 )
 from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
+from adiaframe.operators import _cluster_labels
 
 
 def random_hermitian(dim, rng):
@@ -93,6 +95,31 @@ class TestHermitianEig:
         assert spec.degenerate
         spec2 = hermitian_eig(np.diag([0.0, 1.0, 2.0]))
         assert not spec2.degenerate
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=st.integers(1, 4), m=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
+       magnitude=st.integers(-12, 3),
+       kind=st.sampled_from(["random", "degenerate", "chained", "on_the_gap"]))
+def test_cluster_labels_match_the_diff_formula(t, m, seed, magnitude, kind):
+    # bit for bit the labels of the np.diff form of the cluster rule
+    rng = np.random.default_rng(seed)
+    gap = 2.0 ** -30                   # a power of two: multiples of it subtract exactly
+    w = rng.normal(size=(t, m)) * 10.0 ** magnitude
+    if kind == "degenerate":
+        w[:, : (m + 1) // 2] = w[:, :1]
+    elif kind == "chained":            # neighbours just inside and outside the gap
+        steps = gap * rng.choice([0.5, 0.999, 1.0, 1.001, 2.0], size=(t, m))
+        w = w[:, :1] + np.cumsum(steps * np.maximum(np.abs(w[:, :1]), 1.0), axis=1)
+    elif kind == "on_the_gap":         # scale 1, neighbour gaps of exactly 0, 1 or 2 gaps
+        w = gap * np.cumsum(rng.integers(0, 3, size=(t, m)), axis=1)
+    w = np.sort(w, axis=1)
+    scale = np.maximum(np.maximum(w[..., -1] - w[..., 0], np.abs(w).max(axis=-1)), 1.0)
+    expected = np.zeros(w.shape, dtype=int)
+    (np.diff(w, axis=-1) >= gap * scale[..., None]).cumsum(axis=-1, out=expected[..., 1:])
+    labels = _cluster_labels(w, gap)
+    assert labels.dtype == expected.dtype
+    assert labels.tobytes() == expected.tobytes()
 
 
 class TestCommutator:

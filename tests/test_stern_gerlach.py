@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +12,7 @@ from adiaframe import (
     sg_run,
 )
 from adiaframe.errors import ValidationError
-from adiaframe.families import PAULI_Z
+from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
 from adiaframe.units import HBAR
 
 
@@ -57,6 +59,46 @@ class TestConfig:
             rm[k] -= h
             fd = (fam.evaluate(rp) - fam.evaluate(rm)) / (2.0 * h)
             assert_allclose(g[k], fd, atol=1e-9)
+
+
+class TestStackedFamily:
+    CFG = SternGerlachConfig(gamma=1.3, field_strength=0.9, field_gradient=0.4)
+    POINTS = np.random.default_rng(5).normal(size=(7, 3)) * [1.0, 3.0, 0.5]
+
+    def test_rows_are_the_one_point_formulas_bit_for_bit(self):
+        cfg = self.CFG
+        fam = sg_family(cfg)
+        db = cfg.field_grad_at(None)
+        grad = (-0.5 * HBAR * cfg.gamma) * np.einsum(
+            "kc,cij->kij", db, np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
+        hs, gs = fam.evaluate_many(self.POINTS), fam.gradient_many(self.POINTS)
+        assert hs.shape == (7, 2, 2) and gs.shape == (7, 3, 2, 2)
+        for r, h, g in zip(self.POINTS, hs, gs):
+            expected = sg_hamiltonian(cfg.field_at(r), cfg.gamma)
+            assert h.tobytes() == expected.tobytes() == fam.evaluate(r).tobytes()
+            assert g.tobytes() == grad.tobytes() == fam.gradient(r).tobytes()
+
+    def test_gradient_is_a_fresh_writable_array(self):
+        fam = sg_family(self.CFG)
+        g = fam.gradient(self.POINTS[0])
+        assert g.flags.writeable
+        g[:] = 0.0
+        assert np.abs(fam.gradient(self.POINTS[0])).max() > 0.0
+        assert np.abs(fam.gradient_many(self.POINTS)).min(axis=0).max() > 0.0
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValidationError, match=r"xs must have shape \(t, 3\)"):
+            sg_family(self.CFG).evaluate_many(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("mode", ["branching", "mean_force"])
+    def test_runs_never_take_the_one_point_methods(self, mode):
+        # every frame of a run evaluates H and dH on its stack of rows
+        cls = type(sg_family(self.CFG))
+        with mock.patch.object(cls, "evaluate", autospec=True, wraps=cls.evaluate) as ev, \
+                mock.patch.object(cls, "gradient", autospec=True, wraps=cls.gradient) as gr:
+            res = sg_run(self.CFG, mode=mode, duration=0.2, n_steps=50)
+        assert len(res.trajectories) == (2 if mode == "branching" else 1)
+        assert ev.call_count == 0 and gr.call_count == 0
 
 
 @pytest.fixture(scope="module")
