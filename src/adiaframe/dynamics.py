@@ -16,6 +16,14 @@ runs one call per step on its midpoint and end, and branching runs step
 every branch in lockstep, one call per step in the kernel's per-row
 reference mode.
 
+A driven run takes one of two routes, chosen by the Hilbert dimension m
+alone.  Up to m = 4 (``_TRANSFER_MAX_DIM``) it steps by RK4 transfer maps:
+the step over each node triple is one linear map on vec(rho), built for a
+chunk of steps at a time, so a step is one matrix-vector product and the
+state is cleaned (Hermitized, divided by its trace) only where it is read.
+Larger runs, like every mean-force step, take the per-step stage loop.  Both
+routes fill the ledger's stage states with the same RK4 stage formula.
+
 Energy bookkeeping follows the first-law split of the object's mean energy
 E = Tr(rho W): work flows through the adiabatic forces F_k (block-diagonal on
 degeneracy clusters) and heat through the diabatic forces f_k,
@@ -337,6 +345,12 @@ class DynamicsScenario:
 
 _RK4_IMAGINARY_LIMIT = 2.0 * np.sqrt(2.0)
 
+# Driven runs of at most this many levels step by RK4 transfer maps, one
+# (m^2, m^2) matrix-vector product per step, where that beats the per-step
+# stage loop; chunks of their maps hold about _TRANSFER_CHUNK complex entries.
+_TRANSFER_MAX_DIM = 4
+_TRANSFER_CHUNK = 2 ** 13
+
 
 def _check_step_size(hs: np.ndarray, dt: float, name: str, points) -> None:
     """Raise StepSizeError where dt passes RK4's stability limit for a generator.
@@ -367,34 +381,131 @@ def _rate(vs, ops):
     return np.negative(g, out=g)
 
 
-def _rk4_step(rho, h, dt, stages):
-    """One cleaned RK4 step of i hbar drho/dt = [h, rho] over nodes h[0..2].
+def _rk4_stages(rho, h, dt, stages):
+    """The RK4 stage states of i hbar drho/dt = [h, rho] over nodes h[0..2],
+    from one state ``rho`` or from each of a stack of them (then each node
+    and each stage a stack as well).
 
     With ``rho`` exactly Hermitian every stage state is too, so -i[h, r] =
-    -i(X - X^dag) with X = h r.  Writes (rho, r2 + r3, r4) into ``stages``.
+    -i(X - X^dag) with X = h r.  Writes r2 + r3 and r4 into ``stages[1]`` and
+    ``stages[2]``, and returns c = -i dt / (2 hbar), d1 + 2 (d2 + d3) and r4,
+    with d_k = X_k - X_k^dag of stage k.
     """
+    mul = np.ndarray.dot if rho.ndim == 2 else np.matmul    # dot: less call overhead on one small matrix
     c = -0.5j * dt / HBAR
-    x = h[0].dot(rho)       # ndarray.dot: less call overhead than @ on small matrices
-    d1 = x - x.conj().T
+    x = mul(h[0], rho)
+    d1 = x - x.conj().swapaxes(-1, -2)
     r2 = rho + c * d1
-    x = h[1].dot(r2)
-    d2 = x - x.conj().T
+    x = mul(h[1], r2)
+    d2 = x - x.conj().swapaxes(-1, -2)
     r3 = rho + c * d2
-    x = h[1].dot(r3)
-    d3 = x - x.conj().T
+    x = mul(h[1], r3)
+    d3 = x - x.conj().swapaxes(-1, -2)
     r4 = rho + (2.0 * c) * d3
-    x = h[2].dot(r4)
-    stages[0] = rho
     np.add(r2, r3, out=stages[1])
     stages[2] = r4
-    rho_new = rho + (c / 3.0) * (d1 + 2.0 * (d2 + d3) + (x - x.conj().T))
-    tr = complex(rho_new.trace())
-    drift, tol = abs(tr - 1.0), active_profile().trace_drift_per_step
+    return c, d1 + 2.0 * (d2 + d3), r4
+
+
+def _check_trace(tr) -> None:
+    """Raise StepSizeError if the step-end trace ``tr`` drifted from 1 past
+    ``trace_drift_per_step``; for an array of traces, at the first such."""
+    tol = active_profile().trace_drift_per_step
+    if isinstance(tr, np.ndarray):
+        ok = np.abs(tr - 1.0) <= tol
+        if ok.all():
+            return
+        tr = complex(tr[np.argmin(ok)])
+    drift = abs(tr - 1.0)
     if not (drift <= tol):
         raise StepSizeError(
             f"trace drifted by {drift:.3e} in one step (tolerance {tol:.1e}); reduce dt"
         )
+
+
+def _rk4_step(rho, h, dt, stages):
+    """One cleaned RK4 step of i hbar drho/dt = [h, rho] over nodes h[0..2]
+    from the Hermitian ``rho``; writes (rho, r2 + r3, r4) into ``stages``."""
+    stages[0] = rho
+    c, d, r4 = _rk4_stages(rho, h, dt, stages)
+    x = h[2].dot(r4)
+    rho_new = rho + (c / 3.0) * (d + (x - x.conj().T))
+    tr = complex(rho_new.trace())
+    _check_trace(tr)
     return hermitize(rho_new) / tr.real
+
+
+def _transfer_maps(h, dt):
+    """The RK4 step over each node triple h[s] = (h0, h_half, h1) as one linear
+    map on row-major vec(rho), a (len(h), m^2, m^2) stack:
+
+        T = I + (dt/6)(K1 + 2 K2 + 2 K3 + K4),   K1 = L0,   K2 = L_half (I + dt/2 K1),
+        K3 = L_half (I + dt/2 K2),   K4 = L1 (I + dt K3),
+
+    with L = -(i/hbar)(h (x) I - I (x) h^T) the von Neumann superoperator of each node.
+    """
+    s, _, m, _ = h.shape
+    lv = np.zeros((s, 3, m, m, m, m), dtype=complex)
+    for i in range(m):
+        lv[:, :, :, i, :, i] = h                        # h (x) I
+    ht = h.swapaxes(-1, -2)
+    for i in range(m):
+        lv[:, :, i, :, i, :] -= ht                      # - I (x) h^T
+    lv = lv.reshape(s, 3, m * m, m * m)
+    lv *= -1j / HBAR
+    eye = np.eye(m * m)
+    k2 = lv[:, 1] @ (eye + (0.5 * dt) * lv[:, 0])
+    k3 = lv[:, 1] @ (eye + (0.5 * dt) * k2)
+    k4 = lv[:, 2] @ (eye + dt * k3)
+    return eye + (dt / 6.0) * (lv[:, 0] + 2.0 * (k2 + k3) + k4)
+
+
+def _stepwise_route(rho, nodes, dt, stages, reads, read):
+    """Step the Hermitian ``rho`` over the node triples ``nodes[s]`` one
+    cleaned RK4 step at a time; after each step in ``reads``, ``read(step,
+    rho)`` gives the state to go on from."""
+    for s in range(len(nodes)):
+        rho = _rk4_step(rho, nodes[s], dt, stages[s])
+        if s + 1 in reads:
+            rho = read(s + 1, rho)
+
+
+def _transfer_route(rho, nodes, dt, stages, reads, read):
+    """:func:`_stepwise_route` by transfer maps: one matrix-vector product per
+    step on vec(rho), written straight into ``stages[s, 0]``.
+
+    The maps are built a chunk of steps at a time, each chunk's maps about
+    ``_TRANSFER_CHUNK`` complex entries.  The state steps on uncleaned and is
+    cleaned (Hermitized, divided by its trace) where it is read; the traces of
+    the steps before each read and at each chunk's end are checked at once.
+    Then the chunk's states are cleaned in place, so the ledger reads each at
+    trace 1 as on the stage loop, and its stage states come from one stacked
+    :func:`_rk4_stages`.
+    """
+    n, m = len(nodes), rho.shape[0]
+    flat = stages.reshape(n, -1)[:, :m * m]             # row s: vec(stages[s, 0])
+    chunk = max(1, _TRANSFER_CHUNK // m ** 4)
+    vec = rho.ravel()
+
+    def check(lo, hi, end):
+        """The traces of the step ends rho_{lo+1}..rho_hi, with vec(rho_hi) = ``end``."""
+        _check_trace(np.append(stages[lo + 1:hi, 0].trace(axis1=1, axis2=2), end[::m + 1].sum()))
+
+    for a in range(0, n, chunk):
+        b = min(a + chunk, n)
+        maps, lo = _transfer_maps(nodes[a:b], dt), a
+        for s in range(a, b):
+            flat[s] = vec
+            vec = maps[s - a].dot(vec)
+            if s + 1 in reads:
+                check(lo, s + 1, vec)
+                rho = vec.reshape(m, m)
+                vec, lo = read(s + 1, hermitize(rho) / complex(rho.trace()).real).ravel(), s + 1
+        if lo < b:
+            check(lo, b, vec)
+        rhos = stages[a:b, 0]
+        rhos[...] = hermitize(rhos) / rhos.trace(axis1=1, axis2=2).real[:, None, None]
+        _rk4_stages(rhos, np.moveaxis(nodes[a:b], 1, 0), dt, np.moveaxis(stages[a:b], 1, 0))
 
 
 def _ledger_increments(stages, gq, gw, dt):
@@ -404,11 +515,19 @@ def _ledger_increments(stages, gq, gw, dt):
     return tuple(np.einsum("snij,snji->sn", stages, g).real @ wts for g in (gq, gw))
 
 
-def _path_nodes(fam: HamiltonianFamily, pts):
-    """x and v of the (x, v) pairs ``pts`` as two (len(pts), n_coords) arrays."""
-    xs, vs = zip(*pts)
+def _step_nodes(g):
+    """The (n_steps, 3, ...) view of the node stack ``g`` whose row s holds the
+    nodes 2s, 2s + 1 and 2s + 2 of step s + 1."""
+    return np.moveaxis(np.lib.stride_tricks.sliding_window_view(g, 3, axis=0)[::2], -1, 1)
+
+
+def _path_nodes(fam: HamiltonianFamily, path, times):
+    """x and v of ``path`` at each of ``times`` as two (len(times), n_coords)
+    arrays: one broadcast for a :func:`uniform_drive`, one call per time otherwise."""
+    nodes = getattr(path, "_nodes", None)
+    xs, vs = nodes(times) if nodes is not None else zip(*[path(float(t)) for t in times])
     fam.coerce_x(xs[0])
-    shape = (len(pts), fam.n_coords)
+    shape = (len(times), fam.n_coords)
     try:
         return [np.array(a, dtype=float).reshape(shape) for a in (xs, vs)]
     except ValueError:
@@ -631,6 +750,8 @@ def uniform_drive(x0, v):
     def path(t: float):
         return x0 + v * t, v
 
+    # every node of a driven run in one broadcast, bit for bit the calls per t
+    path._nodes = lambda ts: (x0 + v * ts[:, None], np.repeat(v[None], len(ts), axis=0))
     return path
 
 
@@ -639,10 +760,17 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
                events: dict | None = None) -> Trajectory:
     """Evolve the quantum state along a prescribed apparatus path.
 
+    The state steps by RK4 transfer maps, one (m^2, m^2) matrix-vector
+    product per step, when the family has at most ``_TRANSFER_MAX_DIM`` (4)
+    levels, and by the per-step RK4 stage loop otherwise; the two routes
+    agree to roundoff.  On both, events and recorded rows see the state
+    Hermitized and divided by its trace, and an event's output Hermitized.
+
     Parameters
     ----------
     path : callable
-        ``t -> (x, v)`` describing the drive.
+        ``t -> (x, v)`` describing the drive; a :func:`uniform_drive` gives
+        every node time in one broadcast.
     events : dict, optional
         ``{step_index: transform}`` applied to the state after that step
         completes (1-based); transforms receive and return a QuantumState.
@@ -665,7 +793,7 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
 
     dt = duration / n_steps
     times = 0.5 * dt * np.arange(2 * n_steps + 1)
-    xs, vs = _path_nodes(fam, [path(float(t)) for t in times])
+    xs, vs = _path_nodes(fam, path, times)
     # each (t, m, m) stack is freed as soon as it is used up: F overwrites
     # U^dag dH U, and P goes before the generator is Hermitized
     w, _, gad, same, _ = _frame_kernel(fam, xs)
@@ -675,7 +803,7 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
     gw = _rate(vs, gw)
     gq = _rate(vs, f_ops)
     rec = _Recorder(record_every, n_steps)
-    rec_steps = [step for step in range(1, n_steps + 1) if rec.want(step)]
+    rec_steps = sorted({*range(record_every, n_steps + 1, record_every), n_steps})
     f_rec = f_ops[[0] + [2 * step for step in rec_steps]]
     del f_ops
     h_mov = _generator(w, p, vs)
@@ -691,9 +819,9 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
     stages = np.empty((n_steps, 3, fam.dim, fam.dim), dtype=complex)
     event_log = []
 
-    for step in range(1, n_steps + 1):
+    def read(step, rho):
+        """The event and the record of ``step`` on the clean state ``rho``."""
         c = 2 * step
-        rho = _rk4_step(rho, h_mov[c - 2:c + 1], dt, stages[step - 1])
         if step in events:
             before = rho.copy()
             out = events[step](QuantumState(rho=rho))
@@ -702,12 +830,15 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
         if rec.want(step):
             ledger.e_mean = float(rho.diagonal().real @ w[c])
             rec.add(float(times[c]), xs[c], vs[c], rho, ledger)
+        return rho
 
-    # the ledger quadrature after the loop; step s spans nodes 2s, 2s + 1, 2s + 2,
-    # and the rows recorded in the loop get their cumulative Q and W here
-    gq, gw = (np.moveaxis(np.lib.stride_tricks.sliding_window_view(g, 3, axis=0)[::2], -1, 1)
-              for g in (gq, gw))
-    q_cum, w_cum = (np.cumsum(d) for d in _ledger_increments(stages, gq, gw, dt))
+    route = _transfer_route if fam.dim <= _TRANSFER_MAX_DIM else _stepwise_route
+    route(rho, _step_nodes(h_mov), dt, stages, set(events).union(rec_steps), read)
+
+    # the ledger quadrature after the stepping; the rows recorded while
+    # stepping get their cumulative Q and W here
+    q_cum, w_cum = (np.cumsum(d) for d in
+                    _ledger_increments(stages, _step_nodes(gq), _step_nodes(gw), dt))
     ledger.record(q_cum[-1], w_cum[-1])
     traj = rec.build(ledger, event_steps=tuple(sorted(events)), extras={})
     rows = np.array(rec_steps) - 1

@@ -262,11 +262,12 @@ def _evaluate_checked(fam: HamiltonianFamily, xs: np.ndarray) -> np.ndarray:
         finite = np.isfinite(hs).all(axis=(1, 2))
         if not finite.all():
             raise ValidationError(f"H(x) contains non-finite entries at x = {xs[np.argmin(finite)]}")
-    dev = np.abs(hs - hs.conj().swapaxes(-1, -2)).max(axis=(1, 2))
-    bad = dev > active_profile().hermiticity * scale
+    dev = np.abs(hs - hs.conj().swapaxes(-1, -2))
+    bad = dev > (active_profile().hermiticity * scale)[:, None, None]
     if bad.any():
-        i = np.argmax(bad)
-        raise ValidationError(f"H(x) is not self-adjoint at x = {xs[i]}: max |H - H^dag| = {dev[i]:.3e}")
+        i = np.argmax(bad.reshape(-1)) // (m * m)
+        raise ValidationError(f"H(x) is not self-adjoint at x = {xs[i]}: "
+                              f"max |H - H^dag| = {dev[i].max():.3e}")
     return hs
 
 

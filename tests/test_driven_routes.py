@@ -1,19 +1,23 @@
-"""The driven route: the frame kernel's node data, the RK4 step kernel and
-the ledger quadrature.
+"""The driven routes: the frame kernel's node data, the RK4 step kernel, the
+transfer maps of small systems and the ledger quadrature.
 
 The reference below is the four-stage formula the ledger quadrature
 replaced: two-product commutators and one einsum of every stage state with
 the diabatic and adiabatic forces of its node, stepping the state as well.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from adiaframe import (CallableFamily, QuantumState, avoided_crossing_family, frame_path,
                        random_linear_family, run_driven, uniform_drive)
+from adiaframe import dynamics
+from adiaframe.errors import StepSizeError
 from adiaframe.frames import _connections, _force_split, _frame_kernel
 from adiaframe.operators import hermitize
 from adiaframe.units import HBAR
@@ -85,6 +89,43 @@ class TestLedgerQuadrature:
         assert_allclose([traj.q_cum[-1], traj.w_cum[-1]], ref[-1], rtol=0, atol=1e-12)
         assert traj.ledger.closure_ok()
 
+    @pytest.mark.parametrize("dim", [2, 3, dynamics._TRANSFER_MAX_DIM, dynamics._TRANSFER_MAX_DIM + 1])
+    def test_both_routes_match_four_stage_formula_with_event(self, dim):
+        fam = random_linear_family(dim, 1, "gue", seed=10 + dim)
+        path = uniform_drive([-1.0], [1.5])
+        rho0 = np.diag(np.arange(dim, 0.0, -1.0) / (dim * (dim + 1) / 2)).astype(complex)
+        events = {31: dephase}
+        traj = run_driven(fam, path, QuantumState.from_rho(rho0), 2.0, 80,
+                          record_every=9, events=events)
+        ref, rhos = reference_ledger(fam, path, rho0, 2.0, 80, events)
+        rows = np.array([9 * k for k in range(1, 9)] + [80]) - 1
+        assert_allclose(traj.q_cum[1:], ref[rows, 0], rtol=1e-12, atol=0)
+        assert_allclose(traj.w_cum[1:], ref[rows, 1], rtol=1e-12, atol=0)
+        assert_allclose(traj.rho[1:], rhos[rows], rtol=0, atol=1e-12)
+        assert_allclose(traj.extras["events"][0]["rho_after"], rhos[30], rtol=0, atol=1e-12)
+        # every read sees the state Hermitized and divided by its trace
+        for read in (traj.rho, traj.extras["events"][0]["rho_before"]):
+            assert np.array_equal(read, read.conj().swapaxes(-1, -2))
+            assert_allclose(np.trace(read, axis1=-2, axis2=-1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+    def test_route_is_chosen_by_dimension(self, dim):
+        fam = random_linear_family(dim, 1, "gue", seed=dim)
+        with mock.patch("adiaframe.dynamics._rk4_step", wraps=dynamics._rk4_step) as step, \
+                mock.patch("adiaframe.dynamics._transfer_maps", wraps=dynamics._transfer_maps) as maps:
+            run_driven(fam, uniform_drive([-1.0], [1.0]), QuantumState.maximally_mixed(dim), 1.0, 20)
+        by_maps = dim <= 4
+        assert step.call_count == (0 if by_maps else 20)
+        assert (maps.call_count > 0) == by_maps
+
+    @pytest.mark.parametrize("dim", [2, dynamics._TRANSFER_MAX_DIM + 1])
+    def test_trace_drift_raises_on_both_routes(self, dim):
+        fam = random_linear_family(dim, 1, "gue", seed=2)
+        events = {5: lambda state: QuantumState(rho=2.0 * state.rho)}
+        with pytest.raises(StepSizeError, match=r"trace drifted by 1\.000e\+00 in one step"):
+            run_driven(fam, uniform_drive([-1.0], [1.0]), QuantumState.maximally_mixed(dim), 1.0, 40,
+                       record_every=10, events=events)
+
     def test_fourth_order_closure_three_levels(self):
         fam = random_linear_family(3, 1, "gue", seed=1)
         path = uniform_drive([-1.0], [1.5])
@@ -126,3 +167,28 @@ def test_node_routes_agree(dim, seed, v):
     assert_allclose(runs[1].q_cum, runs[0].q_cum, rtol=0, atol=1e-12)
     assert_allclose(runs[1].w_cum, runs[0].w_cum, rtol=0, atol=1e-12)
     assert_allclose(runs[1].populations, runs[0].populations, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("path", [uniform_drive([-1.0], [1.5]), uniform_drive([0.5, -2.0], [0.25, 3.0])])
+def test_uniform_drive_nodes_in_one_broadcast(path):
+    fam = random_linear_family(2, len(path(0.0)[0]), "gue", seed=1)
+    times = 0.5 * (3.0 / 1000) * np.arange(2 * 1000 + 1)
+    broadcast = dynamics._path_nodes(fam, path, times)
+    per_t = dynamics._path_nodes(fam, lambda t: path(t), times)
+    for a, b in zip(broadcast, per_t):
+        assert np.array_equal(a, b)
+
+
+def test_lz_sweep_memory_peak():
+    """The traced allocation peak of the benchmark's 2-level sweep stays
+    within 10 % of 14.3 MiB, its peak on the stage-loop route."""
+    fam = avoided_crossing_family(20.0, 2.0)
+    path = uniform_drive([-10.0], [5.0])
+    run_driven(fam, path, QuantumState.pure(0, 2), 4.0 / 20_000, 1)     # first-call allocations
+    tracemalloc.start()
+    try:
+        run_driven(fam, path, QuantumState.pure(0, 2), 4.0, 20_000, record_every=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 14.3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"

@@ -440,6 +440,13 @@ class TestFramePath:
         with pytest.raises(ValidationError, match=rf"^H\(x\) (contains|is) {defect}.* at x = \[0\.7\]"):
             frame_path(fam, [[0.0], [0.3], [0.7], [0.9]])
 
+    def test_self_adjointness_message_gives_the_first_bad_row_and_its_defect(self):
+        # the defect 2 x |0.1 i sigma_x| grows with x; the message reports row x = 0.7
+        # and its own max |H - H^dag| = 0.14, not the stack's largest, 0.18 at x = 0.9
+        fam = CallableFamily(1, 2, lambda x: PAULI_X + (x[0] > 0.5) * x[0] * 0.1j * PAULI_X)
+        with pytest.raises(ValidationError, match=r"at x = \[0\.7\]: max \|H - H\^dag\| = 1\.400e-01$"):
+            frame_path(fam, [[0.0], [0.3], [0.7], [0.9]])
+
     def test_self_adjointness_bound_is_per_row(self):
         # at x = 1e-12 the anti-Hermitian 1e-3 i sigma_x is a tenth of H; at
         # x = 1 it is below 1e-12 of the largest entry, which must not excuse row 0
