@@ -60,7 +60,9 @@ _MODES = ("branching", "sampled", "mean_force")
 # array.  The default is written into the config when the field is absent:
 # _REQUIRED makes the field mandatory, None leaves it out, and a callable
 # chooses the default from the config.  Lengths named "coords" or "dim" are
-# read from the config's family block, which is checked first.
+# read from the config's family block, which is checked first.  A rule may
+# return the value it converted (the family's term matrices do); the walk
+# collects those values in its order.
 
 
 _REQUIRED = object()
@@ -161,7 +163,7 @@ def _hermitian(val, path, root):
     if mat.shape != (dim, dim):
         _err(f"matrix must be {dim} x {dim}", path)
     try:
-        require_hermitian(mat, name="matrix")
+        return require_hermitian(mat, name="matrix")
     except ValidationError as exc:
         _err(f"matrix must be Hermitian: {exc}", path)
 
@@ -273,8 +275,9 @@ _TABLES = {
 }
 
 
-def _walk(block: dict, table: dict, where: str, root: dict, strict: bool):
-    """Check every field of ``block`` against ``table`` and write its defaults."""
+def _walk(block: dict, table: dict, where: str, root: dict, strict: bool, found: list):
+    """Check every field of ``block`` against ``table`` and write its defaults;
+    append what the rules convert to ``found``."""
     for name, (rule, default) in table.items():
         path = f"{where}.{name}" if where else name
         if name not in block:
@@ -284,7 +287,7 @@ def _walk(block: dict, table: dict, where: str, root: dict, strict: bool):
             if default is None:
                 continue
             block[name] = copy.copy(default)
-        _apply(block[name], rule, path, root, strict)
+        _apply(block[name], rule, path, root, strict, found)
     unknown = sorted(set(block) - set(table))
     if unknown:
         label = where or "top level"
@@ -294,18 +297,20 @@ def _walk(block: dict, table: dict, where: str, root: dict, strict: bool):
         warnings.warn(f"ignoring unknown config field(s) {unknown} in {label}", stacklevel=3)
 
 
-def _apply(val, rule, path: str, root: dict, strict: bool):
+def _apply(val, rule, path: str, root: dict, strict: bool, found: list):
     if isinstance(rule, dict):
         if not isinstance(val, dict):
             _err(f"expected an object, got {type(val).__name__}", path)
-        _walk(val, rule, path, root, strict)
+        _walk(val, rule, path, root, strict, found)
     elif isinstance(rule, list):
         if not isinstance(val, list) or not val:
             _err("expected a non-empty array", path)
         for i, item in enumerate(val):
-            _apply(item, rule[0], f"{path}[{i}]", root, strict)
+            _apply(item, rule[0], f"{path}[{i}]", root, strict, found)
     else:
-        rule(val, path, root)
+        converted = rule(val, path, root)
+        if converted is not None:
+            found.append(converted)
 
 
 def parse_config(source, *, strict: bool = True) -> dict:
@@ -317,6 +322,13 @@ def parse_config(source, *, strict: bool = True) -> dict:
     field (and the line/column for JSON syntax problems), as does a dict
     holding a value JSON cannot hold, such as a numpy scalar.
     """
+    return _parse(source, strict)[0]
+
+
+def _parse(source, strict: bool):
+    """:func:`parse_config`, which also returns the family's term matrices
+    as the config rules converted and checked them (empty when the kind reads
+    no family)."""
     if isinstance(source, (bytes, str)):
         try:
             cfg = json.loads(source)
@@ -334,7 +346,8 @@ def parse_config(source, *, strict: bool = True) -> dict:
         _err("config must be a JSON object")
 
     known = "kind" in cfg and cfg["kind"] in _KINDS
-    _walk(cfg, _TABLES[cfg["kind"]] if known else _COMMON, "", cfg, strict)
+    mats = []
+    _walk(cfg, _TABLES[cfg["kind"]] if known else _COMMON, "", cfg, strict, mats)
 
     # rules that span fields
     kind = cfg["kind"]
@@ -353,17 +366,23 @@ def parse_config(source, *, strict: bool = True) -> dict:
     elif kind == "entropy_audit" and cfg["event"]["step"] > cfg["drive"]["steps"]:
         _err(f"event step {cfg['event']['step']} exceeds drive steps {cfg['drive']['steps']}",
              field="event.step")
-    return cfg
+    return cfg, mats
 
 
 # ---------------------------------------------------------------------------
 # builders
 
 
-def _build_family(cfg) -> MatrixPolynomialFamily:
+def _build_family(cfg, mats=None) -> MatrixPolynomialFamily:
+    """The family of ``cfg``, from ``mats`` when given: its term matrices as
+    :func:`_parse` converted and checked them, so none is converted twice."""
+    terms = cfg["family"]["terms"]
+    if mats is not None:
+        return MatrixPolynomialFamily._of_checked([(tuple(t["exponents"]), mat)
+                                                   for t, mat in zip(terms, mats)])
     return MatrixPolynomialFamily([(tuple(t["exponents"]),
                                     _complex_matrix(t["matrix"], "family.terms.matrix"))
-                                   for t in cfg["family"]["terms"]])
+                                   for t in terms])
 
 
 def _build_state(cfg, dim: int, seed: int) -> QuantumState:
@@ -686,11 +705,15 @@ def _config_digest(cfg: dict, fam: MatrixPolynomialFamily | None = None) -> str:
 
 def run_scenario(cfg: dict, out_dir: str, seed: int | None = None) -> dict:
     """Execute a parsed config and write its outputs; returns the report."""
+    return _run(cfg, _build_family(cfg) if _reads_family(cfg) else None, out_dir, seed)
+
+
+def _run(cfg: dict, fam: MatrixPolynomialFamily | None, out_dir: str, seed: int | None) -> dict:
+    """:func:`run_scenario` on the family ``fam`` built from ``cfg``."""
     prof = active_profile()
     kind = cfg["kind"]
     used_seed = int(cfg["seed"]) if seed is None else int(seed)
     os.makedirs(out_dir, exist_ok=True)
-    fam = _build_family(cfg) if _reads_family(cfg) else None
     checks, outputs, summary = _RUNNERS[kind](cfg, fam, used_seed, out_dir)
     report = {
         "version": __version__,
@@ -725,8 +748,9 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             text = fh.read()
-        cfg = parse_config(text, strict=args.strict)
-        report = run_scenario(cfg, args.out, seed=args.seed)
+        cfg, mats = _parse(text, args.strict)
+        fam = _build_family(cfg, mats) if _reads_family(cfg) else None
+        report = _run(cfg, fam, args.out, args.seed)
     except (AdiaframeError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload, sort_keys=True))

@@ -867,6 +867,13 @@ def time_averaged_diabatic_force(fam: HamiltonianFamily, path, duration: float,
         x, v = path(scale * t)
         return x, scale * np.atleast_1d(np.asarray(v, dtype=float))
 
+    nodes = getattr(path, "_nodes", None)
+    if nodes is not None:           # keep a uniform drive's one broadcast, bit for bit
+        def slowed_nodes(ts):
+            xs, vs = nodes(scale * ts)
+            return xs, scale * vs
+
+        slowed._nodes = slowed_nodes
     traj = run_driven(fam, slowed, state0, duration / scale,
                       max(1, round(n_steps / scale)), record_every=1)
     return np.abs(traj.extras["diabatic_mean"]).mean(axis=0)

@@ -55,11 +55,23 @@ class MatrixPolynomialFamily(HamiltonianFamily):
             if mat.shape != (dim, dim):
                 raise ValidationError("all term matrices must share one dimension")
             self.terms.append((exps, mat))
+        self._stack(self.terms)
+
+    @classmethod
+    def _of_checked(cls, terms):
+        """The family of ``terms`` whose exponent tuples and (m, m) Hermitian
+        complex matrices are already checked, as the CLI's config rules do."""
+        fam = cls.__new__(cls)
+        HamiltonianFamily.__init__(fam, len(terms[0][0]), terms[0][1].shape[0])
+        fam._stack(terms)
+        return fam
+
+    def _stack(self, terms):
         # the terms stacked once: exponents [term, k] and matrices [term, i, j],
         # with each term's matrix a view of the stack
-        self._exps = np.array([exps for exps, _ in self.terms])
-        self._mats = np.array([mat for _, mat in self.terms])
-        self.terms = [(exps, mat) for (exps, _), mat in zip(self.terms, self._mats)]
+        self._exps = np.array([exps for exps, _ in terms])
+        self._mats = np.array([mat for _, mat in terms])
+        self.terms = [(exps, mat) for (exps, _), mat in zip(terms, self._mats)]
 
     def evaluate(self, x):
         return self.evaluate_many(self.coerce_x(x)[None])[0]

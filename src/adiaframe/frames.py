@@ -23,7 +23,8 @@ H_mov(x, v) = W(x) - v^k P_k(x).
 Every frame comes from one kernel, ``_frame_kernel``, which maps a stack of
 configurations to W, U and U^dag dH U with continuous labels and phases.
 It evaluates and checks H on the whole stack, eigensolves it in one call
-(``_eigensolve`` of :mod:`adiaframe.operators`), and takes labels and
+(``_eigensolve`` of :mod:`adiaframe.operators`; a real row of H in real
+arithmetic, and U^dag dH U too where U and dH are real), and takes labels and
 phases from the one gauge routine there (``_gauge``), which also serves
 :func:`hermitian_eig`.  Chained, each row follows the one before:
 :func:`build_frame` runs it on a stack of one, :func:`frame_path` on a
@@ -51,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .operators import Spectrum, _eigensolve, _gauge, hermitian_eig, hermitize
+from .operators import Spectrum, _eigensolve, _gauge, _real_rows, hermitian_eig, hermitize
 from .tolerances import active_profile
 from .units import HBAR
 
@@ -190,9 +191,29 @@ class AdiabaticFrame:
         return self.spectrum.basis
 
 
-def _in_frame(u, g):
-    """U^dag G_k U for bases ``u`` (..., m, m) and operators ``g`` (..., n, m, m)."""
-    return u.conj().swapaxes(-1, -2)[..., None, :, :] @ g @ u[..., None, :, :]
+def _in_frame(u, g, real=False):
+    """U^dag G_k U for bases ``u`` (t, m, m) and operators ``g`` (t, n, m, m).
+
+    Rows among ``real`` (the rows whose H was solved as real, from
+    ``_eigensolve``) on which U and G have no imaginary part take the
+    product in float64; the others, and every row of a stack with no real
+    row, take it in complex128.
+    """
+    def product(u, g):
+        return u.conj().swapaxes(-1, -2)[..., None, :, :] @ g @ u[..., None, :, :]
+
+    def real_product(u, g):
+        return product(np.ascontiguousarray(u.real), np.ascontiguousarray(g.real))
+
+    if real is not False:
+        real = _real_rows(u, g, rows=real)
+    if real is False:
+        return product(u, g)
+    if real is True:
+        return real_product(u, g).astype(complex)
+    out = np.empty(g.shape, dtype=complex)
+    out[real], out[~real] = real_product(u[real], g[real]), product(u[~real], g[~real])
+    return out
 
 
 def _connections(w, gad, same):
@@ -237,14 +258,14 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
     same-cluster masks (t, m, m) and the label permutation of each row
     (``()`` where none was applied).
     """
-    w, u, labels = _eigensolve(_evaluate_checked(fam, xs))
+    w, u, labels, real = _eigensolve(_evaluate_checked(fam, xs))
     if stepwise:
         perms = [_gauge(w[i:i + 1], u[i:i + 1], labels[i:i + 1], u[i - 1] if i else ref)[0]
                  for i in range(len(xs))]
     else:
         perms = _gauge(w, u, labels, ref)
     same = labels[:, :, None] == labels[:, None, :]
-    gad = _in_frame(u, fam.gradient_many(xs))
+    gad = _in_frame(u, fam.gradient_many(xs), real)
     return w, u, gad, same, perms
 
 

@@ -2,9 +2,11 @@
 
 Operators are plain complex ndarrays; the functions here validate the
 invariants (self-adjointness, unitarity) against the package tolerances
-instead of wrapping arrays in classes.  Eigenframes of a stack of
-matrices come from two routines: ``_eigensolve`` (the only ``eigh`` call
-besides :func:`spectral_function`) gives the ascending spectra, bases and
+instead of wrapping arrays in classes.  Every eigensolve of a Hamiltonian
+goes through ``_eigh``, which solves each matrix of a stack with no
+imaginary part as a real symmetric one (LAPACK dsyevd, not zheevd), row by
+row from the input.  Eigenframes of a stack of matrices come from two
+routines: ``_eigensolve`` gives the ascending spectra, bases and
 cluster labels, and the one gauge routine, ``_gauge``, gives them
 continuous labels and phases: each row follows a reference basis, or
 without one takes a deterministic gauge, and reports the column
@@ -168,21 +170,56 @@ def _align_to_reference(v, reference, labels):
 _PHASE_ONLY_OVERLAP = 1.0 / np.sqrt(2.0)
 
 
+def _real_rows(*stacks, rows=True):
+    """Which rows (axis 0) among ``rows`` have no imaginary part in any of ``stacks``:
+    True or False when every row agrees, else a (t,) boolean mask."""
+    real = rows
+    for a in stacks:        # a stack with no imaginary entry at all needs no row test
+        if a.dtype.kind == "c" and np.count_nonzero(a.imag):
+            real_a = ~a.imag.any(axis=tuple(range(1, a.ndim)))
+            real = real_a if real is True else real & real_a
+    n = len(stacks[0]) if real is True else int(np.count_nonzero(real))
+    return real if 0 < n < len(stacks[0]) else n > 0
+
+
+def _eigh(hs: np.ndarray, vectors: bool = True):
+    """``np.linalg.eigh`` (``eigvalsh`` without ``vectors``) of a stack ``hs``
+    (t, m, m) of Hermitian matrices: the one eigensolve of the package's Hamiltonians.
+
+    A row with no imaginary part is solved as a real symmetric matrix (LAPACK
+    dsyevd rather than zheevd), and its basis cast exactly to complex128; a
+    row's result depends on that row alone.  Returns W (t, m), U (t, m, m)
+    or None, and the real rows as :func:`_real_rows` gives them.
+    """
+    solve = np.linalg.eigh if vectors else lambda a: (np.linalg.eigvalsh(a), None)
+    real, m = _real_rows(hs), hs.shape[-1]
+    try:
+        if real is True or real is False:
+            w, u = solve(hs.real if real else hs)
+        else:
+            (wr, ur), (wc, uc) = solve(hs[real].real), solve(hs[~real])
+            w, u = np.empty(hs.shape[:-1]), np.empty(hs.shape, dtype=complex) if vectors else None
+            w[real], w[~real] = wr, wc
+            if vectors:
+                u[real], u[~real] = ur, uc
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge on a {m}x{m} matrix") from exc
+    if real is True and vectors:
+        u = u.astype(complex)
+    return w, u, real
+
+
 def _eigensolve(hs: np.ndarray):
     """Eigendecompose a stack ``hs`` (t, m, m) of Hermitian matrices.
 
-    Returns the ascending W (t, m), the eigh basis U (t, m, m) and the
-    cluster labels (t, m) of the levels.  ``hs`` is dropped after the
-    eigensolver, so a caller that holds no other reference frees it before
-    the gauge step.
+    Returns the ascending W (t, m), the eigh basis U (t, m, m), the cluster
+    labels (t, m) of the levels and the rows solved as real (:func:`_eigh`).
+    ``hs`` is dropped after the eigensolver, so a caller that holds no other
+    reference frees it before the gauge step.
     """
-    m = hs.shape[-1]
-    try:
-        w, u = np.linalg.eigh(hs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge on a {m}x{m} matrix") from exc
+    w, u, real = _eigh(hs)
     del hs                                    # one (t, m, m) stack less at the peak
-    return w, u, _cluster_labels(w, active_profile().degeneracy_gap)
+    return w, u, _cluster_labels(w, active_profile().degeneracy_gap), real
 
 
 def _gauge(w: np.ndarray, u: np.ndarray, labels: np.ndarray, ref: np.ndarray | None = None) -> list:
@@ -250,7 +287,7 @@ def hermitian_eig(h, reference: np.ndarray | Spectrum | None = None) -> Spectrum
         reference = reference.basis
     elif reference is not None:
         reference = np.asarray(reference, dtype=complex)
-    w, u, labels = _eigensolve(h[None])
+    w, u, labels, _ = _eigensolve(h[None])
     perms = _gauge(w, u, labels, reference)
     return Spectrum(w[0], u[0], perms[0], bool(labels[0].max() < h.shape[0] - 1))
 
@@ -300,7 +337,7 @@ def spectral_function(h, f) -> np.ndarray:
         w = h.diagonal().real
         v = None
     else:
-        w, v = np.linalg.eigh(h)
+        (w,), (v,), _ = _eigh(h[None])
 
     fw = np.empty(m, dtype=float)
     for i, wi in enumerate(w):

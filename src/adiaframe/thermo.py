@@ -33,7 +33,7 @@ import numpy as np
 from .dynamics import QuantumState
 from .errors import DomainError, NumericalError, ValidationError
 from .frames import HamiltonianFamily, build_frame
-from .operators import Spectrum
+from .operators import Spectrum, _eigh
 from .tolerances import active_profile
 from .units import HBAR, KB
 
@@ -209,7 +209,7 @@ def maxwell_check(fam: HamiltonianFamily, x, e: float, sigma: float, *,
     de = 0.1 * sigma
 
     def levels_at(xq):
-        return np.linalg.eigvalsh(np.asarray(fam.evaluate(xq), dtype=complex))
+        return _eigh(np.asarray(fam.evaluate(xq))[None], vectors=False)[0][0]
 
     w0 = levels_at(x)
     s0 = _entropy_at(w0, e, sigma)

@@ -443,6 +443,19 @@ class TestMain:
         assert "PASS" in out and "FAIL" not in out
         assert (tmp_path / "report.json").exists()
 
+    def test_each_matrix_converted_and_checked_once(self, tmp_path):
+        from adiaframe import cli, families
+
+        with mock.patch("adiaframe.cli._complex_matrix", wraps=cli._complex_matrix) as convert, \
+                mock.patch("adiaframe.cli.require_hermitian", wraps=cli.require_hermitian) as rule, \
+                mock.patch("adiaframe.families.require_hermitian",
+                           wraps=families.require_hermitian) as family:
+            rc = main(["--config", self.write(tmp_path, kubo_config()),
+                       "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        assert convert.call_count == rule.call_count == 3      # one per term
+        assert family.call_count == 0
+
     def test_quiet_suppresses_summary(self, tmp_path, capsys):
         rc = main(["--config", self.write(tmp_path, sg_config()),
                    "--out", str(tmp_path), "--quiet"])

@@ -1,8 +1,9 @@
 """Golden digests of the CLI outputs.
 
 Each config of ``tests/test_cli.py`` (the ``TestConfigDigest.PINNED`` set)
-and the README config runs through ``run_scenario``; the SHA-256 of
-``report.json`` and of every CSV it writes is pinned here.  A change that
+and the README config runs through ``main``; the SHA-256 of ``report.json``
+and of every CSV it writes is pinned here, and ``run_scenario`` on the parsed
+config writes the same bytes.  A change that
 moves output bytes on purpose moves these pins and lists each moved pin, old
 and new, in CHANGES.md; any other byte move fails.
 
@@ -21,7 +22,7 @@ import pytest
 import scipy
 
 from adiaframe import cli
-from adiaframe.cli import parse_config, run_scenario
+from adiaframe.cli import main, parse_config, run_scenario
 from test_cli import TestConfigDigest
 
 PINNED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -79,8 +80,10 @@ def digests(out_dir: pathlib.Path) -> dict:
 
 
 def run_digests(name: str, out_dir: pathlib.Path) -> dict:
-    run_scenario(parse_config(CONFIGS[name]()), str(out_dir))
-    return digests(out_dir)
+    config = out_dir / "config.json"
+    config.write_text(json.dumps(CONFIGS[name]()))
+    main(["--config", str(config), "--out", str(out_dir / "out"), "--quiet"])
+    return digests(out_dir / "out")
 
 
 def versions() -> str:
@@ -90,6 +93,12 @@ def versions() -> str:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_pinned(name, tmp_path):
     assert run_digests(name, tmp_path) == PINNED[name], versions()
+
+
+@pytest.mark.parametrize("name", ["audit", "driven_scales", "kubo", "thermo"])
+def test_run_scenario_writes_the_pinned_bytes(name, tmp_path):
+    run_scenario(parse_config(CONFIGS[name]()), str(tmp_path))
+    assert digests(tmp_path) == PINNED[name], versions()
 
 
 def test_every_config_is_pinned():
