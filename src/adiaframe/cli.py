@@ -750,6 +750,7 @@ def main(argv=None) -> int:
             text = fh.read()
         cfg, mats = _parse(text, args.strict)
         fam = _build_family(cfg, mats) if _reads_family(cfg) else None
+        del mats                    # the family holds its own stack of them
         report = _run(cfg, fam, args.out, args.seed)
     except (AdiaframeError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

@@ -456,6 +456,27 @@ class TestMain:
         assert convert.call_count == rule.call_count == 3      # one per term
         assert family.call_count == 0
 
+    def test_converted_matrices_freed_before_the_run(self, tmp_path):
+        # the family stacks its own copy; the parsed ones must not outlive it
+        import weakref
+        from adiaframe import cli
+
+        refs, alive, parse_, run_ = [], [], cli._parse, cli._run
+
+        def parse(*args):
+            cfg, mats = parse_(*args)
+            refs.extend(weakref.ref(m) for m in mats)
+            return cfg, mats
+
+        def run(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return run_(*args)
+
+        with mock.patch("adiaframe.cli._parse", parse), mock.patch("adiaframe.cli._run", run):
+            assert main(["--config", self.write(tmp_path, kubo_config()),
+                         "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(refs) == 3 and alive == [0]
+
     def test_quiet_suppresses_summary(self, tmp_path, capsys):
         rc = main(["--config", self.write(tmp_path, sg_config()),
                    "--out", str(tmp_path), "--quiet"])
