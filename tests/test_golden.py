@@ -3,9 +3,9 @@
 Each config of ``tests/test_cli.py`` (the ``TestConfigDigest.PINNED`` set)
 and the README config runs through ``main``; the SHA-256 of ``report.json``
 and of every CSV it writes is pinned here, and ``run_scenario`` on the parsed
-config writes the same bytes.  A change that
-moves output bytes on purpose moves these pins and lists each moved pin, old
-and new, in CHANGES.md; any other byte move fails.
+config writes the same bytes.  A change that moves output bytes on purpose
+moves these pins and lists each moved pin, old and new, in CHANGES.md; any
+other byte move fails.
 
 The pins hold for numpy 2.4.6 and scipy 1.17.1 (``PINNED_WITH``): another
 LAPACK or BLAS build may round differently.
@@ -23,12 +23,12 @@ import scipy
 
 from adiaframe import cli
 from adiaframe.cli import main, parse_config, run_scenario
-from test_cli import TestConfigDigest
+import test_cli
 
 PINNED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
-CONFIGS = {name: make for name, (make, _) in TestConfigDigest.PINNED.items()}
+CONFIGS = {name: make for name, (make, _) in test_cli.TestConfigDigest.PINNED.items()}
 CONFIGS["readme"] = lambda: json.loads(re.findall(r"```json\n(.*?)```", README, re.S)[0])
 
 PINNED = {
