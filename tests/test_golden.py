@@ -1,11 +1,18 @@
-"""Golden digests of the CLI outputs.
+"""Golden digests of the CLI outputs and of the runs.
 
 Each config of ``tests/test_cli.py`` (the ``TestConfigDigest.PINNED`` set)
 and the README config runs through ``main``; the SHA-256 of ``report.json``
 and of every CSV it writes is pinned here, and ``run_scenario`` on the parsed
-config writes the same bytes.  A change that moves output bytes on purpose
-moves these pins and lists each moved pin, old and new, in CHANGES.md; any
-other byte move fails.
+config writes the same bytes.  Each run of ``RUNS`` (driven, mean-force,
+branching and Stern-Gerlach runs, and a frame path) is pinned by one SHA-256
+over the ``tobytes()`` of its output arrays (``RUN_PINNED``).  A change that
+moves output bytes on purpose moves these pins and lists each moved pin, old
+and new, in CHANGES.md; any other byte move fails.
+
+    PYTHONPATH=src python tests/test_golden.py
+
+prints the pinned and the current digest of every pin, each moved pin in
+the ``old → new`` form, and exits 1 if any pin moved.
 
 The pins hold for numpy 2.4.6 and scipy 1.17.1 (``PINNED_WITH``): another
 LAPACK or BLAS build may round differently.
@@ -15,13 +22,18 @@ import hashlib
 import json
 import pathlib
 import re
+import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
 
-from adiaframe import cli
+from adiaframe import (ApparatusState, DynamicsScenario, FrictionSpec, MatrixPolynomialFamily,
+                       QuantumState, SternGerlachConfig, cli, frame_path, frames, random_density_matrix,
+                       random_linear_family, run_branching, run_driven, run_mean_force, sg_run,
+                       uniform_drive)
 from adiaframe.cli import main, parse_config, run_scenario
 import test_cli
 
@@ -117,3 +129,171 @@ def test_one_ulp_moves_the_pins(tmp_path):
         got = run_digests("kubo", tmp_path)
     assert sorted(got) == sorted(PINNED["kubo"])
     assert all(got[f] != PINNED["kubo"][f] for f in ("gamma.csv", "report.json"))
+
+
+# ---------------------------------------------------------------------------
+# run pins
+
+# H(x) = [[x, 0, a x], [0, -x, 0], [a x, 0, 2]]: level 1 never couples and
+# crosses the lowest level of the other block at x = 0
+CROSSING = MatrixPolynomialFamily([((0,), np.diag([0.0, 0.0, 2.0]).astype(complex)),
+                                   ((1,), np.array([[1.0, 0.0, 0.6], [0.0, -1.0, 0.0],
+                                                    [0.6, 0.0, 0.0]], dtype=complex))])
+CROSSING_STATE = np.diag([0.5, 0.3, 0.2]).astype(complex)
+
+
+def trajectory_arrays(traj) -> list:
+    led = traj.ledger
+    return [traj.t, traj.x, traj.v, traj.rho, traj.e_mean, traj.q_cum, traj.w_cum,
+            np.array([led.e_start, led.e_mean, led.q_cum, led.w_cum]),
+            *(traj.extras[k] for k in sorted(traj.extras) if isinstance(traj.extras[k], np.ndarray))]
+
+
+def mixed_state(dim: int) -> QuantumState:
+    return QuantumState.from_rho(random_density_matrix(dim, np.random.default_rng(dim)))
+
+
+def driven(dim: int) -> list:
+    # a dephasing event halfway; m = 2 and 3 step by transfer maps, m = 5 by stages
+    def dephase(state):
+        return QuantumState(rho=np.diag(state.rho.diagonal()))
+
+    fam = random_linear_family(dim, 1, "gue", seed=dim)
+    traj = run_driven(fam, uniform_drive([-1.0], [1.5]), mixed_state(dim), 1.0, 100,
+                      record_every=10, events={50: dephase})
+    return trajectory_arrays(traj) + [e[k] for e in traj.extras["events"] for k in ("rho_before", "rho_after")]
+
+
+def scenario(fam, x, v, state, n_steps=100, dt=1e-2, **apparatus) -> DynamicsScenario:
+    friction = apparatus.pop("friction", None)
+    return DynamicsScenario(family=fam, apparatus=ApparatusState(x=x, v=v, **apparatus), state=state,
+                            dt=dt, n_steps=n_steps, friction=friction, record_every=10)
+
+
+def mean_force(*args, **kwargs) -> list:
+    return trajectory_arrays(run_mean_force(scenario(*args, **kwargs)))
+
+
+def branching(*args, **kwargs) -> list:
+    return [a for traj in run_branching(scenario(*args, **kwargs)) for a in trajectory_arrays(traj)]
+
+
+def stern_gerlach(mode: str) -> list:
+    result = sg_run(SternGerlachConfig(), n_steps=100, record_every=10, mode=mode, n_samples=500, seed=42)
+    counts = [] if result.counts is None else [result.counts]
+    return [a for traj in result.trajectories for a in trajectory_arrays(traj)] + counts
+
+
+def crossing_frames() -> list:
+    return [a for fr in frame_path(CROSSING, np.linspace(-1.0, 1.0, 41)[:, None])
+            for a in (fr.eigenvalues, fr.basis, fr.connections, fr.grad_adiabatic, fr.same_cluster,
+                      fr.adiabatic, fr.diabatic, np.array(fr.spectrum.permutation))]
+
+
+FRICTION = [[0.3, 0.05], [0.05, 0.2]]
+RUNS = {
+    "driven_m2": lambda: driven(2),
+    "driven_m3": lambda: driven(3),
+    "driven_m5": lambda: driven(5),
+    "mean_force_gue8": lambda: mean_force(random_linear_family(8, 2, "gue", seed=12), [0.3, -0.1],
+                                          [0.7, -0.4], mixed_state(8)),
+    "mean_force_friction_mass": lambda: mean_force(
+        random_linear_family(4, 2, "gue", seed=6), [0.1, -0.3], [0.5, 0.2], mixed_state(4),
+        metric=np.array([[2.0, 0.3], [0.3, 1.5]]), friction=FrictionSpec.constant(FRICTION)),
+    "mean_force_crossing": lambda: mean_force(CROSSING, [-1.0], [1.5], QuantumState.from_rho(CROSSING_STATE),
+                                              dt=0.015, metric=5.0),
+    "branching_friction": lambda: branching(
+        random_linear_family(3, 2, "gue", seed=5), [0.2, 0.1], [0.4, -0.6], mixed_state(3),
+        friction=FrictionSpec.constant(FRICTION)),
+    "branching_metric_potential": lambda: branching(
+        random_linear_family(3, 1, "gue", seed=7), [0.2], [0.5], mixed_state(3),
+        metric=lambda x: [[1.0 + x[0] ** 2]], potential=lambda x: 0.5 * x[0] ** 2),
+    "sg_branching": lambda: stern_gerlach("branching"),
+    "sg_sampled": lambda: stern_gerlach("sampled"),
+    "sg_mean_force": lambda: stern_gerlach("mean_force"),
+    "frame_path_crossing": crossing_frames,
+}
+
+RUN_PINNED = {
+    "branching_friction": "fcd0c59398e12b76ebb246bf1c4566edd28a5d22be2868a28e91e045fe8ad992",
+    "branching_metric_potential": "4cbf3834a3fbc46f730613e054bbee7c5c73bbef482bd39a3429b973f7d27ff9",
+    "driven_m2": "42a5dce18d9858676aaa4635c3b51ee3533d8914164283ceb9615a40c6d6be3a",
+    "driven_m3": "d1e9ff32d1be93dfc309f779b64df5d26cb86a39eff4ed94c62fa7891590ccde",
+    "driven_m5": "910d6313c54f94584a226eac9c80914219ca106b2efd1566da516e25814b8523",
+    "frame_path_crossing": "9dd91ef99963cdf9d5e979382f0731440727bb3d54c329854ddaf73a268f42d9",
+    "mean_force_crossing": "dc1b211cae52af4631312521c51cb4261197bf50269a9675ea502e73c4bbc99c",
+    "mean_force_friction_mass": "629f299cce4ebd3f9c8ce343b05abbfd63663e7ac717eed76a4ae63fdba627d3",
+    "mean_force_gue8": "18b8b49172bb01b7cf68d37dfb15c05c3bf78d7c44ca60e12e4c524cd13b981f",
+    "sg_branching": "662740a3b8e36f666255d631f8ae8fdaaaf40ce33a83c5fe95503a75721b94e7",
+    "sg_mean_force": "cd15851f4c78557b2f8e30311331b87e3e8c80eaad26fb5823cdf54bce646c64",
+    "sg_sampled": "aed79613ba574f5b54c5451f240e293f64d4faaefec70e3e2fd5fdff68be855a",
+}
+
+
+def run_digest(name: str) -> str:
+    h = hashlib.sha256()
+    for a in RUNS[name]():
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_pinned(name):
+    assert run_digest(name) == RUN_PINNED[name], versions()
+
+
+def test_every_run_is_pinned():
+    assert sorted(RUN_PINNED) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_one_ulp_moves_each_run_pin(name):
+    # the lowest level W_0 out of every frame-kernel call -> its next double
+    kernel = frames._frame_kernel
+
+    def moved(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        out[0][:, 0] = np.nextafter(out[0][:, 0], np.inf)
+        return out
+
+    with mock.patch("adiaframe.frames._frame_kernel", side_effect=moved) as frames_kernel, \
+            mock.patch("adiaframe.dynamics._frame_kernel", side_effect=moved) as dynamics_kernel:
+        got = run_digest(name)
+    assert frames_kernel.called or dynamics_kernel.called
+    assert got != RUN_PINNED[name]
+
+
+# ---------------------------------------------------------------------------
+# the pins, printed
+
+
+def current_pins() -> dict:
+    """The current digest of every pin, keyed as ``config/file`` and ``run/name``."""
+    pins = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CONFIGS):
+            out = pathlib.Path(tmp, name)
+            out.mkdir()
+            pins.update((f"{name}/{f}", d) for f, d in run_digests(name, out).items())
+    pins.update((f"run/{name}", run_digest(name)) for name in sorted(RUNS))
+    return pins
+
+
+def print_pins() -> int:
+    """Print every pinned and current digest, the moved ones as ``old → new``;
+    return the number of pins that moved."""
+    pinned = {f"{name}/{f}": d for name, files in PINNED.items() for f, d in files.items()}
+    pinned.update((f"run/{name}", d) for name, d in RUN_PINNED.items())
+    current = current_pins()
+    moved = 0
+    print(versions())
+    for key in sorted(pinned.keys() | current.keys()):
+        old, new = pinned.get(key, "(none)"), current.get(key, "(none)")
+        moved += old != new
+        print(f"{'same ' if old == new else 'MOVED'}  {key}: {old}" + ("" if old == new else f" → {new}"))
+    print(f"{moved} of {len(pinned.keys() | current.keys())} pins moved")
+    return moved
+
+
+if __name__ == "__main__":
+    sys.exit(1 if print_pins() else 0)
