@@ -443,7 +443,7 @@ def _single_series(traj, out_dir):
     """series.csv of one trajectory and its ledger_closure check."""
     _write_trajectory(os.path.join(out_dir, "series.csv"), traj)
     res = abs(traj.ledger.residual)
-    tol = active_profile().ledger_closure * traj.ledger.closure_scale()
+    tol = traj.ledger.closure_tolerance()
     return [_check("ledger_closure", res <= tol, res, tol)], ["series.csv"]
 
 

@@ -268,12 +268,14 @@ class EnergyLedger:
     def residual(self) -> float:
         return self.e_mean - self.e_start - self.q_cum - self.w_cum
 
-    def closure_scale(self) -> float:
-        return max(abs(self.e_mean - self.e_start), abs(self.q_cum), abs(self.w_cum),
-                   active_profile().ledger_floor)
+    def closure_tolerance(self) -> float:
+        """``ledger_closure`` times max(|E - E_start|, |Q|, |W|, ``ledger_floor``)."""
+        prof = active_profile()
+        return prof.ledger_closure * max(abs(self.e_mean - self.e_start), abs(self.q_cum),
+                                         abs(self.w_cum), prof.ledger_floor)
 
     def closure_ok(self) -> bool:
-        return abs(self.residual) <= active_profile().ledger_closure * self.closure_scale()
+        return abs(self.residual) <= self.closure_tolerance()
 
 
 @dataclass
@@ -693,17 +695,16 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
     The apparatus feels the state-averaged transformed force
     Tr(rho (F_k + f_k)) while the state evolves in the moving frame along
     the resulting path; heat and work are accumulated stage-consistently.
-    Each step makes one frame-kernel call on its midpoint and end: they
-    share evaluation, eigensolve and the force split, and only the gauge
-    runs row by row, the midpoint aligned to the start basis and the end to
-    the midpoint's.  The end node starts the next step and gives the force
-    of the closing kick.
+    Each step makes one frame-kernel call on its midpoint and end, a chain
+    of two from the start basis that shares evaluation, eigensolve, gauge
+    and the force split.  The end node starts the next step and gives the
+    force of the closing kick.
     """
     fam, app, friction, dt = scenario.family, scenario.apparatus, scenario.friction, scenario.dt
 
     def nodes(xs, ref=None):
         """(W, P, f, F) at the rows of ``xs``, and the basis at the last."""
-        w, u, gad, same, _ = _frame_kernel(fam, xs, ref, stepwise=True)
+        w, u, gad, same, _ = _frame_kernel(fam, xs, ref)
         p = _connections(w, gad, same)
         return (w, p, *_force_split(w, p, gad, same)), u[-1]
 
@@ -782,18 +783,26 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
         Sampled every ``record_every`` steps; ``extras['diabatic_mean']``
         holds Tr(rho f_k) at the recorded samples.
     """
-    if duration <= 0.0 or n_steps < 1:
-        raise ValidationError("duration must be positive and n_steps >= 1")
+    times = _node_times(duration, n_steps)
     if record_every < 1:
         raise ValidationError("record_every must be >= 1")
     events = dict(events or {})
     for step in events:
         if not 1 <= step <= n_steps:
             raise ValidationError(f"event step {step} outside 1..{n_steps}")
+    return _drive(fam, state0, times, *_path_nodes(fam, path, times), record_every, events)
 
-    dt = duration / n_steps
-    times = 0.5 * dt * np.arange(2 * n_steps + 1)
-    xs, vs = _path_nodes(fam, path, times)
+
+def _node_times(duration: float, n_steps: int) -> np.ndarray:
+    """The half-step node times 0, dt/2, ..., n_steps dt of a driven run."""
+    if duration <= 0.0 or n_steps < 1:
+        raise ValidationError("duration must be positive and n_steps >= 1")
+    return 0.5 * (duration / n_steps) * np.arange(2 * n_steps + 1)
+
+
+def _drive(fam, state0, times, xs, vs, record_every, events) -> Trajectory:
+    """:func:`run_driven` on its checked half-step nodes ``times``, ``xs`` and ``vs``."""
+    dt, n_steps = float(times[2]), len(times) // 2     # times[2] is dt, exactly
     # each (t, m, m) stack is freed as soon as it is used up: F overwrites
     # U^dag dH U, and P goes before the generator is Hermitized
     w, _, gad, same, _ = _frame_kernel(fam, xs)
@@ -862,18 +871,7 @@ def time_averaged_diabatic_force(fam: HamiltonianFamily, path, duration: float,
     """
     if scale <= 0.0:
         raise ValidationError("velocity scale must be positive")
-
-    def slowed(t: float):
-        x, v = path(scale * t)
-        return x, scale * np.atleast_1d(np.asarray(v, dtype=float))
-
-    nodes = getattr(path, "_nodes", None)
-    if nodes is not None:           # keep a uniform drive's one broadcast, bit for bit
-        def slowed_nodes(ts):
-            xs, vs = nodes(scale * ts)
-            return xs, scale * vs
-
-        slowed._nodes = slowed_nodes
-    traj = run_driven(fam, slowed, state0, duration / scale,
-                      max(1, round(n_steps / scale)), record_every=1)
+    times = _node_times(duration / scale, max(1, round(n_steps / scale)))
+    xs, vs = _path_nodes(fam, path, scale * times)
+    traj = _drive(fam, state0, times, xs, scale * vs, 1, {})
     return np.abs(traj.extras["diabatic_mean"]).mean(axis=0)

@@ -28,15 +28,18 @@ arithmetic, and U^dag dH U too where U and dH are real), and takes labels and
 phases from the one gauge routine there (``_gauge``), which also serves
 :func:`hermitian_eig`.  Chained, each row follows the one before:
 :func:`build_frame` runs it on a stack of one, :func:`frame_path` on a
-path and the driven integrator on its half-step nodes.  The mean-force
-integrator runs each step's midpoint and end in one call whose chain is
-gauged stepwise, one row at a time from the gauged row before, so each row
-is bit for bit its own one-row call.  In the per-row reference mode each
-row follows its own basis: the branching integrator steps all branches in
-one call.  P is built (``_connections``) only where it is read: for a
-frame's ``connections`` and for the driven and mean-force generators.  One
-split, ``_force_split``, turns (W, P, U^dag dH U) into f and F; each frame
-makes it once, on first use, the driven ledger on the whole stack and the
+path, the driven integrator on its half-step nodes and the mean-force
+integrator on each step's midpoint and end, from the step's start basis.
+In the per-row reference mode each row follows its own basis: the
+branching integrator steps all branches in one call.  Either way the gauge
+takes one of two paths for the whole call: when no row is degenerate and
+every overlap with its reference exceeds 1/sqrt(2), all phases are fixed
+at once; otherwise every row is aligned in order (assignment, phases,
+cluster rotation), each bit for bit its one-row call.  P is built
+(``_connections``) only where it is read: for a frame's ``connections``
+and for the driven and mean-force generators.  One split,
+``_force_split``, turns (W, P, U^dag dH U) into f and F; each frame makes
+it once, on first use, the driven ledger on the whole stack and the
 mean-force run once per step, on its midpoint and end.  The integrators
 read the kernel's arrays; the fields of :class:`AdiabaticFrame` serve the
 public API, the thermodynamics, the entropy audits and the CLI.  Central
@@ -245,25 +248,18 @@ def _generator(w, p, v):
     return np.subtract(w[..., :, None] * np.eye(w.shape[-1]), vp, out=vp)
 
 
-def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None = None,
-                  stepwise: bool = False):
+def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None = None):
     """Eigenframes at every row of ``xs`` with continuous labels and phases.
 
     ``ref`` is None, an (m, m) basis for row 0 of a chain, or a (t, m, m)
-    stack of per-row references, as for ``operators._gauge``.  With
-    ``stepwise`` a chain is gauged one row at a time, each row a chain of
-    one from the gauged row before: bit for bit one call per row, while
-    evaluation, eigensolve and U^dag dH U run once on the stack.  Returns
-    the stacks W (t, m), U (t, m, m), U^dag dH U (t, n, m, m), the
-    same-cluster masks (t, m, m) and the label permutation of each row
-    (``()`` where none was applied).
+    stack of per-row references; ``operators._gauge`` gives labels and
+    phases to the whole stack by one of its two paths (all phases at once,
+    or every row aligned in order).  Returns the stacks W (t, m),
+    U (t, m, m), U^dag dH U (t, n, m, m), the same-cluster masks (t, m, m)
+    and the label permutation of each row (``()`` where it is the identity).
     """
     w, u, labels, real = _eigensolve(_evaluate_checked(fam, xs))
-    if stepwise:
-        perms = [_gauge(w[i:i + 1], u[i:i + 1], labels[i:i + 1], u[i - 1] if i else ref)[0]
-                 for i in range(len(xs))]
-    else:
-        perms = _gauge(w, u, labels, ref)
+    perms = _gauge(w, u, labels, ref)
     same = labels[:, :, None] == labels[:, None, :]
     gad = _in_frame(u, fam.gradient_many(xs), real)
     return w, u, gad, same, perms

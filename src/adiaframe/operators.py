@@ -228,20 +228,18 @@ def _gauge(w: np.ndarray, u: np.ndarray, labels: np.ndarray, ref: np.ndarray | N
     Chained mode (``ref`` None or an (m, m) basis): row 0 follows ``ref``
     (or, without it, takes the deterministic gauge) and every later row the
     one before it.  Per-row reference mode (``ref`` a (t, m, m) stack): row i
-    follows ``ref[i]``.  Permutes the levels of ``w``, the columns of ``u``
-    and ``labels`` where a row is relabelled, and returns the label
-    permutation of each row (``()`` where none was applied).
-
-    A nondegenerate row whose columns all overlap their references by more
-    than 1/sqrt(2) only needs its phases fixed (chained: the cumulative
-    product of the overlaps, taken only when every row qualifies); other
-    rows are aligned to their references (linear assignment, cluster rotation).
+    follows ``ref[i]``.  If every row is nondegenerate and every column
+    overlaps its reference by more than 1/sqrt(2), all phases are fixed at
+    once (chained: the cumulative product of the overlaps); otherwise every
+    row in turn is aligned by :func:`_align_to_reference`, a chained row to
+    the aligned row before it.  Permutes the levels of ``w``, the columns of
+    ``u`` and ``labels`` where a row is relabelled, and returns the label
+    permutation of each row (``()`` where it is the identity).
     """
     t, m = w.shape
     per_row = ref is not None and ref.ndim == 3
     if ref is not None and ref.shape != ((t, m, m) if per_row else (m, m)):
         raise ValidationError(f"reference frame shape {ref.shape} does not match operator dim {m}")
-    degenerate = labels[:, -1] < m - 1        # levels ascend: the last label is clusters - 1
     perms = [()] * t
     if ref is None:
         u[0] = _fix_gauge_deterministic(u[0])
@@ -250,16 +248,13 @@ def _gauge(w: np.ndarray, u: np.ndarray, labels: np.ndarray, ref: np.ndarray | N
         prev, nxt = ref if per_row else np.concatenate([ref[None], u[:-1]]), u
     ov = np.einsum("tik,tik->tk", prev.conj(), nxt)
     mag = np.abs(ov)
-    if not degenerate.any() and (mag > _PHASE_ONLY_OVERLAP).all():
+    if (labels[:, -1] == m - 1).all() and (mag > _PHASE_ONLY_OVERLAP).all():    # no degenerate row
         phase = ov / mag
         nxt *= (phase if per_row else np.cumprod(phase, axis=0)).conj()[:, None, :]
-    else:       # chained phases are a cumulative product, so there every row is aligned
-        phase_only = (per_row & np.all(mag > _PHASE_ONLY_OVERLAP, axis=1)
-                      & ~degenerate[t - len(ov):])
-        nxt[phase_only] *= (ov[phase_only] / mag[phase_only]).conj()[:, None, :]
-        for i in t - len(ov) + np.flatnonzero(~phase_only):
-            basis = ref[i] if per_row else u[i - 1] if i else ref
-            perm, u[i] = _align_to_reference(u[i], basis, labels[i])
+        return perms
+    for i in range(t - len(ov), t):
+        perm, u[i] = _align_to_reference(u[i], ref[i] if per_row else u[i - 1] if i else ref, labels[i])
+        if (perm != np.arange(m)).any():
             w[i], labels[i], perms[i] = w[i, perm], labels[i, perm], tuple(perm.tolist())
     return perms
 
@@ -274,9 +269,10 @@ def hermitian_eig(h, reference: np.ndarray | Spectrum | None = None) -> Spectrum
         tolerance).
     reference : (m, m) ndarray or Spectrum, optional
         Previous frame along a parameter path.  When given, columns are
-        ordered to maximize per-column |overlap| with the reference and
-        phased so those overlaps are real positive; otherwise each column's
-        largest-magnitude component is made real positive.
+        ordered to maximize the total |overlap| with the reference columns
+        (a linear assignment) and phased so those overlaps are real
+        positive; otherwise each column's largest-magnitude component is
+        made real positive.
 
     Returns
     -------

@@ -335,13 +335,14 @@ class TestPerRowReference:
         with mock.patch("adiaframe.operators._align_to_reference", side_effect=AssertionError("fell back")):
             self.assert_rows_match(fam, x0 + rng.uniform(-1e-3, 1e-3, x0.shape), refs)
 
-    def test_degenerate_row_takes_the_fallback_alone(self):
+    def test_degenerate_row_sends_every_row_to_the_align_path(self):
         fam = TestDegenerateSpectra.FAMILY
         x1 = np.array([[0.3, -0.2], [0.0, 0.0], [-0.1, 0.4]])
         refs = np.array([_frame_kernel(fam, x[None])[1][0] for x in x1 + 1e-3])
         with mock.patch("adiaframe.operators._align_to_reference", wraps=_align_to_reference) as align:
             stacked = self.assert_rows_match(fam, x1, refs)
-        assert align.call_count == 2        # the degenerate row, stacked and alone
+        assert align.call_count == 4        # every row stacked, and the degenerate row alone
+        # the nondegenerate rows' assignments are the identity
         assert stacked[4][0] == stacked[4][2] == () and stacked[4][1] != ()
 
     def test_reference_shape_checked(self):
@@ -350,12 +351,12 @@ class TestPerRowReference:
             _frame_kernel(fam, np.zeros((2, 1)), np.tile(np.eye(3), (3, 1, 1)))
 
 
-class TestStepwiseChain:
-    """The kernel's stepwise chain is one single-row chained call per row, byte for byte."""
+class TestChainedAlignPath:
+    """A chain that takes the align path is one single-row chained call per row, byte for byte."""
 
     @staticmethod
     def assert_rows_match(fam, xs, ref):
-        stacked = _frame_kernel(fam, xs, ref, stepwise=True)
+        stacked = _frame_kernel(fam, xs, ref)
         for i in range(len(xs)):
             single = _frame_kernel(fam, xs[i:i + 1], ref)
             for got, want in zip(stacked[:4], single[:4]):
@@ -363,15 +364,6 @@ class TestStepwiseChain:
             assert stacked[4][i] == single[4][0]
             ref = single[1][0]
         return stacked
-
-    def test_phase_only_rows(self):
-        fam = random_linear_family(8, 2, "gue", seed=12)
-        x0, v = np.array([0.3, -0.1]), np.array([0.7, -0.4])
-        ref = _frame_kernel(fam, x0[None])[1][0]
-        xs = x0 + np.array([[0.5e-3], [1e-3]]) * v
-        with mock.patch("adiaframe.operators._align_to_reference", side_effect=AssertionError("fell back")):
-            self.assert_rows_match(fam, xs, ref)
-            self.assert_rows_match(fam, xs, None)
 
     def test_assignment_on_each_row_past_a_true_crossing(self):
         # the family of the exact-crossing mean-force test: past x = 0 the

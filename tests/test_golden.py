@@ -139,7 +139,6 @@ def test_one_ulp_moves_the_pins(tmp_path):
 CROSSING = MatrixPolynomialFamily([((0,), np.diag([0.0, 0.0, 2.0]).astype(complex)),
                                    ((1,), np.array([[1.0, 0.0, 0.6], [0.0, -1.0, 0.0],
                                                     [0.6, 0.0, 0.0]], dtype=complex))])
-CROSSING_STATE = np.diag([0.5, 0.3, 0.2]).astype(complex)
 
 
 def trajectory_arrays(traj) -> list:
@@ -164,10 +163,9 @@ def driven(dim: int) -> list:
     return trajectory_arrays(traj) + [e[k] for e in traj.extras["events"] for k in ("rho_before", "rho_after")]
 
 
-def scenario(fam, x, v, state, n_steps=100, dt=1e-2, **apparatus) -> DynamicsScenario:
-    friction = apparatus.pop("friction", None)
+def scenario(fam, x, v, state, dt=1e-2, friction=None, **apparatus) -> DynamicsScenario:
     return DynamicsScenario(family=fam, apparatus=ApparatusState(x=x, v=v, **apparatus), state=state,
-                            dt=dt, n_steps=n_steps, friction=friction, record_every=10)
+                            dt=dt, n_steps=100, friction=friction, record_every=10)
 
 
 def mean_force(*args, **kwargs) -> list:
@@ -200,7 +198,8 @@ RUNS = {
     "mean_force_friction_mass": lambda: mean_force(
         random_linear_family(4, 2, "gue", seed=6), [0.1, -0.3], [0.5, 0.2], mixed_state(4),
         metric=np.array([[2.0, 0.3], [0.3, 1.5]]), friction=FrictionSpec.constant(FRICTION)),
-    "mean_force_crossing": lambda: mean_force(CROSSING, [-1.0], [1.5], QuantumState.from_rho(CROSSING_STATE),
+    "mean_force_crossing": lambda: mean_force(CROSSING, [-1.0], [1.5],
+                                              QuantumState.from_rho(np.diag([0.5, 0.3, 0.2])),
                                               dt=0.015, metric=5.0),
     "branching_friction": lambda: branching(
         random_linear_family(3, 2, "gue", seed=5), [0.2, 0.1], [0.4, -0.6], mixed_state(3),
@@ -221,11 +220,11 @@ RUN_PINNED = {
     "driven_m3": "d1e9ff32d1be93dfc309f779b64df5d26cb86a39eff4ed94c62fa7891590ccde",
     "driven_m5": "910d6313c54f94584a226eac9c80914219ca106b2efd1566da516e25814b8523",
     "frame_path_crossing": "9dd91ef99963cdf9d5e979382f0731440727bb3d54c329854ddaf73a268f42d9",
-    "mean_force_crossing": "dc1b211cae52af4631312521c51cb4261197bf50269a9675ea502e73c4bbc99c",
-    "mean_force_friction_mass": "629f299cce4ebd3f9c8ce343b05abbfd63663e7ac717eed76a4ae63fdba627d3",
-    "mean_force_gue8": "18b8b49172bb01b7cf68d37dfb15c05c3bf78d7c44ca60e12e4c524cd13b981f",
+    "mean_force_crossing": "1a05359b99618f9dc96c75fba0a37333ce7468a9858c5308ffc4bc168718e11a",
+    "mean_force_friction_mass": "baa1d54ac2418dbb8fff0685c369cdb8789c4c5dd8227cda6b8b56ad7c13af25",
+    "mean_force_gue8": "d97ead3ac04863ab4bf47fdcb2a4bd3aaef53487f91d4121c5dfd440d4d0ec78",
     "sg_branching": "662740a3b8e36f666255d631f8ae8fdaaaf40ce33a83c5fe95503a75721b94e7",
-    "sg_mean_force": "cd15851f4c78557b2f8e30311331b87e3e8c80eaad26fb5823cdf54bce646c64",
+    "sg_mean_force": "6d9eecef9b1848ab36a1fc3a904813890936faf6eacc8341d8add80c9f3bb12f",
     "sg_sampled": "aed79613ba574f5b54c5451f240e293f64d4faaefec70e3e2fd5fdff68be855a",
 }
 
@@ -285,13 +284,14 @@ def print_pins() -> int:
     pinned = {f"{name}/{f}": d for name, files in PINNED.items() for f, d in files.items()}
     pinned.update((f"run/{name}", d) for name, d in RUN_PINNED.items())
     current = current_pins()
+    keys = sorted(pinned.keys() | current.keys())
     moved = 0
     print(versions())
-    for key in sorted(pinned.keys() | current.keys()):
+    for key in keys:
         old, new = pinned.get(key, "(none)"), current.get(key, "(none)")
         moved += old != new
-        print(f"{'same ' if old == new else 'MOVED'}  {key}: {old}" + ("" if old == new else f" → {new}"))
-    print(f"{moved} of {len(pinned.keys() | current.keys())} pins moved")
+        print(f"same   {key}: {old}" if old == new else f"MOVED  {key}: {old} → {new}")
+    print(f"{moved} of {len(keys)} pins moved")
     return moved
 
 
