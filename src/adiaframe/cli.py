@@ -20,8 +20,10 @@ as the hex SHA-256 of its values: little-endian complex128, in C order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -335,6 +337,8 @@ def _parse(source, strict: bool):
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc.msg}", line=exc.lineno,
                               column=exc.colno) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 JSON text: {exc}") from None
     elif isinstance(source, dict):
         try:
             cfg = json.loads(json.dumps(source))
@@ -732,6 +736,19 @@ def _run(cfg: dict, fam: MatrixPolynomialFamily | None, out_dir: str, seed: int 
     return report
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Turn the cyclic garbage collector off for the block, then back to
+    the state it was in."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="adiaframe",
@@ -746,11 +763,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
-            text = fh.read()
-        cfg, mats = _parse(text, args.strict)
-        fam = _build_family(cfg, mats) if _reads_family(cfg) else None
-        del mats                    # the family holds its own stack of them
+        # a 400-level family parses into about a million lists and floats,
+        # none of which can form a cycle; the collector would walk them over
+        # and over while they are built, so it sleeps until they are gone
+        with _collector_paused():
+            with open(args.config, "rb") as fh:
+                cfg, mats = _parse(fh.read(), args.strict)
+            fam = _build_family(cfg, mats) if _reads_family(cfg) else None
+            del mats                # the family holds its own stack of them,
+            if fam is not None:     # which _config_digest hashes: drop the lists
+                for term in cfg["family"]["terms"]:
+                    del term["matrix"]
         report = _run(cfg, fam, args.out, args.seed)
     except (AdiaframeError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 from unittest import mock
@@ -132,6 +133,15 @@ class TestParseConfig:
             parse_config('{"kind": "kubo",\n  "family": }')
         assert exc.value.line == 2
         assert exc.value.column == 13
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"kind": "\xff"}', "config is not UTF-8 JSON text"),   # invalid UTF-8
+        (b"\xff\xfe{", "config is not UTF-8 JSON text"),          # UTF-16 mark, half a unit
+        (b"\xff\xfe{}", "invalid JSON"),                          # UTF-16 mark, U+7D7B
+    ])
+    def test_bytes_that_are_not_json_text(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
 
     def test_config_must_be_an_object(self):
         with pytest.raises(ConfigError):
@@ -457,25 +467,105 @@ class TestMain:
         assert family.call_count == 0
 
     def test_converted_matrices_freed_before_the_run(self, tmp_path):
-        # the family stacks its own copy; the parsed ones must not outlive it
+        # the family stacks its own copy; neither the converted matrices nor
+        # the parsed lists they came from may outlive it
         import weakref
         from adiaframe import cli
 
-        refs, alive, parse_, run_ = [], [], cli._parse, cli._run
+        refs, seen, parse_, run_ = [], [], cli._parse, cli._run
 
         def parse(*args):
             cfg, mats = parse_(*args)
             refs.extend(weakref.ref(m) for m in mats)
             return cfg, mats
 
-        def run(*args):
-            alive.append(sum(ref() is not None for ref in refs))
-            return run_(*args)
+        def run(cfg, *args):
+            seen.append((sum(ref() is not None for ref in refs), cfg))
+            return run_(cfg, *args)
 
+        path = self.write(tmp_path, kubo_config())
         with mock.patch("adiaframe.cli._parse", parse), mock.patch("adiaframe.cli._run", run):
+            assert main(["--config", path, "--out", str(tmp_path), "--quiet"]) == 0
+        (alive, cfg), = seen
+        assert len(refs) == 3 and alive == 0
+        terms = cfg["family"]["terms"]
+        assert [sorted(t) for t in terms] == [["exponents"]] * 3
+        assert all(isinstance(p, int) for t in terms for p in t["exponents"])
+        # the digest of the lists, from a family built apart from main's
+        report = json.loads((tmp_path / "report.json").read_text())
+        with open(path) as fh:
+            assert report["config_sha256"] == _config_digest(parse_config(fh.read()))
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_collector_off_while_the_family_is_built(self, tmp_path, collector):
+        from adiaframe import cli
+
+        states = {}
+
+        def record(name, fn):
+            def call(*args):
+                states[name] = gc.isenabled()
+                return fn(*args)
+            return call
+
+        gc.enable()
+        with mock.patch("adiaframe.cli._parse", wraps=record("parse", cli._parse)), \
+                mock.patch("adiaframe.cli._build_family",
+                           wraps=record("build", cli._build_family)), \
+                mock.patch("adiaframe.cli._run", wraps=record("run", cli._run)):
             assert main(["--config", self.write(tmp_path, kubo_config()),
                          "--out", str(tmp_path), "--quiet"]) == 0
-        assert len(refs) == 3 and alive == [0]
+        assert states == {"parse": False, "build": False, "run": True}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("content, reason", [
+        (json.dumps(kubo_config()).encode(), None),
+        (b'{"kind": ', "invalid JSON"),
+        (json.dumps(dict(kubo_config(), family={
+            "coords": 2, "dim": 2,
+            "terms": [{"exponents": [0, 0], "matrix": mat([[0.0, 1.0], [0.0, 0.0]])}]})).encode(),
+         "must be Hermitian"),
+        (b"\xff\xfe{", "not UTF-8"),
+        (None, "FileNotFoundError"),
+    ], ids=["success", "invalid_json", "non_hermitian", "non_utf8", "missing_file"])
+    def test_collector_state_restored(self, tmp_path, capsys, collector, content, reason,
+                                      enabled):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_bytes(content)
+        (gc.enable if enabled else gc.disable)()
+        rc = main(["--config", str(path), "--out", str(tmp_path), "--quiet"])
+        assert gc.isenabled() is enabled
+        if reason is None:
+            assert rc == 0
+        else:
+            payload = json.loads(capsys.readouterr().out)
+            assert rc == 2 and reason in f"{payload['error']}: {payload['message']}"
+
+    @pytest.mark.parametrize("content", [b'{"kind": "\xff"}', b"\xff\xfe{"])
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith("config is not UTF-8 JSON text")
+
+    def test_utf16_config_reads_as_parse_config_reads_bytes(self, tmp_path, capsys):
+        # main hands the file's bytes to the parser, which decodes them as
+        # json.loads decodes bytes
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps(sg_config()).encode("utf-16"))
+        assert main(["--config", str(path), "--out", str(tmp_path / "a"), "--quiet"]) == 0
+        assert main(["--config", self.write(tmp_path, sg_config()),
+                     "--out", str(tmp_path / "b"), "--quiet"]) == 0
+        assert ((tmp_path / "a" / "report.json").read_bytes()
+                == (tmp_path / "b" / "report.json").read_bytes())
 
     def test_quiet_suppresses_summary(self, tmp_path, capsys):
         rc = main(["--config", self.write(tmp_path, sg_config()),
