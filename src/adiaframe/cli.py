@@ -78,10 +78,21 @@ def _size(root, n):
     return root["family"][n] if isinstance(n, str) else n
 
 
+def _finite(val) -> bool:
+    """Whether ``val`` is a finite int or float, or a list (of lists) of them;
+    NaN, the infinities and ints past the float range are not."""
+    if isinstance(val, list):
+        return all(map(_finite, val))
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
 def _number(positive=False):
     def rule(val, path, root):
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             _err(f"expected a number, got {type(val).__name__}", path)
+        if not _finite(val):
+            _err(f"expected a finite number, got {val!r}", path)
         if positive and val <= 0.0:
             _err("must be positive", path)
     return rule
@@ -104,12 +115,12 @@ def _choice(options):
 
 
 def _floats(val, path):
-    if isinstance(val, list):
+    if isinstance(val, list) and _finite(val):
         try:
             return np.asarray(val, dtype=float)
-        except (TypeError, ValueError):
+        except ValueError:          # a ragged array
             pass
-    _err("expected an array of numbers", path)
+    _err("expected an array of finite numbers", path)
 
 
 def _vector(length):
@@ -178,10 +189,7 @@ def _exponents(val, path, root):
 
 
 def _parse_amplitudes(raw, path):
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        _err("amplitudes must be [re, im] pairs", field=path)
+    arr = _floats(raw, path)
     if arr.ndim != 2 or arr.shape[1] != 2:
         _err("amplitudes must be [re, im] pairs", field=path)
     c = arr[:, 0] + 1j * arr[:, 1]
@@ -716,7 +724,8 @@ def _run(cfg: dict, fam: MatrixPolynomialFamily | None, out_dir: str, seed: int 
     """:func:`run_scenario` on the family ``fam`` built from ``cfg``."""
     prof = active_profile()
     kind = cfg["kind"]
-    used_seed = int(cfg["seed"]) if seed is None else int(seed)
+    used_seed = cfg["seed"] if seed is None else seed
+    _COMMON["seed"][0](used_seed, "seed", cfg)      # an override obeys the config's rule
     os.makedirs(out_dir, exist_ok=True)
     checks, outputs, summary = _RUNNERS[kind](cfg, fam, used_seed, out_dir)
     report = {

@@ -31,8 +31,9 @@ degeneracy clusters) and heat through the diabatic forces f_k,
     dE = dQ + dW,   dW = -Tr(rho F_k) dx^k,   dQ = -Tr(rho f_k) dx^k.
 
 The integrators accumulate Q and W with the same Runge-Kutta stages as rho,
-so the closure residual of the ledger shrinks at the integrator's own
-fourth order.
+and each recorded row holds E, Q and W.  A run's ledger is read from its
+first and last rows, and its closure residual shrinks at the integrator's
+own fourth order.
 """
 
 from __future__ import annotations
@@ -244,25 +245,15 @@ class FrictionSpec:
         return np.asarray(self.gamma, dtype=float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyLedger:
-    """Running first-law account of the object's mean energy."""
+    """First-law account of a run: E at its start and end, and the heat Q and
+    work W in between, as read from its recorded rows (:attr:`Trajectory.ledger`)."""
 
     e_start: float
     e_mean: float
     q_cum: float = 0.0
     w_cum: float = 0.0
-
-    @classmethod
-    def open(cls, e0: float) -> "EnergyLedger":
-        return cls(e_start=float(e0), e_mean=float(e0))
-
-    def record(self, dq: float, dw: float, e_mean: float | None = None) -> "EnergyLedger":
-        self.q_cum += float(dq)
-        self.w_cum += float(dw)
-        if e_mean is not None:
-            self.e_mean = float(e_mean)
-        return self
 
     @property
     def residual(self) -> float:
@@ -280,7 +271,11 @@ class EnergyLedger:
 
 @dataclass
 class Trajectory:
-    """Sampled history of one run (or one branch of a run)."""
+    """Sampled history of one run (or one branch of a run).
+
+    The recorded rows are the run's only record: its energy ledger and the
+    steps of its events are read from them.
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -289,10 +284,8 @@ class Trajectory:
     e_mean: np.ndarray
     q_cum: np.ndarray
     w_cum: np.ndarray
-    ledger: EnergyLedger
     branch_label: object = None
     weight: float = 1.0
-    event_steps: tuple = ()
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -301,6 +294,17 @@ class Trajectory:
             raise ValidationError(f"branch weight {self.weight} outside [0, {top!r}]")
         if np.any(np.diff(self.t) <= 0.0):
             raise ValidationError("trajectory timestamps must be strictly increasing")
+
+    @property
+    def ledger(self) -> EnergyLedger:
+        """The run's ledger: E from the first row, and E, Q and W from the last."""
+        return EnergyLedger(float(self.e_mean[0]), float(self.e_mean[-1]),
+                            float(self.q_cum[-1]), float(self.w_cum[-1]))
+
+    @property
+    def event_steps(self) -> tuple:
+        """The steps of the events in ``extras['events']``, in order."""
+        return tuple(event["step"] for event in self.extras.get("events", ()))
 
     @property
     def populations(self) -> np.ndarray:
@@ -596,26 +600,9 @@ def _branch_levels(app: ApparatusState, x, w, gad, levels):
 # recorded runs
 
 
-class _Recorder:
-    def __init__(self, record_every: int, n_steps: int):
-        self.record_every = record_every
-        self.n_steps = n_steps
-        self.rows = []
-
-    def want(self, step: int) -> bool:
-        return step % self.record_every == 0 or step == self.n_steps
-
-    def add(self, t, x, v, rho, ledger: EnergyLedger):
-        self.rows.append((t, x.copy(), v.copy(), rho.copy(),
-                          ledger.e_mean, ledger.q_cum, ledger.w_cum))
-
-    def build(self, ledger, **kwargs) -> Trajectory:
-        ts, xs, vs, rhos, es, qs, ws = zip(*self.rows)
-        return Trajectory(
-            t=np.array(ts), x=np.array(xs), v=np.array(vs), rho=np.array(rhos),
-            e_mean=np.array(es), q_cum=np.array(qs), w_cum=np.array(ws),
-            ledger=ledger, **kwargs,
-        )
+def _recorded_steps(record_every: int, n_steps: int) -> set:
+    """The steps every run records: 0, each ``record_every``-th step and the last."""
+    return {*range(0, n_steps + 1, record_every), n_steps}
 
 
 def sample_branch_counts(state: QuantumState, n_samples: int, seed) -> np.ndarray:
@@ -651,7 +638,7 @@ def run_branching(scenario: DynamicsScenario) -> list:
     w, basis, gad = (np.repeat(a, len(levels), axis=0) for a in _frame_kernel(fam, app.x[None])[:3])
     w0, force = _branch_levels(app, x, w, gad, levels)
     w, w_cum, heat = w0, np.zeros(len(levels)), np.zeros(len(levels))
-    rec = _Recorder(scenario.record_every, scenario.n_steps)
+    recorded = _recorded_steps(scenario.record_every, scenario.n_steps)
 
     def sample(step):
         mech = [app.kinetic_energy(xb, vb) + app.potential_at(xb) for xb, vb in zip(x, v)] + w
@@ -668,7 +655,7 @@ def run_branching(scenario: DynamicsScenario) -> list:
         if friction is not None:
             heat += _friction_heat_step(friction, x, v, v_half, x1, v1, dt)
         x, v, w = x1, v1, w1
-        if rec.want(step):
+        if step in recorded:
             samples.append(sample(step))
 
     ts, *cols = zip(*samples)
@@ -676,7 +663,6 @@ def run_branching(scenario: DynamicsScenario) -> list:
     return [Trajectory(t=np.array(ts), x=xs[b], v=vs[b], e_mean=es[b], w_cum=w_cums[b],
                        rho=np.repeat(QuantumState.pure(k, fam.dim).rho[None], len(ts), axis=0),
                        q_cum=np.zeros(len(ts)), branch_label=int(k), weight=float(weights[k]),
-                       ledger=EnergyLedger(float(w0[b]), float(w[b]), w_cum=float(w_cum[b])),
                        extras={"apparatus_energy": mechs[b], "friction_heat": heats[b]})
             for b, k in enumerate(levels)]
 
@@ -715,9 +701,9 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
 
     x, v, rho = app.x, app.v, scenario.state.validate().rho
     start, basis = nodes(x[None])
-    ledger = EnergyLedger.open(float(rho.diagonal().real @ start[0][0]))
-    rec = _Recorder(scenario.record_every, scenario.n_steps)
-    rec.add(0.0, x, v, rho, ledger)
+    e, q, work = float(rho.diagonal().real @ start[0][0]), 0.0, 0.0
+    recorded = _recorded_steps(scenario.record_every, scenario.n_steps)
+    rows = [(0.0, x, v, rho, e, q, work)]
     stages = np.empty((1, 3, fam.dim, fam.dim), dtype=complex)
     cons = cons_force(start, rho, x)
     for step in range(1, scenario.n_steps + 1):
@@ -730,13 +716,13 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
         _check_step_size(h, dt, "x", xs)
         rho = _rk4_step(hermitize(rho), h, dt, stages[0])
         dq, dw = _ledger_increments(stages, _rate(vs, f_ops)[None], _rate(vs, f_ad)[None], dt)
-        ledger.record(dq[0], dw[0], float(rho.diagonal().real @ w[2]))
+        e, q, work = float(rho.diagonal().real @ w[2]), q + float(dq[0]), work + float(dw[0])
         start, x = tuple(a[1:] for a in ahead), xs[2]
         cons = cons_force(start, rho, x)
         v = _kick(app, x[None], v_half[None], cons[None], friction, 0.5 * dt)[0]
-        if rec.want(step):
-            rec.add(step * dt, x, v, rho, ledger)
-    return rec.build(ledger)
+        if step in recorded:
+            rows.append((step * dt, x, v, rho, e, q, work))
+    return Trajectory(*map(np.array, zip(*rows)))       # t, x, v, rho, E, Q, W
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +781,10 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
 
 def _node_times(duration: float, n_steps: int) -> np.ndarray:
     """The half-step node times 0, dt/2, ..., n_steps dt of a driven run."""
-    if duration <= 0.0 or n_steps < 1:
-        raise ValidationError("duration must be positive and n_steps >= 1")
+    if not (np.isfinite(duration) and duration > 0.0):
+        raise ValidationError(f"duration must be positive and finite, got {duration}")
+    if n_steps < 1:
+        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     return 0.5 * (duration / n_steps) * np.arange(2 * n_steps + 1)
 
 
@@ -811,9 +799,10 @@ def _drive(fam, state0, times, xs, vs, record_every, events) -> Trajectory:
     del gad, same
     gw = _rate(vs, gw)
     gq = _rate(vs, f_ops)
-    rec = _Recorder(record_every, n_steps)
-    rec_steps = sorted({*range(record_every, n_steps + 1, record_every), n_steps})
-    f_rec = f_ops[[0] + [2 * step for step in rec_steps]]
+    recorded = _recorded_steps(record_every, n_steps)
+    steps = np.array(sorted(recorded))
+    nodes = 2 * steps                                   # the node of each recorded step
+    f_rec = f_ops[nodes]
     del f_ops
     h_mov = _generator(w, p, vs)
     del p
@@ -823,39 +812,34 @@ def _drive(fam, state0, times, xs, vs, record_every, events) -> Trajectory:
     state = state0.copy()
     state.validate()
     rho = hermitize(state.rho)
-    ledger = EnergyLedger.open(float(rho.diagonal().real @ w[0]))
-    rec.add(float(times[0]), xs[0], vs[0], rho, ledger)
+    rhos, e_mean = [rho], [float(rho.diagonal().real @ w[0])]
     stages = np.empty((n_steps, 3, fam.dim, fam.dim), dtype=complex)
     event_log = []
 
     def read(step, rho):
         """The event and the record of ``step`` on the clean state ``rho``."""
-        c = 2 * step
         if step in events:
             before = rho.copy()
             out = events[step](QuantumState(rho=rho))
             rho = hermitize(np.asarray(out.rho, dtype=complex))
             event_log.append({"step": step, "rho_before": before, "rho_after": rho.copy()})
-        if rec.want(step):
-            ledger.e_mean = float(rho.diagonal().real @ w[c])
-            rec.add(float(times[c]), xs[c], vs[c], rho, ledger)
+        if step in recorded:
+            rhos.append(rho)
+            e_mean.append(float(rho.diagonal().real @ w[2 * step]))
         return rho
 
     route = _transfer_route if fam.dim <= _TRANSFER_MAX_DIM else _stepwise_route
-    route(rho, _step_nodes(h_mov), dt, stages, set(events).union(rec_steps), read)
+    route(rho, _step_nodes(h_mov), dt, stages, recorded.union(events), read)
 
-    # the ledger quadrature after the stepping; the rows recorded while
-    # stepping get their cumulative Q and W here
-    q_cum, w_cum = (np.cumsum(d) for d in
+    # the ledger quadrature after the stepping: Q and W at each recorded step
+    q_cum, w_cum = (np.concatenate(([0.0], np.cumsum(d)[steps[1:] - 1])) for d in
                     _ledger_increments(stages, _step_nodes(gq), _step_nodes(gw), dt))
-    ledger.record(q_cum[-1], w_cum[-1])
-    traj = rec.build(ledger, event_steps=tuple(sorted(events)), extras={})
-    rows = np.array(rec_steps) - 1
-    traj.q_cum[1:], traj.w_cum[1:] = q_cum[rows], w_cum[rows]
-    traj.extras["diabatic_mean"] = np.einsum("tkij,tji->tk", f_rec, traj.rho).real
+    rhos = np.array(rhos)
+    extras = {"diabatic_mean": np.einsum("tkij,tji->tk", f_rec, rhos).real}
     if event_log:
-        traj.extras["events"] = event_log
-    return traj
+        extras["events"] = event_log
+    return Trajectory(times[nodes], xs[nodes], vs[nodes], rhos, np.array(e_mean), q_cum, w_cum,
+                      extras=extras)
 
 
 def time_averaged_diabatic_force(fam: HamiltonianFamily, path, duration: float,
@@ -869,8 +853,8 @@ def time_averaged_diabatic_force(fam: HamiltonianFamily, path, duration: float,
     traversals average the oscillatory coherences away, so the result
     decreases with ``scale``.
     """
-    if scale <= 0.0:
-        raise ValidationError("velocity scale must be positive")
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise ValidationError(f"velocity scale must be positive and finite, got {scale}")
     times = _node_times(duration / scale, max(1, round(n_steps / scale)))
     xs, vs = _path_nodes(fam, path, scale * times)
     traj = _drive(fam, state0, times, xs, scale * vs, 1, {})

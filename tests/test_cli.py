@@ -228,6 +228,28 @@ class TestParseConfig:
             parse_config(cfg)
         assert exc.value.field == "family.terms[1].matrix"
 
+    @pytest.mark.parametrize("make, block, name, value", [
+        (kubo_config, "kubo", "beta", float("nan")),
+        (kubo_config, "kubo", "x", [float("nan"), 0.0]),
+        (kubo_config, "kubo", "x", ["0.3", "-0.2"]),
+        (kubo_config, "kubo", "x", [True, False]),
+        (kubo_config, "kubo", "eta", float("inf")),
+        (driven_config, "drive", "duration", float("inf")),
+        (driven_config, "drive", "x0", [10 ** 400]),
+        (driven_config, "state", "amplitudes", [[float("nan"), 0.0], [0.0, 0.0]]),
+        (driven_config, "state", "amplitudes", [["1.0", 0.0], [0.0, 0.0]]),
+        (sg_config, "stern_gerlach", "field_gradient", float("nan")),
+        (sg_config, "stern_gerlach", "amplitudes", [[True, False], [0.0, 0.0]]),
+        (friction_config, "friction", "constant", [[float("-inf")]]),
+    ])
+    def test_value_that_is_not_a_finite_number_named(self, make, block, name, value):
+        cfg = make()
+        cfg.setdefault(block, {})[name] = value
+        for source in (cfg, json.dumps(cfg)):   # json writes NaN and Infinity as bare tokens
+            with pytest.raises(ConfigError) as exc:
+                parse_config(source)
+            assert exc.value.field == f"{block}.{name}"
+
     def test_state_needs_exactly_one_form(self):
         cfg = driven_config()
         cfg["state"] = {"amplitudes": [[1.0, 0.0], [0.0, 0.0]],
@@ -428,6 +450,13 @@ class TestRunScenario:
         report = run_scenario(parse_config(sg_config()), str(tmp_path), seed=7)
         assert report["seed"] == 7
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_seed_override_obeys_the_seed_rule(self, tmp_path, seed):
+        with pytest.raises(ConfigError) as exc:
+            run_scenario(parse_config(sg_config()), str(tmp_path / "out"), seed=seed)
+        assert exc.value.field == "seed"
+        assert not (tmp_path / "out").exists()
+
 
 class TestDeterminism:
     def test_identical_reruns_are_bit_identical(self, tmp_path):
@@ -609,6 +638,25 @@ class TestMain:
                    "--out", str(tmp_path), "--strict"])
         assert rc == 2
         assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+
+    def test_negative_seed_flag_exit_two(self, tmp_path, capsys):
+        rc = main(["--config", self.write(tmp_path, sg_config()),
+                   "--out", str(tmp_path / "out"), "--seed", "-1"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith("config field 'seed': ")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_value_exit_two(self, tmp_path, capsys):
+        cfg = kubo_config()
+        cfg["kubo"]["beta"] = float("nan")
+        rc = main(["--config", self.write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith("config field 'kubo.beta': ")
+        assert not (tmp_path / "out").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         rc = main(["--config", self.write(tmp_path, sg_config()),

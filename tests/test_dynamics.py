@@ -128,25 +128,60 @@ class TestApparatusState:
 
 class TestEnergyLedger:
     def test_record_and_residual(self):
-        led = EnergyLedger.open(1.0)
-        led.record(0.25, -0.1, e_mean=1.15)
-        assert_allclose(led.q_cum, 0.25)
-        assert_allclose(led.w_cum, -0.1)
+        led = EnergyLedger(e_start=1.0, e_mean=1.15, q_cum=0.25, w_cum=-0.1)
         assert_allclose(led.residual, 0.0, atol=1e-15)
         assert led.closure_ok()
 
     def test_closure_detects_imbalance(self):
-        led = EnergyLedger.open(0.0)
-        led.record(0.5, 0.0, e_mean=1.0)
+        led = EnergyLedger(e_start=0.0, e_mean=1.0, q_cum=0.5)
+        assert led.w_cum == 0.0
+        assert_allclose(led.residual, 0.5)
         assert not led.closure_ok()
+
+    def test_ledger_is_frozen(self):
+        led = EnergyLedger(e_start=0.0, e_mean=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            led.q_cum = 1.0
+
+
+def recorded_runs(kind, record_every):
+    """The trajectories of a 20-step ``kind`` run with step 0.025."""
+    dim = {"driven_m2": 2, "driven_m5": 5}.get(kind, 3)
+    fam = random_linear_family(dim, 1, "gue", seed=dim)
+    st = QuantumState.from_rho(random_density_matrix(dim, np.random.default_rng(dim)))
+    if kind.startswith("driven"):
+        return [run_driven(fam, uniform_drive([-1.0], [2.0]), st, 0.5, 20, record_every=record_every)]
+    sc = DynamicsScenario(family=fam, apparatus=ApparatusState(x=[0.1], v=[0.5], metric=2.0),
+                          state=st, dt=0.025, n_steps=20, record_every=record_every)
+    return run_branching(sc) if kind == "branching" else [run_mean_force(sc)]
+
+
+class TestRecordingRule:
+    """Every run records step 0, each ``record_every``-th step and the last,
+    and its ledger is its first and last rows."""
+
+    @pytest.mark.parametrize("kind", ["driven_m2", "driven_m5", "mean_force", "branching"])
+    @pytest.mark.parametrize("record_every, steps", [(1, range(21)), (7, [0, 7, 14, 20]),
+                                                     (25, [0, 20])])
+    def test_recorded_steps_and_ledger(self, kind, record_every, steps):
+        trajs = recorded_runs(kind, record_every)
+        assert len(trajs) == (3 if kind == "branching" else 1)
+        for traj in trajs:
+            np.testing.assert_array_equal(traj.t, 0.025 * np.array(steps))
+            assert len(traj.x) == len(traj.rho) == len(traj.q_cum) == len(steps)
+            led = traj.ledger
+            assert (np.array([led.e_start, led.e_mean, led.q_cum, led.w_cum]).tobytes()
+                    == np.array([traj.e_mean[0], traj.e_mean[-1], traj.q_cum[-1],
+                                 traj.w_cum[-1]]).tobytes())
 
 
 class TestContainers:
     def test_trajectory_weight_bounds(self):
         base = dict(t=np.array([0.0, 1.0]), x=np.zeros((2, 1)), v=np.zeros((2, 1)),
                     rho=np.tile(np.eye(2, dtype=complex) / 2, (2, 1, 1)),
-                    e_mean=np.zeros(2), q_cum=np.zeros(2), w_cum=np.zeros(2),
-                    ledger=EnergyLedger.open(0.0))
+                    e_mean=np.array([0.5, 1.0]), q_cum=np.array([0.0, 0.25]),
+                    w_cum=np.array([0.0, 0.25]))
+        assert Trajectory(**base).ledger == EnergyLedger(0.5, 1.0, 0.25, 0.25)
         with pytest.raises(ValidationError):
             Trajectory(weight=1.5, **base)
         bad = dict(base, t=np.array([0.0, 0.0]))
@@ -176,6 +211,15 @@ class TestContainers:
         with pytest.raises(ValidationError, match=r"^dt must be positive and finite, got (nan|inf)"):
             DynamicsScenario(family=avoided_crossing_family(), apparatus=ApparatusState(x=[0.0], v=[1.0]),
                              state=QuantumState.pure(0, 2), dt=dt, n_steps=10)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_duration_and_scale_named(self, value):
+        fam, path, st = avoided_crossing_family(), uniform_drive([-1.0], [1.0]), QuantumState.pure(0, 2)
+        with pytest.raises(ValidationError, match=r"^duration must be positive and finite, got (nan|inf)"):
+            run_driven(fam, path, st, value, 10)
+        with pytest.raises(ValidationError,
+                           match=r"^velocity scale must be positive and finite, got (nan|inf)"):
+            time_averaged_diabatic_force(fam, path, 1.0, 10, st, scale=value)
 
     @pytest.mark.parametrize("run", [run_branching, run_mean_force])
     def test_non_finite_potential_stops_the_run(self, run):
