@@ -20,16 +20,14 @@ as the hex SHA-256 of its values: little-endian complex128, in C order.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import csv
-import gc
 import hashlib
 import json
 import os
+import re
 import sys
 import warnings
-from itertools import chain
 
 import numpy as np
 
@@ -78,24 +76,18 @@ def _size(root, n):
     return root["family"][n] if isinstance(n, str) else n
 
 
-def _finite(val) -> bool:
-    """Whether ``val`` is a finite int or float, or a list (of lists) of them;
-    NaN, the infinities and ints past the float range are not."""
-    if isinstance(val, list):
-        return all(map(_finite, val))
-    return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and abs(val) <= sys.float_info.max)
-
-
 def _number(positive=False):
     def rule(val, path, root):
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             _err(f"expected a number, got {type(val).__name__}", path)
-        if not _finite(val):
+        if not abs(val) <= sys.float_info.max:     # NaN, the infinities, ints past floats
             _err(f"expected a finite number, got {val!r}", path)
         if positive and val <= 0.0:
             _err("must be positive", path)
     return rule
+
+
+_INT64_MAX = 2 ** 63 - 1
 
 
 def _integer(minimum):
@@ -104,6 +96,8 @@ def _integer(minimum):
             _err(f"expected an integer, got {type(val).__name__}", path)
         if val < minimum:
             _err(f"must be >= {minimum}", path)
+        if val > _INT64_MAX:
+            _err("must be < 2**63", path)
     return rule
 
 
@@ -115,11 +109,18 @@ def _choice(options):
 
 
 def _floats(val, path):
-    if isinstance(val, list) and _finite(val):
-        try:
-            return np.asarray(val, dtype=float)
-        except ValueError:          # a ragged array
-            pass
+    """The float array of ``val``, a list (of lists) of finite ints and
+    floats.  A ragged list makes an object array that holds lists."""
+    if isinstance(val, list):
+        arr = np.array(val, dtype=object)
+        if set(map(type, arr.flat)) <= {int, float}:
+            try:
+                arr = arr.astype(float)
+            except OverflowError:   # an int past the float range
+                pass
+            else:
+                if np.isfinite(arr).all():
+                    return arr
     _err("expected an array of finite numbers", path)
 
 
@@ -148,24 +149,12 @@ def _mass(val, path, root):
 def _complex_matrix(raw, path):
     """[[ [re, im], ... ], ...] -> complex ndarray.
 
-    A square list of [re, im] lists converts in one flat pass over its
-    numbers; anything else takes the nested conversion, which also names
-    what is wrong with it.
+    ``raw`` is a nested list of JSON numbers, or the float (n, n, 2) array
+    :func:`_loads` read from the config text.
     """
-    try:
-        n = len(raw)
-        if (n and all(len(row) == n for row in raw)
-                and set(map(type, chain.from_iterable(raw))) == {list}
-                and set(map(len, chain.from_iterable(raw))) == {2}):
-            flat = chain.from_iterable(chain.from_iterable(raw))
-            arr = np.fromiter(flat, float, 2 * n * n).reshape(n, n, 2)
-            return arr[..., 0] + 1j * arr[..., 1]
-    except (TypeError, ValueError):
-        pass
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        _err("matrix entries must be [re, im] pairs", field=path)
+    arr = raw if isinstance(raw, np.ndarray) else _floats(raw, path)
+    if not np.isfinite(arr).all():      # 1e400 reads as inf
+        _err("expected an array of finite numbers", path)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         _err("expected a square matrix of [re, im] pairs", field=path)
     return arr[..., 0] + 1j * arr[..., 1]
@@ -184,8 +173,9 @@ def _hermitian(val, path, root):
 def _exponents(val, path, root):
     n = root["family"]["coords"]
     if not (isinstance(val, list) and len(val) == n
-            and all(isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in val)):
-        _err(f"exponents must be {n} nonnegative integers", path)
+            and all(isinstance(p, int) and not isinstance(p, bool) and 0 <= p <= _INT64_MAX
+                    for p in val)):
+        _err(f"exponents must be {n} nonnegative integers below 2**63", path)
 
 
 def _parse_amplitudes(raw, path):
@@ -323,6 +313,93 @@ def _apply(val, rule, path: str, root: dict, strict: bool, found: list):
             found.append(converted)
 
 
+# ---------------------------------------------------------------------------
+# JSON text in
+#
+# A 400-level family term is a 4.4 MB [[[re, im], ...], ...] array, which
+# json.loads would turn into about 480 000 floats and lists.  _loads reads
+# each such array with one np.fromstring instead: it checks the span against
+# JSON's number grammar and a square shape, puts a short placeholder string
+# in its place and json.loads the small rest.  The arrays are used only when
+# every placeholder lands on a family.terms[i].matrix; any other text, one
+# with a syntax error included, is decoded whole, exactly as json.loads
+# decodes it, so an error keeps json.loads' message, line and column.
+
+_WS = rb"[ \t\n\r]*+"
+# RFC 8259 numbers; a bare -0 is left out: json.loads reads it as the int 0,
+# np.fromstring as -0.0
+_NUM = (rb"(?:[1-9][0-9]*+|0|-(?:[1-9][0-9]*+|0(?=[.eE])))"
+        rb"(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+")
+_PAIR = rb"\[%s%s%s,%s%s%s\]" % (_WS, _NUM, _WS, _WS, _NUM, _WS)
+_MATRIX_START = re.compile(rb"\[%s\[%s\[" % (_WS, _WS))
+# one row of [re, im] pairs and the "," or "]" after it
+_ROW = re.compile(rb"%s\[%s%s(?:%s,%s%s)*+%s\]%s([,\]])"
+                  % (_WS, _WS, _PAIR, _WS, _WS, _PAIR, _WS, _WS))
+_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
+def _square_span(text: bytes, start: int):
+    """(end, n) of the n x n array of [re, im] number pairs that opens at
+    ``text[start]``, or None when the text there is not one."""
+    pos, n, width = start + 1, 0, None
+    while True:
+        row = _ROW.match(text, pos)
+        if row is None:
+            return None
+        pairs = text.count(b"[", row.start(), row.end()) - 1
+        if width is None:
+            width = pairs
+        elif pairs != width:
+            return None
+        n, pos = n + 1, row.end()
+        if row.group(1) == b"]":
+            return (pos, n) if n == width else None
+
+
+def _loads(source):
+    """``json.loads(source)``, except that each ``family.terms[i].matrix``
+    of a family the config's kind reads is a float (n, n, 2) array when the
+    text is UTF-8."""
+    if isinstance(source, str):
+        text = source.encode("utf-8", "surrogatepass")
+    elif json.detect_encoding(source) == "utf-8":
+        text = source
+    else:
+        return json.loads(source)
+    spans, pos = [], 0
+    while (opening := _MATRIX_START.search(text, pos)) is not None:
+        span = _square_span(text, opening.start())
+        if span is None:
+            return json.loads(source)
+        spans.append((opening.start(), *span))
+        pos = span[0]
+    if not spans:
+        return json.loads(source)
+    marks = [f"@{i}" for i in range(len(spans))]
+    pieces, pos = [], 0
+    for mark, (start, end, _) in zip(marks, spans):
+        pieces += (text[pos:start], f'"{mark}"'.encode())
+        pos = end
+    pieces.append(text[pos:])
+    rest = b"".join(pieces)
+    # with no escapes and no other '"@' in the text, only a placeholder reads as a mark
+    if b"\\" in rest or rest.count(b'"@') != len(marks):
+        return json.loads(source)
+    try:
+        cfg = json.loads(rest.decode("utf-8", "surrogatepass"))
+        terms = cfg["family"]["terms"]
+        landed = ([t["matrix"] for t in terms] == marks and cfg["kind"] in _KINDS
+                  and _reads_family(cfg))
+    except (ValueError, KeyError, TypeError):
+        landed = False
+    if not landed:
+        return json.loads(source)
+    for term, (start, end, n) in zip(terms, spans):
+        term["matrix"] = np.fromstring(text[start:end].translate(_BRACKETS),
+                                       sep=",").reshape(n, n, 2)
+    return cfg
+
+
 def parse_config(source, *, strict: bool = True) -> dict:
     """Validate a scenario config given as JSON text or a dict.
 
@@ -332,28 +409,32 @@ def parse_config(source, *, strict: bool = True) -> dict:
     field (and the line/column for JSON syntax problems), as does a dict
     holding a value JSON cannot hold, such as a numpy scalar.
     """
-    return _parse(source, strict)[0]
+    cfg = _parse(source, strict)[0]
+    for term in cfg["family"]["terms"] if _reads_family(cfg) else ():
+        if isinstance(term["matrix"], np.ndarray):
+            term["matrix"] = term["matrix"].tolist()
+    return cfg
 
 
 def _parse(source, strict: bool):
     """:func:`parse_config`, which also returns the family's term matrices
     as the config rules converted and checked them (empty when the kind reads
-    no family)."""
-    if isinstance(source, (bytes, str)):
+    no family); the config holds each term matrix it read from text as the
+    float (n, n, 2) array of :func:`_loads`."""
+    if isinstance(source, dict):
         try:
-            cfg = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc.msg}", line=exc.lineno,
-                              column=exc.colno) from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config is not UTF-8 JSON text: {exc}") from None
-    elif isinstance(source, dict):
-        try:
-            cfg = json.loads(json.dumps(source))
+            source = json.dumps(source)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config is not JSON data: {exc}") from None
-    else:
+    if not isinstance(source, (bytes, str)):
         _err(f"config must be a JSON object, got {type(source).__name__}")
+    try:
+        cfg = _loads(source)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc.msg}", line=exc.lineno,
+                          column=exc.colno) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 JSON text: {exc}") from None
     if not isinstance(cfg, dict):
         _err("config must be a JSON object")
 
@@ -745,19 +826,6 @@ def _run(cfg: dict, fam: MatrixPolynomialFamily | None, out_dir: str, seed: int 
     return report
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Turn the cyclic garbage collector off for the block, then back to
-    the state it was in."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="adiaframe",
@@ -772,19 +840,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        # a 400-level family parses into about a million lists and floats,
-        # none of which can form a cycle; the collector would walk them over
-        # and over while they are built, so it sleeps until they are gone
-        with _collector_paused():
-            with open(args.config, "rb") as fh:
-                cfg, mats = _parse(fh.read(), args.strict)
-            fam = _build_family(cfg, mats) if _reads_family(cfg) else None
-            del mats                # the family holds its own stack of them,
-            if fam is not None:     # which _config_digest hashes: drop the lists
-                for term in cfg["family"]["terms"]:
-                    del term["matrix"]
+        with open(args.config, "rb") as fh:
+            cfg, mats = _parse(fh.read(), args.strict)
+        fam = _build_family(cfg, mats) if _reads_family(cfg) else None
+        del mats                    # the family holds its own stack of them
         report = _run(cfg, fam, args.out, args.seed)
-    except (AdiaframeError, OSError) as exc:
+    except (AdiaframeError, OSError, MemoryError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload, sort_keys=True))
         return 2

@@ -855,6 +855,9 @@ def time_averaged_diabatic_force(fam: HamiltonianFamily, path, duration: float,
     """
     if not (np.isfinite(scale) and scale > 0.0):
         raise ValidationError(f"velocity scale must be positive and finite, got {scale}")
+    if not n_steps / scale < 2 ** 63:
+        raise ValidationError(f"velocity scale {scale} is too small: the retraced path "
+                              f"would take {n_steps / scale:.3g} steps")
     times = _node_times(duration / scale, max(1, round(n_steps / scale)))
     xs, vs = _path_nodes(fam, path, scale * times)
     traj = _drive(fam, state0, times, xs, scale * vs, 1, {})

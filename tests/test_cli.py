@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adiaframe import SternGerlachConfig, random_linear_family
+from adiaframe import QuantumState, SternGerlachConfig, random_linear_family, sample_branch_counts
 from adiaframe.cli import _config_digest, main, parse_config, run_scenario
 from adiaframe.errors import ConfigError
 
@@ -54,6 +54,22 @@ def friction_config():
         "run": {"duration": 0.2, "steps": 2500, "record_every": 250},
         "friction": {"constant": [[0.01]]},
     }
+
+
+def sg_mean_force_config():
+    return sg_config(mode="mean_force", stern_gerlach={"steps": 100, "record_every": 10})
+
+
+def family_mean_force_config():
+    cfg = dict(friction_config(), mode="mean_force")
+    del cfg["friction"]
+    return cfg
+
+
+def family_sampled_config():
+    cfg = dict(friction_config(), mode="sampled", seed=5, n_samples=400)
+    del cfg["friction"]
+    return cfg
 
 
 def random_state_config():
@@ -250,6 +266,33 @@ class TestParseConfig:
                 parse_config(source)
             assert exc.value.field == f"{block}.{name}"
 
+    @pytest.mark.parametrize("make, block, name, value", [
+        (sg_config, "stern_gerlach", "steps", 10 ** 400),
+        (sg_config, "stern_gerlach", "n_samples", 2 ** 63),
+        (driven_config, "drive", "steps", 2 ** 63),
+        (thermo_config, "thermo", "n_grid", 2 ** 64),
+        (audit_config, None, "n_samples", 2 ** 63),
+        (sg_config, None, "seed", 10 ** 400),
+    ])
+    def test_integer_outside_int64_named(self, make, block, name, value):
+        cfg = make()
+        (cfg.setdefault(block, {}) if block else cfg)[name] = value
+        field = f"{block}.{name}" if block else name
+        for source in (cfg, json.dumps(cfg)):
+            with pytest.raises(ConfigError, match="2\\*\\*63") as exc:
+                parse_config(source)
+            assert exc.value.field == field
+        (cfg[block] if block else cfg)[name] = 2 ** 63 - 1     # the largest int64 passes
+        parse_config(cfg)
+
+    @pytest.mark.parametrize("exponent", [10 ** 400, 2 ** 63, -1])
+    def test_exponent_outside_int64_named(self, exponent):
+        cfg = kubo_config()
+        cfg["family"]["terms"][2]["exponents"] = [0, exponent]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert exc.value.field == "family.terms[2].exponents"
+
     def test_state_needs_exactly_one_form(self):
         cfg = driven_config()
         cfg["state"] = {"amplitudes": [[1.0, 0.0], [0.0, 0.0]],
@@ -335,6 +378,12 @@ class TestConfigDigest:
                          "3b7460a2a9941e7e450420b0c6d46278d2cafa95c3abfaadfe247bf1bfe6796c"),
         "failing_thermo": (failing_thermo_config,
                            "4f25a92b8c7c4bf8713d977e2e0440efc6ed9d749b6354699a1f2ca572a0093c"),
+        "sg_mean_force": (sg_mean_force_config,
+                          "70e2be05dcf4dc028177383347e4f9eeec6a39aa1d49dabd2ea0f72b6c19a76a"),
+        "family_mean_force": (family_mean_force_config,
+                              "ea77e91dcdb13555d12287dee31d2cf371b7767b17bb2e773493eeafb74d8875"),
+        "family_sampled": (family_sampled_config,
+                           "2d1b9ac7925f3cc83a33f2dab0421816ef8c95579ec7fc2e79ad9905cdf6e0a6"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -403,6 +452,30 @@ class TestRunScenario:
         assert "pop_0" in cols and "s_info" in cols and "q_cum" in cols
         on_disk = json.loads((tmp_path / "report.json").read_text())
         assert on_disk == report
+
+    @pytest.mark.parametrize("make", [sg_mean_force_config, family_mean_force_config])
+    def test_mean_force_mode(self, tmp_path, make):
+        cfg = parse_config(make())
+        report = run_scenario(cfg, str(tmp_path))
+        assert report["all_passed"]
+        assert report["outputs"] == ["series.csv"]
+        assert [c["name"] for c in report["checks"]] == ["ledger_closure"]
+        assert report["summary"]["mode"] == "mean_force"
+        final = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1)[-1]
+        n = len(report["summary"]["final_position"])
+        assert report["summary"]["final_position"] == list(final[1:1 + n])
+
+    def test_custom_family_sampled(self, tmp_path):
+        cfg = parse_config(family_sampled_config())
+        report = run_scenario(cfg, str(tmp_path))
+        assert report["all_passed"]
+        assert report["outputs"] == ["series_branch_0.csv", "series_branch_1.csv"]
+        summary = report["summary"]
+        assert summary["weights"] == [0.4, 0.6]
+        assert sum(summary["counts"]) == 400
+        # the counts are the package's Born sampling of the config's state with its seed
+        counts = sample_branch_counts(QuantumState(rho=np.diag([0.4, 0.6]).astype(complex)), 400, 5)
+        assert summary["counts"] == [int(counts[0]), int(counts[1])]
 
     def test_driven_with_velocity_scales(self, tmp_path):
         cfg = parse_config(driven_config(velocity_scales=[1.0, 0.5]))
@@ -494,10 +567,12 @@ class TestMain:
         assert rc == 0
         assert convert.call_count == rule.call_count == 3      # one per term
         assert family.call_count == 0
+        # each from the float array read out of the config text, not from lists
+        assert all(type(c.args[0]) is np.ndarray for c in convert.call_args_list)
 
     def test_converted_matrices_freed_before_the_run(self, tmp_path):
-        # the family stacks its own copy; neither the converted matrices nor
-        # the parsed lists they came from may outlive it
+        # the family stacks its own copy of the converted matrices, which may
+        # not outlive it; the config keeps the float arrays read from the text
         import weakref
         from adiaframe import cli
 
@@ -518,7 +593,8 @@ class TestMain:
         (alive, cfg), = seen
         assert len(refs) == 3 and alive == 0
         terms = cfg["family"]["terms"]
-        assert [sorted(t) for t in terms] == [["exponents"]] * 3
+        assert [sorted(t) for t in terms] == [["exponents", "matrix"]] * 3
+        assert all(t["matrix"].dtype == float and t["matrix"].shape == (2, 2, 2) for t in terms)
         assert all(isinstance(p, int) for t in terms for p in t["exponents"])
         # the digest of the lists, from a family built apart from main's
         report = json.loads((tmp_path / "report.json").read_text())
@@ -530,26 +606,6 @@ class TestMain:
         enabled = gc.isenabled()
         yield
         (gc.enable if enabled else gc.disable)()
-
-    def test_collector_off_while_the_family_is_built(self, tmp_path, collector):
-        from adiaframe import cli
-
-        states = {}
-
-        def record(name, fn):
-            def call(*args):
-                states[name] = gc.isenabled()
-                return fn(*args)
-            return call
-
-        gc.enable()
-        with mock.patch("adiaframe.cli._parse", wraps=record("parse", cli._parse)), \
-                mock.patch("adiaframe.cli._build_family",
-                           wraps=record("build", cli._build_family)), \
-                mock.patch("adiaframe.cli._run", wraps=record("run", cli._run)):
-            assert main(["--config", self.write(tmp_path, kubo_config()),
-                         "--out", str(tmp_path), "--quiet"]) == 0
-        assert states == {"parse": False, "build": False, "run": True}
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("content, reason", [
@@ -564,6 +620,7 @@ class TestMain:
     ], ids=["success", "invalid_json", "non_hermitian", "non_utf8", "missing_file"])
     def test_collector_state_restored(self, tmp_path, capsys, collector, content, reason,
                                       enabled):
+        # main leaves the cyclic garbage collector as it found it
         path = tmp_path / "config.json"
         if content is not None:
             path.write_bytes(content)
@@ -575,6 +632,14 @@ class TestMain:
         else:
             payload = json.loads(capsys.readouterr().out)
             assert rc == 2 and reason in f"{payload['error']}: {payload['message']}"
+
+    def test_memory_error_exit_two(self, tmp_path, capsys):
+        # a size inside int64 can still be more than the machine holds
+        with mock.patch("adiaframe.cli._run", side_effect=MemoryError("Unable to allocate")):
+            rc = main(["--config", self.write(tmp_path, thermo_config()), "--out", str(tmp_path)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "MemoryError",
+                                                       "message": "Unable to allocate"}
 
     @pytest.mark.parametrize("content", [b'{"kind": "\xff"}', b"\xff\xfe{"])
     def test_non_utf8_config_exit_two(self, tmp_path, capsys, content):

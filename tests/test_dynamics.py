@@ -634,6 +634,13 @@ class TestAveragedDiabaticForce:
                 for s in (1.0, 0.5)]
         assert vals[0] > vals[1] > 0.0
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-320, 5e-324])
+    def test_scale_too_small_named(self, scale):
+        # n_steps / scale overflows to inf; the retraced run cannot be built
+        with pytest.raises(ValidationError, match=r"^velocity scale \S+ is too small"):
+            time_averaged_diabatic_force(rotating_field_family(), uniform_drive([0.0], [1.0]), 1.0,
+                                         10, QuantumState.pure(0, 2), scale=scale)
+
     def test_scale_positive(self):
         fam = rotating_field_family()
         with pytest.raises(ValidationError):

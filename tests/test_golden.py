@@ -57,6 +57,15 @@ PINNED = {
         "curve.csv": "65e1bb494791cca5f08777975ae38ce01e0c167937ca38941c26b34474fede57",
         "report.json": "f604c50a70c3be73e6a599496e97f1b31158f68bf397cfd2b5f04b54cdd06ba6",
     },
+    "family_mean_force": {
+        "report.json": "0507d8b5749eed36d4bff122dc1e87ca47985ffcac37b5464ebb24711d0891ff",
+        "series.csv": "d519edd024a5e18389b2cead72f650f6c6bc25e2a2c6d5a9da32a31bbfbf13d7",
+    },
+    "family_sampled": {
+        "report.json": "846debc6c02c70d729f81a1f26a1fcc80bfc03bb5168aa0651dc93e42c68e77a",
+        "series_branch_0.csv": "7d08f887a7d5cc629f703332f8cecc45ea58e8a7191923d53f13e2c63f73f4df",
+        "series_branch_1.csv": "b28afca690abf51c67417ec9e113a719f93f1008a01c696d516ad99b2fa8f7cd",
+    },
     "friction": {
         "report.json": "d82876a318a1e3952988683e97c7ac788aff2da89295aefa86e4ddd43beec469",
         "series_branch_0.csv": "733861a0b94b5c837e853d8a191a7e3e3ccde0ca1f2572173337bdc138e0dbec",
@@ -79,6 +88,10 @@ PINNED = {
         "report.json": "fd9b8723f196c305156453d5e252639929206d1f6796b54296a8babdb769ad2a",
         "series_branch_minus.csv": "0cfdf0393a2bedb28682b36f4406d73a1f3c3645d30a245d398894fb12b1cd81",
         "series_branch_plus.csv": "ee3b8586f919b3d5dd62b2dcd445fb24cf2cb71aa5b57c426832172052595733",
+    },
+    "sg_mean_force": {
+        "report.json": "f80dd0f863ab8ba188c85fee3e64328222d4f488b9bd9c41d792aa69a5b96dd0",
+        "series.csv": "04ea2560de2b282eb6a5192976f70d93ec1d306844e6d5b34aa642e037c98440",
     },
     "thermo": {
         "curve.csv": "0cbab4346ccf5edd7b731b4ecf91781746e6c3ae9181b8929ab6fd047d427c93",
