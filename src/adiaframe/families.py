@@ -33,9 +33,7 @@ class MatrixPolynomialFamily(HamiltonianFamily):
 
     ``terms`` is a sequence of ``(exponents, matrix)`` pairs; every exponent
     tuple must have one nonnegative integer per coordinate.  The gradient is
-    analytic (term-by-term differentiation of the monomials).  H and its
-    gradient have one implementation each, on a stack of configurations;
-    :meth:`evaluate` and :meth:`gradient` are its one-row case.
+    analytic (term-by-term differentiation of the monomials).
     """
 
     def __init__(self, terms, fd_step=1e-5):
@@ -72,12 +70,6 @@ class MatrixPolynomialFamily(HamiltonianFamily):
         self._exps = np.array([exps for exps, _ in terms])
         self._mats = np.array([mat for _, mat in terms])
         self.terms = [(exps, mat) for (exps, _), mat in zip(terms, self._mats)]
-
-    def evaluate(self, x):
-        return self.evaluate_many(self.coerce_x(x)[None])[0]
-
-    def gradient(self, x):
-        return self.gradient_many(self.coerce_x(x)[None])[0]
 
     def evaluate_many(self, xs):
         xs = self._coerce_xs(xs)

@@ -70,17 +70,18 @@ __all__ = [
 
 
 def _central_difference(f, x, steps) -> np.ndarray:
-    """(f(x + h e_k) - f(x - h e_k)) / 2h for each coordinate k, h = ``steps[k]``."""
-    e = np.eye(len(x))
-    return np.array([(f(x + h * e[k]) - f(x - h * e[k])) / (2.0 * h) for k, h in enumerate(steps)])
+    """(f(x + h e_k) - f(x - h e_k)) / 2h for each k, h = ``steps[k]``, at x or each row of x."""
+    e = np.eye(x.shape[-1])
+    return np.stack([(f(x + h * e[k]) - f(x - h * e[k])) / (2.0 * h) for k, h in enumerate(steps)],
+                    axis=x.ndim - 1)
 
 
 class HamiltonianFamily:
-    """Base class for x -> H(x) maps with an optional analytic gradient.
+    """Base class for x -> H(x) maps, written on stacks of configurations.
 
-    Subclasses must implement :meth:`evaluate`; :meth:`gradient` falls back
-    to central finite differences with step ``fd_step`` (scalar or one entry
-    per coordinate).
+    Subclasses implement :meth:`evaluate_many`, and :meth:`gradient_many` where it is
+    analytic; the default takes central differences on the whole stack with step ``fd_step``
+    (scalar or per coordinate).  :meth:`evaluate` and :meth:`gradient` are the one-row case.
     """
 
     def __init__(self, n_coords: int, dim: int, fd_step=1e-5):
@@ -108,39 +109,39 @@ class HamiltonianFamily:
         return xs
 
     def evaluate(self, x) -> np.ndarray:
-        raise NotImplementedError
+        """H(x), shape (dim, dim)."""
+        return self.evaluate_many(self.coerce_x(x)[None])[0]
 
     def gradient(self, x) -> np.ndarray:
         """dH/dx^k for each coordinate, shape (n_coords, dim, dim)."""
-        return _central_difference(lambda y: np.asarray(self.evaluate(y), dtype=complex),
-                                   self.coerce_x(x), self.fd_step)
+        return self.gradient_many(self.coerce_x(x)[None])[0]
 
     def evaluate_many(self, xs) -> np.ndarray:
         """H at each row of ``xs`` (shape (t, n_coords)), shape (t, dim, dim)."""
-        return np.array([self.evaluate(x) for x in xs], dtype=complex)
+        raise NotImplementedError
 
     def gradient_many(self, xs) -> np.ndarray:
         """dH/dx^k at each row of ``xs``, shape (t, n_coords, dim, dim)."""
-        return np.array([self.gradient(x) for x in xs], dtype=complex)
+        return _central_difference(self.evaluate_many, self._coerce_xs(xs), self.fd_step)
 
 
 class CallableFamily(HamiltonianFamily):
-    """Family defined by plain callables H(x) and optionally dH(x)."""
+    """Family defined by plain callables H(x) and optionally dH(x), called row by row."""
 
     def __init__(self, n_coords, dim, func, grad=None, fd_step=1e-5):
         super().__init__(n_coords, dim, fd_step)
         self._func = func
         self._grad = grad
 
-    def evaluate(self, x):
-        return np.asarray(self._func(self.coerce_x(x)), dtype=complex)
+    def evaluate_many(self, xs):
+        return np.array([self._func(x) for x in self._coerce_xs(xs)], dtype=complex)
 
-    def gradient(self, x):
+    def gradient_many(self, xs):
         if self._grad is None:
-            return super().gradient(x)
-        g = np.asarray(self._grad(self.coerce_x(x)), dtype=complex)
-        if g.shape != (self.n_coords, self.dim, self.dim):
-            raise ValidationError(f"gradient callable returned shape {g.shape}")
+            return super().gradient_many(xs)
+        g = np.array([self._grad(x) for x in self._coerce_xs(xs)], dtype=complex)
+        if g.shape[1:] != (self.n_coords, self.dim, self.dim):
+            raise ValidationError(f"gradient callable returned shape {g.shape[1:]}")
         return g
 
 

@@ -14,7 +14,7 @@ are parabolas in z while drifting along y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,9 +54,13 @@ class SternGerlachConfig:
             raise ValidationError("mass must be positive")
 
     def field_at(self, r) -> np.ndarray:
+        """B(r) at a point r, or at each row of a stack of points (trailing axis of 3)."""
         r = np.asarray(r, dtype=float)
         g, b0 = self.field_gradient, self.field_strength
-        return np.array([-g * r[0], 0.0, b0 + g * r[2]])
+        b = np.zeros(r.shape[:-1] + (3,))
+        b[..., 0] = -g * r[..., 0]
+        b[..., 2] = b0 + g * r[..., 2]
+        return b
 
     def field_grad_at(self, r) -> np.ndarray:
         """d B_c / d r^k indexed as [k, c]; constant for this field."""
@@ -68,40 +72,25 @@ class SternGerlachConfig:
 
 
 def sg_hamiltonian(b_vec, gamma: float = 1.0) -> np.ndarray:
-    """Zeeman coupling -(hbar * gamma / 2) B . sigma."""
+    """Zeeman coupling -(hbar * gamma / 2) B . sigma of a field vector or a stack of them."""
     b_vec = np.asarray(b_vec, dtype=float)
-    if b_vec.shape != (3,):
-        raise ValidationError(f"field vector must have shape (3,), got {b_vec.shape}")
-    return (-0.5 * HBAR * gamma) * np.einsum("c,cij->ij", b_vec, _PAULIS)
+    if b_vec.shape[-1:] != (3,):
+        raise ValidationError(f"field vector must have a trailing axis of 3, got shape {b_vec.shape}")
+    return (-0.5 * HBAR * gamma) * np.einsum("...c,cij->...ij", b_vec, _PAULIS)
 
 
 class _SternGerlachFamily(HamiltonianFamily):
-    """H(r) = -(hbar * gamma / 2) B(r) . sigma over the beam coordinates
-    (x, y, z), with the field of ``config`` as it is at construction.
-
-    H has one implementation, on a stack of configurations, and the
-    gradient is constant for this field, so it is built once;
-    :meth:`evaluate` and :meth:`gradient` are the one-row case.
-    """
+    """H(r) = :func:`sg_hamiltonian` of the field of a copy of ``config``
+    taken at construction, over the beam coordinates (x, y, z) and on stacks
+    of them; the gradient is constant for this field, so it is built once."""
 
     def __init__(self, config: SternGerlachConfig):
         super().__init__(3, 2)
-        self._g, self._b0 = config.field_gradient, config.field_strength
-        self._coupling = -0.5 * HBAR * config.gamma
-        self._grad = self._coupling * np.einsum("kc,cij->kij", config.field_grad_at(None), _PAULIS)
-
-    def evaluate(self, x):
-        return self.evaluate_many(self.coerce_x(x)[None])[0]
-
-    def gradient(self, x):
-        return self.gradient_many(self.coerce_x(x)[None])[0]
+        self._config = replace(config)
+        self._grad = sg_hamiltonian(config.field_grad_at(None), config.gamma)
 
     def evaluate_many(self, xs):
-        xs = self._coerce_xs(xs)
-        b = np.zeros((len(xs), 3))          # B = (-g x, 0, B0 + g z) at each row
-        b[:, 0] = -self._g * xs[:, 0]
-        b[:, 2] = self._b0 + self._g * xs[:, 2]
-        return self._coupling * np.einsum("tc,cij->tij", b, _PAULIS)
+        return sg_hamiltonian(self._config.field_at(self._coerce_xs(xs)), self._config.gamma)
 
     def gradient_many(self, xs):
         return np.repeat(self._grad[None], len(self._coerce_xs(xs)), axis=0)

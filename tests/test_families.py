@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adiaframe import (CallableFamily, MatrixPolynomialFamily, QuantumState,
+from adiaframe import (CallableFamily, HamiltonianFamily, MatrixPolynomialFamily, QuantumState,
                        avoided_crossing_family, run_driven, uniform_drive)
 from adiaframe.errors import ValidationError
 from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z, gue
@@ -74,6 +74,30 @@ class TestBatchedEvaluation:
     def test_callable_family_finite_difference_gradient(self):
         fam = CallableFamily(1, 2, lambda x: np.cos(x[0]) * PAULI_Z + np.sin(x[0]) * PAULI_X)
         assert_matches_per_point(fam, POINTS[:, :1])
+
+    def test_default_gradient_is_central_differences_on_every_row(self):
+        # (f(x + h e_k) - f(x - h e_k)) / 2h written out point by point
+        def f(x):
+            return np.cos(x[0]) * PAULI_Z + np.sin(x[0] * x[1]) * PAULI_X + x[1] ** 3 * PAULI_Y
+
+        fam = CallableFamily(2, 2, f, fd_step=[1e-3, 2e-4])
+        expected = np.array([[(f(x + h * e) - f(x - h * e)) / (2.0 * h)
+                              for h, e in zip(fam.fd_step, np.eye(2))] for x in POINTS])
+        assert np.array_equal(fam.gradient_many(POINTS), expected)
+        assert np.array_equal(fam.gradient(POINTS[1]), expected[1])
+
+    def test_every_family_is_written_on_stacks(self):
+        # evaluate and gradient are the base class's one-row case, never redefined
+        classes, todo = [], [HamiltonianFamily]
+        while todo:
+            subs = todo.pop().__subclasses__()
+            classes += [cls for cls in subs if cls.__module__.startswith("adiaframe.")]
+            todo += subs
+        assert {cls.__name__ for cls in classes} >= {"CallableFamily", "MatrixPolynomialFamily",
+                                                     "_SternGerlachFamily"}
+        for cls in classes:
+            assert "evaluate_many" in vars(cls), cls
+            assert "evaluate" not in vars(cls) and "gradient" not in vars(cls), cls
 
     def test_polynomial_rejects_wrong_shape(self):
         with pytest.raises(ValidationError):

@@ -78,6 +78,36 @@ class TestStackedFamily:
             assert h.tobytes() == expected.tobytes() == fam.evaluate(r).tobytes()
             assert g.tobytes() == grad.tobytes() == fam.gradient(r).tobytes()
 
+    def test_stack_is_one_coupling_of_the_field_of_its_rows(self):
+        # B(r) and the Zeeman coupling are written once: the family calls
+        # field_at and sg_hamiltonian on its whole stack
+        cfg = self.CFG
+        fam = sg_family(cfg)
+        with mock.patch("adiaframe.stern_gerlach.sg_hamiltonian", wraps=sg_hamiltonian) as coupling, \
+                mock.patch.object(SternGerlachConfig, "field_at", autospec=True,
+                                  side_effect=SternGerlachConfig.field_at) as field:
+            hs = fam.evaluate_many(self.POINTS)
+        assert field.call_count == 1 and coupling.call_count == 1
+        assert np.array_equal(field.call_args.args[1], self.POINTS)
+        b, gamma = coupling.call_args.args
+        assert b.tobytes() == cfg.field_at(self.POINTS).tobytes() and gamma == cfg.gamma
+        assert hs.tobytes() == sg_hamiltonian(b, gamma).tobytes()
+
+    def test_field_and_coupling_take_stacks(self):
+        cfg = self.CFG
+        b = cfg.field_at(self.POINTS.reshape(7, 1, 3))
+        assert b.shape == (7, 1, 3)
+        assert b[:, 0].tobytes() == np.array([cfg.field_at(r) for r in self.POINTS]).tobytes()
+        assert sg_hamiltonian(b, cfg.gamma).shape == (7, 1, 2, 2)
+
+    def test_family_keeps_the_config_of_its_construction(self):
+        cfg = SternGerlachConfig(gamma=1.3, field_strength=0.9, field_gradient=0.4)
+        fam = sg_family(cfg)
+        hs, gs = fam.evaluate_many(self.POINTS), fam.gradient_many(self.POINTS)
+        cfg.gamma, cfg.field_strength, cfg.field_gradient = 2.0, 0.1, 3.0
+        assert np.array_equal(fam.evaluate_many(self.POINTS), hs)
+        assert np.array_equal(fam.gradient_many(self.POINTS), gs)
+
     def test_gradient_is_a_fresh_writable_array(self):
         fam = sg_family(self.CFG)
         g = fam.gradient(self.POINTS[0])
