@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (ApparatusState, DynamicsScenario, FrictionSpec,
-                       QuantumState, run_branching, run_driven, run_mean_force,
+                       QuantumState, _require_dissipative, run_branching, run_driven, run_mean_force,
                        sample_branch_counts, time_averaged_diabatic_force,
                        uniform_drive)
 from .entropy import (ProjectorFamily, entropy_delta, entropy_series, project,
@@ -140,6 +140,14 @@ def _square(n):
         if _floats(val, path).shape != (m, m):
             _err(f"expected a {m} x {m} matrix", path)
     return rule
+
+
+def _friction(val, path, root):
+    _square("coords")(val, path, root)
+    try:
+        _require_dissipative(_floats(val, path))
+    except ValidationError as exc:
+        _err(str(exc), path)
 
 
 def _mass(val, path, root):
@@ -259,7 +267,7 @@ _TABLES = {
         "apparatus": ({"x0": (_vector("coords"), _REQUIRED),
                        "v0": (_vector("coords"), _REQUIRED), "mass": (_mass, 1.0)}, None),
         "run": (_RUN, None), "state": _STATE,
-        "friction": ({"constant": (_square("coords"), _REQUIRED)}, None)},
+        "friction": ({"constant": (_friction, _REQUIRED)}, None)},
     "thermo_curve": {**_COMMON, "family": _FAMILY, "thermo": ({
         "x": (_vector("coords"), _REQUIRED), "sigma": (_number(positive=True), _REQUIRED),
         "e_min": (_number(), _REQUIRED), "e_max": (_number(), _REQUIRED),
@@ -498,18 +506,12 @@ def _present(block: dict, *names) -> dict:
 # output helpers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def _write_trajectory(path, traj):

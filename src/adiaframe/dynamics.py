@@ -10,7 +10,8 @@ come from the one frame kernel of :mod:`adiaframe.frames`, with gauge
 continuity along the path.  The apparatus moves with a velocity-Verlet
 step that supports a configuration-dependent mass metric and a friction
 force -Gamma v (both velocity couplings are resolved by a fixed-point
-corrector on the kick).  Every run steps on the kernel's arrays, not on
+corrector on the closing kick; the opening kick is explicit, so the step
+stays second order).  Every run steps on the kernel's arrays, not on
 frame objects: driven runs take all half-step nodes in one call, mean-force
 runs one call per step on its midpoint and end, and branching runs step
 every branch in lockstep, one call per step in the kernel's per-row
@@ -45,7 +46,7 @@ import numpy as np
 from .errors import StepSizeError, ValidationError
 from .frames import (HamiltonianFamily, _central_difference, _connections, _force_split,
                      _frame_kernel, _generator)
-from .operators import hermitize, require_square
+from .operators import _eigh, hermitize, require_square
 from .tolerances import active_profile
 from .units import HBAR
 
@@ -222,7 +223,9 @@ class FrictionSpec:
     """Velocity-linear dissipative force -Gamma(x) v on the apparatus.
 
     ``gamma`` is a constant tensor or a callable x -> tensor; a run without
-    friction takes ``friction=None`` instead.
+    friction takes ``friction=None`` instead.  A scenario checks that a
+    constant Gamma dissipates (:func:`_require_dissipative`); a callable
+    Gamma is not checked.
     """
 
     gamma: object
@@ -243,6 +246,17 @@ class FrictionSpec:
                 return np.array([self.gamma_at(xb) for xb in x])
             return np.asarray(self.gamma(np.asarray(x, dtype=float)), dtype=float)
         return np.asarray(self.gamma, dtype=float)
+
+
+def _require_dissipative(gamma) -> None:
+    """Raise unless the symmetric part of the constant tensor ``gamma`` is
+    positive semidefinite, within ``friction_diagonal_floor`` times max |Gamma|.
+    Only that part does work, -v.Gamma.v; an antisymmetric part is allowed."""
+    gamma = np.asarray(gamma, dtype=float)
+    lowest = _eigh((0.5 * (gamma + gamma.T))[None], vectors=False)[0][0, 0]
+    if not lowest >= -active_profile().friction_diagonal_floor * np.abs(gamma).max():
+        raise ValidationError(f"friction tensor is not dissipative: its symmetric part has "
+                              f"eigenvalue {lowest:.6g}")
 
 
 @dataclass(frozen=True)
@@ -337,10 +351,11 @@ class DynamicsScenario:
         if self.apparatus.n_coords != self.family.n_coords:
             raise ValidationError("apparatus and family disagree on the number of coordinates")
         n = self.apparatus.n_coords
-        if (self.friction is not None and not callable(self.friction.gamma)
-                and np.shape(self.friction.gamma) != (n, n)):
-            raise ValidationError(f"friction tensor has shape {np.shape(self.friction.gamma)}, "
-                                  f"but the apparatus has {n} coordinate(s)")
+        if self.friction is not None and not callable(self.friction.gamma):
+            if np.shape(self.friction.gamma) != (n, n):
+                raise ValidationError(f"friction tensor has shape {np.shape(self.friction.gamma)}, "
+                                      f"but the apparatus has {n} coordinate(s)")
+            _require_dissipative(self.friction.gamma)
         if self.state.dim != self.family.dim:
             raise ValidationError("quantum state and family disagree on the Hilbert dimension")
 
@@ -567,13 +582,16 @@ def _acceleration(app: ApparatusState, x, cons_force, friction: FrictionSpec | N
     return accel
 
 
-def _kick(app: ApparatusState, x, v_start, cons_force, friction, half_dt):
-    """v_start + half_dt * a(x, v) at each row, solved to a fixed point when a
-    depends on v; each row stops at the iterate where it converges."""
+def _kick(app: ApparatusState, x, v_start, cons_force, friction, half_dt, implicit=True):
+    """v_start + half_dt * a(x, v) at each row.  The opening kick of a step
+    (``implicit=False``) takes a at v_start; the closing kick solves for v to
+    a fixed point when a depends on v, each row stopping at the iterate where
+    it converges.  An explicit half step composed with its implicit adjoint
+    keeps the velocity-Verlet step symmetric, so second order in dt."""
     accel = _acceleration(app, x, cons_force, friction)
     rows = slice(None)                  # every row, as views, until one converges
     v = v_start + half_dt * accel(v_start, rows)
-    if friction is None and not callable(app.metric):
+    if not implicit or (friction is None and not callable(app.metric)):
         return v
     for _ in range(60):
         v_rows = v[rows]
@@ -646,7 +664,7 @@ def run_branching(scenario: DynamicsScenario) -> list:
 
     samples = [sample(0)]
     for step in range(1, scenario.n_steps + 1):
-        v_half = _kick(app, x, v, force, friction, 0.5 * dt)
+        v_half = _kick(app, x, v, force, friction, 0.5 * dt, implicit=False)
         x1 = x + dt * v_half
         w1, basis, gad = _frame_kernel(fam, x1, basis)[:3]
         w1, force = _branch_levels(app, x1, w1, gad, levels)
@@ -707,7 +725,7 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
     stages = np.empty((1, 3, fam.dim, fam.dim), dtype=complex)
     cons = cons_force(start, rho, x)
     for step in range(1, scenario.n_steps + 1):
-        v_half = _kick(app, x[None], v[None], cons[None], friction, 0.5 * dt)[0]
+        v_half = _kick(app, x[None], v[None], cons[None], friction, 0.5 * dt, implicit=False)[0]
         xs = np.array([x, x + (0.5 * dt) * v_half, x + dt * v_half])
         vs = np.array([v_half] * 3)
         ahead, basis = nodes(xs[1:], basis)

@@ -135,7 +135,7 @@ class ProjectorFamily:
     def outcome_probabilities(self, rho) -> np.ndarray:
         rho = np.asarray(getattr(rho, "rho", rho), dtype=complex)
         d = rho.diagonal().real if self.basis is None else \
-            np.einsum("ia,ab,ib->i", self.basis.conj(), rho, self.basis).real
+            np.einsum("ai,ab,bi->i", self.basis.conj(), rho, self.basis).real
         return np.array([d[list(b)].sum() for b in self.blocks])
 
 

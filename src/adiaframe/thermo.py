@@ -33,7 +33,7 @@ import numpy as np
 from .dynamics import QuantumState
 from .errors import DomainError, NumericalError, ValidationError
 from .frames import HamiltonianFamily, build_frame
-from .operators import Spectrum, _eigh
+from .operators import _eigh
 from .tolerances import active_profile
 from .units import HBAR, KB
 
@@ -253,17 +253,9 @@ def maxwell_check(fam: HamiltonianFamily, x, e: float, sigma: float, *,
 # canonical ensemble and friction
 
 
-def _eigenvalues_of(spec) -> np.ndarray:
-    if isinstance(spec, Spectrum):
-        return spec.eigenvalues
-    if hasattr(spec, "eigenvalues"):
-        return np.asarray(spec.eigenvalues, dtype=float)
-    return np.asarray(spec, dtype=float).ravel()
-
-
 def canonical_populations(levels, beta: float) -> np.ndarray:
     """Gibbs weights exp(-beta W_j) / Z, overflow-safe for either beta sign."""
-    w = _eigenvalues_of(levels)
+    w = np.asarray(getattr(levels, "eigenvalues", levels), dtype=float).ravel()
     shift = w.min() if beta >= 0.0 else w.max()
     weights = np.exp(-beta * (w - shift))
     return weights / weights.sum()

@@ -675,6 +675,17 @@ class TestMain:
         report = json.loads((tmp_path / "report.json").read_text())
         assert not report["all_passed"]
 
+    def test_strong_friction_closes_the_branch_ledgers(self, tmp_path, capsys):
+        # a second-order velocity-Verlet step closes E against the friction
+        # heat within 1e-7 at gamma = 1 (a first-order step left 6e-6)
+        cfg = friction_config()
+        cfg["friction"]["constant"] = [[1.0]]
+        rc = main(["--config", self.write(tmp_path, cfg), "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        closures = [c for c in report["checks"] if c["name"].startswith("branch_energy_closure")]
+        assert len(closures) == 2 and all(c["passed"] for c in closures)
+
     def test_amplitudes_within_norm_tolerance_run(self, tmp_path):
         cfg = {"kind": "stern_gerlach",
                "stern_gerlach": {"amplitudes": [[1.00000000001, 0.0], [0.0, 0.0]]}}
@@ -721,6 +732,17 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ConfigError"
         assert payload["message"].startswith("config field 'kubo.beta': ")
+        assert not (tmp_path / "out").exists()
+
+    def test_friction_that_feeds_energy_exit_two(self, tmp_path, capsys):
+        cfg = friction_config()
+        cfg["friction"]["constant"] = [[-1.0]]
+        rc = main(["--config", self.write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith("config field 'friction.constant': ")
+        assert "not dissipative" in payload["message"]
         assert not (tmp_path / "out").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):

@@ -432,6 +432,24 @@ class TestBranching:
         damped = run(FrictionSpec.constant(0.5 * np.eye(2)))[0]
         assert damped.extras["friction_heat"][-1] > 0.0
 
+    def test_constant_friction_must_dissipate(self):
+        # only the symmetric part of Gamma does work: it must be positive
+        # semidefinite; a singular one and an antisymmetric part are allowed
+        def scenario(friction, n):
+            app = ApparatusState(x=np.full(n, 0.1), v=np.full(n, 0.3))
+            fam = random_linear_family(2, n, "goe", seed=0)
+            return DynamicsScenario(family=fam, apparatus=app, state=QuantumState.pure(0, 2),
+                                    dt=1e-3, n_steps=10, friction=friction)
+
+        with pytest.raises(ValidationError, match="not dissipative"):
+            scenario(FrictionSpec.constant(-0.5), 1)
+        with pytest.raises(ValidationError, match="not dissipative"):
+            scenario(FrictionSpec.constant([[1.0, 0.0], [0.0, -1e-6]]), 2)
+        for gamma in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [-2.0, 1.0]]):
+            heat = run_branching(scenario(FrictionSpec.constant(gamma), 2))[0].extras["friction_heat"]
+            assert heat[-1] >= 0.0
+        scenario(FrictionSpec(gamma=lambda x: -np.eye(2)), 2)     # a callable Gamma is not checked
+
     def test_position_dependent_metric_energy_drift(self):
         app = ApparatusState(x=[0.8], v=[0.6],
                              metric=lambda x: [[1.0 + 0.5 * np.sin(x[0])]],

@@ -97,6 +97,31 @@ class TestProjectorFamily:
         assert_allclose(fam.outcome_probabilities(rho), [0.2, 0.8])
 
 
+    @pytest.mark.parametrize("make", [lambda u: ProjectorFamily.complete_dephasing(3, basis=u),
+                                      lambda u: ProjectorFamily.two_outcome(3, (0, 2), basis=u)])
+    def test_projectors_in_a_haar_basis(self, make):
+        rng = np.random.default_rng(3)
+        fam = make(haar_unitary(3, rng))
+        ps = [fam.projector(i) for i in range(fam.n_blocks)]
+        for i, p in enumerate(ps):
+            assert_allclose(p, p.conj().T, atol=1e-14)
+            assert_allclose(p @ p, p, atol=1e-14)
+            for q in ps[i + 1:]:
+                assert_allclose(p @ q, 0.0, atol=1e-14)
+        assert_allclose(sum(ps), np.eye(3), atol=1e-14)
+
+    @pytest.mark.parametrize("make", [lambda u: ProjectorFamily.complete_dephasing(3, basis=u),
+                                      lambda u: ProjectorFamily.two_outcome(3, (0, 2), basis=u)])
+    def test_outcome_probabilities_in_a_haar_basis(self, make):
+        # the measured states are the columns of the basis, as in projector(i)
+        rng = np.random.default_rng(3)
+        fam = make(haar_unitary(3, rng))
+        rho = random_density_matrix(3, rng)
+        probs = fam.outcome_probabilities(rho)
+        expected = [np.trace(fam.projector(i) @ rho).real for i in range(fam.n_blocks)]
+        assert_allclose(probs, expected, rtol=0, atol=1e-14)
+        assert_allclose(probs.sum(), 1.0, rtol=0, atol=1e-14)
+
 class TestProject:
     def test_kills_coherences_keeps_populations(self):
         st = QuantumState.from_amplitudes([1.0, 1.0] / np.sqrt(2))

@@ -67,9 +67,9 @@ PINNED = {
         "series_branch_1.csv": "b28afca690abf51c67417ec9e113a719f93f1008a01c696d516ad99b2fa8f7cd",
     },
     "friction": {
-        "report.json": "d82876a318a1e3952988683e97c7ac788aff2da89295aefa86e4ddd43beec469",
-        "series_branch_0.csv": "733861a0b94b5c837e853d8a191a7e3e3ccde0ca1f2572173337bdc138e0dbec",
-        "series_branch_1.csv": "315de1f8dcdef63cc1ec10461d7710950a38d82731ee72c71312cb61953121f6",
+        "report.json": "f9f43bbeb491e47f1b8dbb837658009cb474d42a144957895aa6dbc53c0e113b",
+        "series_branch_0.csv": "5ed9f9567f96d058f3e9ecd850418104897257ecc29d70c0cccf02275919de15",
+        "series_branch_1.csv": "96f1c8a3e71f1109663fc2b4fae64f7dc7593e945096c7c3fb639c6cfc9a2025",
     },
     "kubo": {
         "gamma.csv": "a9ef1f83648fe0a68e72188944611ea1f77c27034fb24598804a5a5868f50225",
@@ -227,14 +227,14 @@ RUNS = {
 }
 
 RUN_PINNED = {
-    "branching_friction": "fcd0c59398e12b76ebb246bf1c4566edd28a5d22be2868a28e91e045fe8ad992",
-    "branching_metric_potential": "4cbf3834a3fbc46f730613e054bbee7c5c73bbef482bd39a3429b973f7d27ff9",
+    "branching_friction": "b4c102274b6e61811c9f09834e3dc154009a7ed1059e8d7f4831e1e97e8697bc",
+    "branching_metric_potential": "53c822c9ef6823db9b6573f36330f11ea55b14b0c3d39939511ec5b3078e8f8b",
     "driven_m2": "42a5dce18d9858676aaa4635c3b51ee3533d8914164283ceb9615a40c6d6be3a",
     "driven_m3": "d1e9ff32d1be93dfc309f779b64df5d26cb86a39eff4ed94c62fa7891590ccde",
     "driven_m5": "910d6313c54f94584a226eac9c80914219ca106b2efd1566da516e25814b8523",
     "frame_path_crossing": "9dd91ef99963cdf9d5e979382f0731440727bb3d54c329854ddaf73a268f42d9",
     "mean_force_crossing": "1a05359b99618f9dc96c75fba0a37333ce7468a9858c5308ffc4bc168718e11a",
-    "mean_force_friction_mass": "baa1d54ac2418dbb8fff0685c369cdb8789c4c5dd8227cda6b8b56ad7c13af25",
+    "mean_force_friction_mass": "a536ad7308e0822efda4cff45b1d7b965705180e8afda656e9a4b0a5948584a0",
     "mean_force_gue8": "d97ead3ac04863ab4bf47fdcb2a4bd3aaef53487f91d4121c5dfd440d4d0ec78",
     "sg_branching": "662740a3b8e36f666255d631f8ae8fdaaaf40ce33a83c5fe95503a75721b94e7",
     "sg_mean_force": "6d9eecef9b1848ab36a1fc3a904813890936faf6eacc8341d8add80c9f3bb12f",

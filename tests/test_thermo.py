@@ -12,6 +12,7 @@ import adiaframe
 from adiaframe import (
     MatrixPolynomialFamily,
     avoided_crossing_family,
+    build_frame,
     canonical_populations,
     canonical_state,
     counting_function,
@@ -177,6 +178,13 @@ class TestCanonical:
         spec = hermitian_eig(np.diag([-1.0, 1.0]).astype(complex))
         assert_allclose(canonical_populations(spec, 0.7),
                         canonical_populations([-1.0, 1.0], 0.7))
+
+    def test_accepts_an_adiabatic_frame(self):
+        # an object with eigenvalues is read through them, bit for bit
+        frame = build_frame(random_linear_family(5, 1, "gue", seed=2), [0.3])
+        for beta in (0.7, -1.3):
+            assert np.array_equal(canonical_populations(frame, beta),
+                                  canonical_populations(frame.eigenvalues, beta))
 
     def test_canonical_state(self):
         st = canonical_state([-1.0, 1.0], 0.7)
