@@ -145,7 +145,7 @@ def _square(n):
 def _friction(val, path, root):
     _square("coords")(val, path, root)
     try:
-        _require_dissipative(_floats(val, path))
+        _require_dissipative(val)
     except ValidationError as exc:
         _err(str(exc), path)
 

@@ -676,8 +676,8 @@ class TestMain:
         assert not report["all_passed"]
 
     def test_strong_friction_closes_the_branch_ledgers(self, tmp_path, capsys):
-        # a second-order velocity-Verlet step closes E against the friction
-        # heat within 1e-7 at gamma = 1 (a first-order step left 6e-6)
+        # at gamma = 1 only a second-order velocity-Verlet step closes E
+        # against the friction heat within 1e-7; a first-order one is off by 6e-6
         cfg = friction_config()
         cfg["friction"]["constant"] = [[1.0]]
         rc = main(["--config", self.write(tmp_path, cfg), "--out", str(tmp_path), "--quiet"])

@@ -448,7 +448,6 @@ class TestBranching:
         for gamma in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [-2.0, 1.0]]):
             heat = run_branching(scenario(FrictionSpec.constant(gamma), 2))[0].extras["friction_heat"]
             assert heat[-1] >= 0.0
-        scenario(FrictionSpec(gamma=lambda x: -np.eye(2)), 2)     # a callable Gamma is not checked
 
     def test_position_dependent_metric_energy_drift(self):
         app = ApparatusState(x=[0.8], v=[0.6],
