@@ -12,10 +12,11 @@ step that supports a configuration-dependent mass metric and a friction
 force -Gamma v (both velocity couplings are resolved by a fixed-point
 corrector on the closing kick; the opening kick is explicit, so the step
 stays second order).  Every run steps on the kernel's arrays, not on
-frame objects: driven runs take all half-step nodes in one call, mean-force
-runs one call per step on its midpoint and end, and branching runs step
-every branch in lockstep, one call per step in the kernel's per-row
-reference mode.
+frame objects: driven runs take the half-step nodes of a block of steps
+in one call (``_DRIVE_BLOCK``), so a run holds the node stacks of one block
+at a time, mean-force runs one call per step on its midpoint and end, and
+branching runs step every branch in lockstep, one call per step in the
+kernel's per-row reference mode.
 
 A driven run takes one of two routes, chosen by the Hilbert dimension m
 alone.  Up to m = 4 (``_TRANSFER_MAX_DIM``) it steps by RK4 transfer maps:
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import StepSizeError, ValidationError
 from .frames import (HamiltonianFamily, _central_difference, _connections, _force_split,
                      _frame_kernel, _generator)
-from .operators import _eigh, hermitize, require_square
+from .operators import _Chain, _eigh, hermitize, require_square
 from .tolerances import active_profile
 from .units import HBAR
 
@@ -372,6 +373,11 @@ _RK4_IMAGINARY_LIMIT = 2.0 * np.sqrt(2.0)
 _TRANSFER_MAX_DIM = 4
 _TRANSFER_CHUNK = 2 ** 13
 
+# A driven run steps its path a block of steps at a time: a multiple of 4
+# steps, at least 4, whose (t, n, m, m) node stacks hold about _DRIVE_BLOCK
+# complex entries each.
+_DRIVE_BLOCK = 2 ** 14
+
 
 def _check_step_size(hs: np.ndarray, dt: float, name: str, points) -> None:
     """Raise StepSizeError where dt passes RK4's stability limit for a generator.
@@ -481,17 +487,19 @@ def _transfer_maps(h, dt):
     return eye + (dt / 6.0) * (lv[:, 0] + 2.0 * (k2 + k3) + k4)
 
 
-def _stepwise_route(rho, nodes, dt, stages, reads, read):
-    """Step the Hermitian ``rho`` over the node triples ``nodes[s]`` one
-    cleaned RK4 step at a time; after each step in ``reads``, ``read(step,
-    rho)`` gives the state to go on from."""
+def _stepwise_route(rho, nodes, dt, stages, first, reads, read):
+    """Step the Hermitian ``rho`` over the node triples ``nodes[s]`` of steps
+    first + 1, first + 2, ... one cleaned RK4 step at a time; after each step
+    in ``reads``, ``read(step, rho)`` gives the state to go on from.  Returns
+    the state after the last step."""
     for s in range(len(nodes)):
         rho = _rk4_step(rho, nodes[s], dt, stages[s])
-        if s + 1 in reads:
-            rho = read(s + 1, rho)
+        if first + s + 1 in reads:
+            rho = read(first + s + 1, rho)
+    return rho
 
 
-def _transfer_route(rho, nodes, dt, stages, reads, read):
+def _transfer_route(rho, nodes, dt, stages, first, reads, read):
     """:func:`_stepwise_route` by transfer maps: one matrix-vector product per
     step on vec(rho), written straight into ``stages[s, 0]``.
 
@@ -501,7 +509,8 @@ def _transfer_route(rho, nodes, dt, stages, reads, read):
     the steps before each read and at each chunk's end are checked at once.
     Then the chunk's states are cleaned in place, so the ledger reads each at
     trace 1 as on the stage loop, and its stage states come from one stacked
-    :func:`_rk4_stages`.
+    :func:`_rk4_stages`.  The state is returned as it steps on, cleaned only
+    if the last step was read, so a run stepped in blocks steps as one.
     """
     n, m = len(nodes), rho.shape[0]
     flat = stages.reshape(n, -1)[:, :m * m]             # row s: vec(stages[s, 0])
@@ -518,15 +527,17 @@ def _transfer_route(rho, nodes, dt, stages, reads, read):
         for s in range(a, b):
             flat[s] = vec
             vec = maps[s - a].dot(vec)
-            if s + 1 in reads:
+            if first + s + 1 in reads:
                 check(lo, s + 1, vec)
                 rho = vec.reshape(m, m)
-                vec, lo = read(s + 1, hermitize(rho) / complex(rho.trace()).real).ravel(), s + 1
+                rho = read(first + s + 1, hermitize(rho) / complex(rho.trace()).real)
+                vec, lo = rho.ravel(), s + 1
         if lo < b:
             check(lo, b, vec)
         rhos = stages[a:b, 0]
         rhos[...] = hermitize(rhos) / rhos.trace(axis1=1, axis2=2).real[:, None, None]
         _rk4_stages(rhos, np.moveaxis(nodes[a:b], 1, 0), dt, np.moveaxis(stages[a:b], 1, 0))
+    return vec.reshape(m, m)
 
 
 def _ledger_increments(stages, gq, gw, dt):
@@ -770,12 +781,15 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
     levels, and by the per-step RK4 stage loop otherwise; the two routes
     agree to roundoff.  On both, events and recorded rows see the state
     Hermitized and divided by its trace, and an event's output Hermitized.
+    The path is stepped a block of steps at a time, and a run holds the node
+    stacks of one block only, so its memory does not grow with ``n_steps``
+    beyond the recorded rows.
 
     Parameters
     ----------
     path : callable
         ``t -> (x, v)`` describing the drive; a :func:`uniform_drive` gives
-        every node time in one broadcast.
+        the node times of each block in one broadcast.
     events : dict, optional
         ``{step_index: transform}`` applied to the state after that step
         completes (1-based); transforms receive and return a QuantumState.
@@ -794,45 +808,48 @@ def run_driven(fam: HamiltonianFamily, path, state0: QuantumState, duration: flo
     for step in events:
         if not 1 <= step <= n_steps:
             raise ValidationError(f"event step {step} outside 1..{n_steps}")
-    return _drive(fam, state0, times, *_path_nodes(fam, path, times), record_every, events)
+    return _drive(fam, state0, n_steps, times, lambda ts: _path_nodes(fam, path, ts),
+                  record_every, events)
 
 
-def _node_times(duration: float, n_steps: int) -> np.ndarray:
-    """The half-step node times 0, dt/2, ..., n_steps dt of a driven run."""
+def _node_times(duration: float, n_steps: int):
+    """The half-step node times of a driven run, as the map (lo, hi) -> the
+    times of nodes lo..hi - 1: node i is at 0.5 * (duration / n_steps) * i."""
     if not (np.isfinite(duration) and duration > 0.0):
         raise ValidationError(f"duration must be positive and finite, got {duration}")
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    return 0.5 * (duration / n_steps) * np.arange(2 * n_steps + 1)
+    half = 0.5 * (duration / n_steps)
+    return lambda lo, hi: half * np.arange(lo, hi)
 
 
-def _drive(fam, state0, times, xs, vs, record_every, events) -> Trajectory:
-    """:func:`run_driven` on its checked half-step nodes ``times``, ``xs`` and ``vs``."""
-    dt, n_steps = float(times[2]), len(times) // 2     # times[2] is dt, exactly
-    # each (t, m, m) stack is freed as soon as it is used up: F overwrites
-    # U^dag dH U, and P goes before the generator is Hermitized
-    w, _, gad, same, _ = _frame_kernel(fam, xs)
-    p = _connections(w, gad, same)
-    f_ops, gw = _force_split(w, p, gad, same, out=gad)
-    del gad, same
-    gw = _rate(vs, gw)
-    gq = _rate(vs, f_ops)
+def _drive(fam, state0, n_steps, times, nodes, record_every, events) -> Trajectory:
+    """:func:`run_driven` on checked half-step nodes: ``times(lo, hi)`` are the
+    times of nodes lo..hi - 1 and ``nodes(ts)`` the path's x and v at ``ts``.
+
+    The steps go a block at a time (``_DRIVE_BLOCK``), each block through the
+    whole pipeline on its own nodes: frame kernel, P, f and F, rates,
+    generator, step-size check, route and ledger.  From one block to the
+    next go only the recorded rows, the event log, the gauge chain, the
+    state (uncleaned on the transfer route), the generator and rates of the
+    shared node and the running Q and W, which go on as one cumulative sum.
+    So each block is bit for bit a slice of the run uncut, except that the
+    gauge picks its path per block (``operators._gauge``): where a row falls
+    back, the blocks around it may differ by rounding.
+    """
+    m = fam.dim
+    dt = float(times(2, 3)[0])                          # node 2's time is dt, exactly
+    block = max(4, _DRIVE_BLOCK // (2 * fam.n_coords * m * m) // 4 * 4)
     recorded = _recorded_steps(record_every, n_steps)
-    steps = np.array(sorted(recorded))
-    nodes = 2 * steps                                   # the node of each recorded step
-    f_rec = f_ops[nodes]
-    del f_ops
-    h_mov = _generator(w, p, vs)
-    del p
-    h_mov = hermitize(h_mov)
-    _check_step_size(h_mov, dt, "t", times)
+    rec_steps, reads = np.array(sorted(recorded)), recorded.union(events)
+    route = _transfer_route if m <= _TRANSFER_MAX_DIM else _stepwise_route
 
     state = state0.copy()
     state.validate()
     rho = hermitize(state.rho)
-    rhos, e_mean = [rho], [float(rho.diagonal().real @ w[0])]
-    stages = np.empty((n_steps, 3, fam.dim, fam.dim), dtype=complex)
-    event_log = []
+    rhos, e_mean, rows, event_log = [rho], [], [], []
+    chain, shared, sums = _Chain(), (), (np.empty(0), np.empty(0))
+    stages = np.empty((min(block, n_steps), 3, m, m), dtype=complex)
 
     def read(step, rho):
         """The event and the record of ``step`` on the clean state ``rho``."""
@@ -843,21 +860,47 @@ def _drive(fam, state0, times, xs, vs, record_every, events) -> Trajectory:
             event_log.append({"step": step, "rho_before": before, "rho_after": rho.copy()})
         if step in recorded:
             rhos.append(rho)
-            e_mean.append(float(rho.diagonal().real @ w[2 * step]))
         return rho
 
-    route = _transfer_route if fam.dim <= _TRANSFER_MAX_DIM else _stepwise_route
-    route(rho, _step_nodes(h_mov), dt, stages, recorded.union(events), read)
+    for a in range(0, n_steps, block):
+        b = min(a + block, n_steps)
+        lo = 2 * a + (a > 0)                            # node 2a is the last block's
+        ts = times(lo, 2 * b + 1)
+        xs, vs = nodes(ts)
+        # each (t, m, m) stack is freed as soon as it is used up: F overwrites
+        # U^dag dH U, and P goes before the generator is Hermitized
+        w, _, gad, same, _ = _frame_kernel(fam, xs, chain)
+        p = _connections(w, gad, same)
+        f_ops, gw = _force_split(w, p, gad, same, out=gad)
+        del gad, same
+        gw = _rate(vs, gw)
+        gq = _rate(vs, f_ops)
+        h_mov = _generator(w, p, vs)
+        del p
+        h_mov = hermitize(h_mov)
+        _check_step_size(h_mov, dt, "t", ts)
+        if a:
+            h_mov, gq, gw = (np.concatenate(pair) for pair in zip(shared, (h_mov, gq, gw)))
+        shared = tuple(g[-1:].copy() for g in (h_mov, gq, gw))
 
-    # the ledger quadrature after the stepping: Q and W at each recorded step
-    q_cum, w_cum = (np.concatenate(([0.0], np.cumsum(d)[steps[1:] - 1])) for d in
-                    _ledger_increments(stages, _step_nodes(gq), _step_nodes(gw), dt))
+        rho = route(rho, _step_nodes(h_mov), dt, stages[:b - a], a, reads, read)
+        # Q and W after each step of the block, going on from the last block's
+        q, wk = (np.cumsum(np.concatenate((c, d)))[len(c):] for c, d in
+                 zip(sums, _ledger_increments(stages[:b - a], _step_nodes(gq), _step_nodes(gw), dt)))
+        sums = q[-1:], wk[-1:]
+        steps = rec_steps[np.searchsorted(rec_steps, a + (a > 0)):np.searchsorted(rec_steps, b, "right")]
+        if len(steps):
+            idx, done = 2 * steps - lo, steps[steps > 0] - a - 1
+            e_mean += [float(r.diagonal().real @ w[i]) for r, i in zip(rhos[-len(steps):], idx)]
+            rows.append((ts[idx], xs[idx], vs[idx], f_ops[idx], q[done], wk[done]))
+
+    t, x, v, f_rec, q_cum, w_cum = (np.concatenate(col) for col in zip(*rows))
     rhos = np.array(rhos)
     extras = {"diabatic_mean": np.einsum("tkij,tji->tk", f_rec, rhos).real}
     if event_log:
         extras["events"] = event_log
-    return Trajectory(times[nodes], xs[nodes], vs[nodes], rhos, np.array(e_mean), q_cum, w_cum,
-                      extras=extras)
+    return Trajectory(t, x, v, rhos, np.array(e_mean), np.concatenate(([0.0], q_cum)),
+                      np.concatenate(([0.0], w_cum)), extras=extras)
 
 
 def time_averaged_diabatic_force(fam: HamiltonianFamily, path, duration: float,
@@ -876,7 +919,11 @@ def time_averaged_diabatic_force(fam: HamiltonianFamily, path, duration: float,
     if not n_steps / scale < 2 ** 63:
         raise ValidationError(f"velocity scale {scale} is too small: the retraced path "
                               f"would take {n_steps / scale:.3g} steps")
-    times = _node_times(duration / scale, max(1, round(n_steps / scale)))
-    xs, vs = _path_nodes(fam, path, scale * times)
-    traj = _drive(fam, state0, times, xs, scale * vs, 1, {})
+    n = max(1, round(n_steps / scale))
+
+    def nodes(ts):
+        xs, vs = _path_nodes(fam, path, scale * ts)
+        return xs, scale * vs
+
+    traj = _drive(fam, state0, n, _node_times(duration / scale, n), nodes, 1, {})
     return np.abs(traj.extras["diabatic_mean"]).mean(axis=0)

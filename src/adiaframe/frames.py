@@ -28,7 +28,8 @@ arithmetic, and U^dag dH U too where U and dH are real), and takes labels and
 phases from the one gauge routine there (``_gauge``), which also serves
 :func:`hermitian_eig`.  Chained, each row follows the one before:
 :func:`build_frame` runs it on a stack of one, :func:`frame_path` on a
-path, the driven integrator on its half-step nodes and the mean-force
+path, the driven integrator on the half-step nodes of each block of
+steps, the chain carried from block to block, and the mean-force
 integrator on each step's midpoint and end, from the step's start basis.
 In the per-row reference mode each row follows its own basis: the
 branching integrator steps all branches in one call.  Either way the gauge
@@ -39,7 +40,7 @@ cluster rotation), each bit for bit its one-row call.  P is built
 (``_connections``) only where it is read: for a frame's ``connections``
 and for the driven and mean-force generators.  One split,
 ``_force_split``, turns (W, P, U^dag dH U) into f and F; each frame makes
-it once, on first use, the driven ledger on the whole stack and the
+it once, on first use, the driven ledger on each block's stack and the
 mean-force run once per step, on its midpoint and end.  The integrators
 read the kernel's arrays; the fields of :class:`AdiabaticFrame` serve the
 public API, the thermodynamics, the entropy audits and the CLI.  Central
@@ -252,10 +253,11 @@ def _generator(w, p, v):
 def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None = None):
     """Eigenframes at every row of ``xs`` with continuous labels and phases.
 
-    ``ref`` is None, an (m, m) basis for row 0 of a chain, or a (t, m, m)
-    stack of per-row references; ``operators._gauge`` gives labels and
-    phases to the whole stack by one of its two paths (all phases at once,
-    or every row aligned in order).  Returns the stacks W (t, m),
+    ``ref`` is None, an (m, m) basis for row 0 of a chain, the
+    ``operators._Chain`` of a chain cut into blocks, or a (t, m, m) stack of
+    per-row references; ``operators._gauge`` gives labels and phases to the
+    whole stack by one of its two paths (all phases at once, or every row
+    aligned in order).  Returns the stacks W (t, m),
     U (t, m, m), U^dag dH U (t, n, m, m), the same-cluster masks (t, m, m)
     and the label permutation of each row (``()`` where it is the identity).
     """

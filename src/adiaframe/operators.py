@@ -222,21 +222,41 @@ def _eigensolve(hs: np.ndarray):
     return w, u, _cluster_labels(w, active_profile().degeneracy_gap), real
 
 
-def _gauge(w: np.ndarray, u: np.ndarray, labels: np.ndarray, ref: np.ndarray | None = None) -> list:
+@dataclass
+class _Chain:
+    """Where a chained gauge cut into blocks stands after a block: ``basis`` is
+    the last row's basis as the overlap with the next row reads it (the eigh
+    basis, before its phases) and ``phase`` the running phase product of its
+    columns, so its aligned basis is ``basis * phase.conj()``.  Both are None
+    before the first block."""
+
+    basis: np.ndarray | None = None
+    phase: np.ndarray | None = None
+
+
+def _gauge(w: np.ndarray, u: np.ndarray, labels: np.ndarray, ref=None) -> list:
     """Give the eigenframes of :func:`_eigensolve` continuous labels and phases, in place.
 
-    Chained mode (``ref`` None or an (m, m) basis): row 0 follows ``ref``
-    (or, without it, takes the deterministic gauge) and every later row the
-    one before it.  Per-row reference mode (``ref`` a (t, m, m) stack): row i
-    follows ``ref[i]``.  If every row is nondegenerate and every column
-    overlaps its reference by more than 1/sqrt(2), all phases are fixed at
-    once (chained: the cumulative product of the overlaps); otherwise every
+    Chained mode (``ref`` None, an (m, m) basis or a :class:`_Chain`): row 0
+    follows ``ref`` (or, without it, takes the deterministic gauge) and every
+    later row the one before it.  Per-row reference mode (``ref`` a (t, m, m)
+    stack): row i follows ``ref[i]``.  If every row is nondegenerate and every
+    column overlaps its reference by more than 1/sqrt(2), all phases are fixed
+    at once (chained: the cumulative product of the overlaps); otherwise every
     row in turn is aligned by :func:`_align_to_reference`, a chained row to
     the aligned row before it.  Permutes the levels of ``w``, the columns of
     ``u`` and ``labels`` where a row is relabelled, and returns the label
     permutation of each row (``()`` where it is the identity).
+
+    A :class:`_Chain` continues a chain cut into blocks from where the last
+    block left it, and is moved on to this block's last row: the first row's
+    overlap is taken with the carried eigh basis and the cumulative product
+    goes on from the carried phases, so a block on the all-at-once path gives
+    the bytes of the chain uncut.  The path is picked per block: a block that
+    falls back aligns its first row to the carried aligned basis.
     """
     t, m = w.shape
+    chain, ref, start = (ref, ref.basis, ref.phase) if isinstance(ref, _Chain) else (None, ref, None)
     per_row = ref is not None and ref.ndim == 3
     if ref is not None and ref.shape != ((t, m, m) if per_row else (m, m)):
         raise ValidationError(f"reference frame shape {ref.shape} does not match operator dim {m}")
@@ -250,12 +270,20 @@ def _gauge(w: np.ndarray, u: np.ndarray, labels: np.ndarray, ref: np.ndarray | N
     mag = np.abs(ov)
     if (labels[:, -1] == m - 1).all() and (mag > _PHASE_ONLY_OVERLAP).all():    # no degenerate row
         phase = ov / mag
-        nxt *= (phase if per_row else np.cumprod(phase, axis=0)).conj()[:, None, :]
+        if not per_row:
+            phase = np.cumprod(phase if start is None else np.concatenate([start[None], phase]), axis=0)
+        if chain is not None:
+            chain.basis, chain.phase = u[-1].copy(), phase[-1] if len(phase) else np.ones(m, complex)
+        nxt *= phase[len(phase) - len(ov):].conj()[:, None, :]
         return perms
+    if start is not None:
+        ref = ref * start.conj()
     for i in range(t - len(ov), t):
         perm, u[i] = _align_to_reference(u[i], ref[i] if per_row else u[i - 1] if i else ref, labels[i])
         if (perm != np.arange(m)).any():
             w[i], labels[i], perms[i] = w[i, perm], labels[i, perm], tuple(perm.tolist())
+    if chain is not None:
+        chain.basis, chain.phase = u[-1].copy(), np.ones(m, complex)
     return perms
 
 

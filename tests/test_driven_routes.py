@@ -184,10 +184,13 @@ def test_uniform_drive_nodes_in_one_broadcast(path):
 def test_slowed_drive_keeps_the_broadcast_nodes(path):
     fam = random_linear_family(2, len(path(0.0)[0]), "gue", seed=1)
     state = QuantumState.pure(0, 2)
-    with mock.patch("adiaframe.dynamics._path_nodes", wraps=dynamics._path_nodes) as nodes:
+    with mock.patch.object(dynamics, "_DRIVE_BLOCK", 8 * 2 * fam.n_coords * 4), \
+            mock.patch("adiaframe.dynamics._path_nodes", wraps=dynamics._path_nodes) as nodes:
         averaged = dynamics.time_averaged_diabatic_force(fam, path, 1.0, 40, state, scale=0.5)
-    _, drive, times = nodes.call_args.args
-    assert drive is path            # the drive's own nodes, at the retraced times
+    assert nodes.call_count == 10   # the 80 retraced steps in blocks of 8
+    assert all(call.args[1] is path for call in nodes.call_args_list)     # the drive's own nodes
+    # at the retraced times, each node once
+    times = np.concatenate([call.args[2] for call in nodes.call_args_list])
     assert np.array_equal(times, 0.5 * (0.5 * (2.0 / 80) * np.arange(2 * 80 + 1)))
     per_t_run = dynamics.time_averaged_diabatic_force(fam, lambda t: path(t), 1.0, 40, state,
                                                       scale=0.5)
@@ -196,7 +199,7 @@ def test_slowed_drive_keeps_the_broadcast_nodes(path):
 
 def test_lz_sweep_memory_peak():
     """The traced allocation peak of the benchmark's 2-level sweep stays
-    within 10 % of 14.3 MiB, its peak on the stage-loop route."""
+    within 10 % of 3.0 MiB, its peak stepped in blocks of 2 048 steps."""
     fam = avoided_crossing_family(20.0, 2.0)
     path = uniform_drive([-10.0], [5.0])
     run_driven(fam, path, QuantumState.pure(0, 2), 4.0 / 20_000, 1)     # first-call allocations
@@ -206,4 +209,21 @@ def test_lz_sweep_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 14.3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    assert peak <= 1.1 * 3.0 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_driven_memory_does_not_grow_with_steps():
+    """Ten times the steps of a 2-level drive that records only its ends
+    peaks within 10 % of the shorter run: a run holds one block at a time."""
+    fam = avoided_crossing_family(20.0, 2.0)
+    path = uniform_drive([-10.0], [5.0])
+    run_driven(fam, path, QuantumState.pure(0, 2), 4.0 / 20_000, 1)     # first-call allocations
+    peaks = []
+    for n_steps in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            run_driven(fam, path, QuantumState.pure(0, 2), 4.0, n_steps, record_every=n_steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], f"peaks {peaks[0] / 2 ** 20:.2f}, {peaks[1] / 2 ** 20:.2f} MiB"

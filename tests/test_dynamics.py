@@ -380,7 +380,7 @@ class TestBranching:
         assert np.abs(shadow - shadow[0]).max() / shadow[0] < 1e-10
 
     def test_friction_decay_and_heat_budget(self):
-        gamma, v0, total_t, n = 0.2, 2.0, 0.125, 12500
+        gamma, v0, total_t, n = 0.2, 2.0, 0.125, 125
         app = ApparatusState(x=[0.0], v=[v0])
         sc = DynamicsScenario(family=CONSTANT_FAMILY, apparatus=app,
                               state=QuantumState.pure(0, 2), dt=total_t / n,
@@ -413,7 +413,7 @@ class TestBranching:
             runs.append(run_branching(sc)[0])
         assert np.array_equal(runs[0].v, runs[1].v)
         assert np.array_equal(runs[0].extras["friction_heat"], runs[1].extras["friction_heat"])
-        assert_allclose(runs[0].v[-1, 0], np.exp(-5.0 * 0.2), rtol=1e-2)
+        assert_allclose(runs[0].v[-1, 0], np.exp(-5.0 * 0.2), rtol=1e-5)
         assert np.all(runs[2].v == 1.0)
 
     def test_friction_tensor_must_match_the_apparatus(self):
@@ -455,8 +455,8 @@ class TestBranching:
                              potential=lambda x: 0.5 * x[0] ** 2,
                              potential_grad=lambda x: np.array([x[0]]))
         sc = DynamicsScenario(family=CONSTANT_FAMILY, apparatus=app,
-                              state=QuantumState.pure(0, 2), dt=1e-3, n_steps=5000,
-                              record_every=500)
+                              state=QuantumState.pure(0, 2), dt=2e-2, n_steps=250,
+                              record_every=25)
         traj = run_branching(sc)[0]
         energy = traj.extras["apparatus_energy"]
         assert np.abs(energy - energy[0]).max() < 5e-4
