@@ -254,7 +254,8 @@ def _require_dissipative(gamma) -> None:
     positive semidefinite, within ``friction_diagonal_floor`` times max |Gamma|.
     Only that part does work, -v.Gamma.v; an antisymmetric part is allowed."""
     gamma = np.asarray(gamma, dtype=float)
-    lowest = _eigh((0.5 * (gamma + gamma.T))[None], vectors=False)[0][0, 0]
+    # halved before the sum, which cannot then overflow
+    lowest = _eigh((0.5 * gamma + 0.5 * gamma.T)[None], vectors=False)[0][0, 0]
     if not lowest >= -active_profile().friction_diagonal_floor * np.abs(gamma).max():
         raise ValidationError(f"friction tensor is not dissipative: its symmetric part has "
                               f"eigenvalue {lowest:.6g}")

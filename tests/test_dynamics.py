@@ -449,6 +449,12 @@ class TestBranching:
             heat = run_branching(scenario(FrictionSpec.constant(gamma), 2))[0].extras["friction_heat"]
             assert heat[-1] >= 0.0
 
+    def test_dissipation_checked_near_the_float_range(self):
+        # Gamma + Gamma^T would overflow; the check neither warns nor misreads the sign
+        dynamics._require_dissipative([[1e308]])
+        with pytest.raises(ValidationError, match="not dissipative"):
+            dynamics._require_dissipative([[-1e308]])
+
     def test_position_dependent_metric_energy_drift(self):
         app = ApparatusState(x=[0.8], v=[0.6],
                              metric=lambda x: [[1.0 + 0.5 * np.sin(x[0])]],

@@ -12,6 +12,7 @@ from adiaframe import (
     expectation,
     hermitian_eig,
     hermitize,
+    require_hermitian,
     spectral_function,
 )
 from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
@@ -89,6 +90,11 @@ class TestHermitianEig:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_asymmetry_near_the_float_range_rejected(self):
+        # A - A^dag overflows to inf here; the check still rejects, without a warning
+        with pytest.raises(ValidationError, match="not self-adjoint"):
+            require_hermitian(np.array([[1e308j, 0.0], [0.0, 0.0]]))
 
     def test_degenerate_flag(self):
         spec = hermitian_eig(np.eye(3))
