@@ -60,9 +60,7 @@ _MODES = ("branching", "sampled", "mean_force")
 # array.  The default is written into the config when the field is absent:
 # _REQUIRED makes the field mandatory, None leaves it out, and a callable
 # chooses the default from the config.  Lengths named "coords" or "dim" are
-# read from the config's family block, which is checked first.  A rule may
-# return the value it converted (the family's term matrices do); the walk
-# collects those values in its order.
+# read from the config's family block, which is checked first.
 
 
 _REQUIRED = object()
@@ -173,7 +171,7 @@ def _hermitian(val, path, root):
     if mat.shape != (dim, dim):
         _err(f"matrix must be {dim} x {dim}", path)
     try:
-        return require_hermitian(mat, name="matrix")
+        require_hermitian(mat, name="matrix")
     except ValidationError as exc:
         _err(f"matrix must be Hermitian: {exc}", path)
 
@@ -283,9 +281,8 @@ _TABLES = {
 }
 
 
-def _walk(block: dict, table: dict, where: str, root: dict, strict: bool, found: list):
-    """Check every field of ``block`` against ``table`` and write its defaults;
-    append what the rules convert to ``found``."""
+def _walk(block: dict, table: dict, where: str, root: dict, strict: bool):
+    """Check every field of ``block`` against ``table`` and write its defaults."""
     for name, (rule, default) in table.items():
         path = f"{where}.{name}" if where else name
         if name not in block:
@@ -295,7 +292,7 @@ def _walk(block: dict, table: dict, where: str, root: dict, strict: bool, found:
             if default is None:
                 continue
             block[name] = copy.copy(default)
-        _apply(block[name], rule, path, root, strict, found)
+        _apply(block[name], rule, path, root, strict)
     unknown = sorted(set(block) - set(table))
     if unknown:
         label = where or "top level"
@@ -305,20 +302,18 @@ def _walk(block: dict, table: dict, where: str, root: dict, strict: bool, found:
         warnings.warn(f"ignoring unknown config field(s) {unknown} in {label}", stacklevel=3)
 
 
-def _apply(val, rule, path: str, root: dict, strict: bool, found: list):
+def _apply(val, rule, path: str, root: dict, strict: bool):
     if isinstance(rule, dict):
         if not isinstance(val, dict):
             _err(f"expected an object, got {type(val).__name__}", path)
-        _walk(val, rule, path, root, strict, found)
+        _walk(val, rule, path, root, strict)
     elif isinstance(rule, list):
         if not isinstance(val, list) or not val:
             _err("expected a non-empty array", path)
         for i, item in enumerate(val):
-            _apply(item, rule[0], f"{path}[{i}]", root, strict, found)
+            _apply(item, rule[0], f"{path}[{i}]", root, strict)
     else:
-        converted = rule(val, path, root)
-        if converted is not None:
-            found.append(converted)
+        rule(val, path, root)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +412,7 @@ def parse_config(source, *, strict: bool = True) -> dict:
     field (and the line/column for JSON syntax problems), as does a dict
     holding a value JSON cannot hold, such as a numpy scalar.
     """
-    cfg = _parse(source, strict)[0]
+    cfg = _parse(source, strict)
     for term in cfg["family"]["terms"] if _reads_family(cfg) else ():
         if isinstance(term["matrix"], np.ndarray):
             term["matrix"] = term["matrix"].tolist()
@@ -425,10 +420,8 @@ def parse_config(source, *, strict: bool = True) -> dict:
 
 
 def _parse(source, strict: bool):
-    """:func:`parse_config`, which also returns the family's term matrices
-    as the config rules converted and checked them (empty when the kind reads
-    no family); the config holds each term matrix it read from text as the
-    float (n, n, 2) array of :func:`_loads`."""
+    """:func:`parse_config`, except that the config holds each term matrix it
+    read from text as the float (n, n, 2) array of :func:`_loads`."""
     if isinstance(source, dict):
         try:
             source = json.dumps(source)
@@ -447,8 +440,7 @@ def _parse(source, strict: bool):
         _err("config must be a JSON object")
 
     known = "kind" in cfg and cfg["kind"] in _KINDS
-    mats = []
-    _walk(cfg, _TABLES[cfg["kind"]] if known else _COMMON, "", cfg, strict, mats)
+    _walk(cfg, _TABLES[cfg["kind"]] if known else _COMMON, "", cfg, strict)
 
     # rules that span fields
     kind = cfg["kind"]
@@ -467,23 +459,17 @@ def _parse(source, strict: bool):
     elif kind == "entropy_audit" and cfg["event"]["step"] > cfg["drive"]["steps"]:
         _err(f"event step {cfg['event']['step']} exceeds drive steps {cfg['drive']['steps']}",
              field="event.step")
-    return cfg, mats
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # builders
 
 
-def _build_family(cfg, mats=None) -> MatrixPolynomialFamily:
-    """The family of ``cfg``, from ``mats`` when given: its term matrices as
-    :func:`_parse` converted and checked them, so none is converted twice."""
-    terms = cfg["family"]["terms"]
-    if mats is not None:
-        return MatrixPolynomialFamily._of_checked([(tuple(t["exponents"]), mat)
-                                                   for t, mat in zip(terms, mats)])
+def _build_family(cfg) -> MatrixPolynomialFamily:
     return MatrixPolynomialFamily([(tuple(t["exponents"]),
                                     _complex_matrix(t["matrix"], "family.terms.matrix"))
-                                   for t in terms])
+                                   for t in cfg["family"]["terms"]])
 
 
 def _build_state(cfg, dim: int, seed: int) -> QuantumState:
@@ -778,44 +764,43 @@ def _reads_family(cfg: dict) -> bool:
     return "family" in _TABLES[cfg["kind"]]
 
 
-def _config_digest(cfg: dict, fam: MatrixPolynomialFamily | None = None) -> str:
+def _config_digest(cfg: dict) -> str:
     """SHA-256 of ``cfg`` as canonical JSON (sorted keys, no spaces).
 
     Each ``family.terms[i].matrix`` enters the text as the hex SHA-256 of its
-    values as :func:`_complex_matrix` returns them, in C order as
+    values as :func:`_complex_matrix` returns them (the values the family
+    stacks, from lists and from :func:`_loads`' arrays alike), in C order as
     little-endian complex128: the shape is fixed by ``family.dim``, and the
-    text does not grow with it.  The values are read from ``fam``, the family
-    built from ``cfg`` (built here when not given).  A config whose kind reads
-    no family block, even one kept as an unknown field in non-strict parsing,
-    is hashed as it is.
+    text does not grow with it.  A config whose kind reads no family block,
+    even one kept as an unknown field in non-strict parsing, is hashed as it is.
     """
     if _reads_family(cfg):
-        fam = _build_family(cfg) if fam is None else fam
-        terms = [dict(t, matrix=hashlib.sha256(mat.astype("<c16").tobytes()).hexdigest())
-                 for t, (_, mat) in zip(cfg["family"]["terms"], fam.terms)]
+        terms = [dict(t, matrix=hashlib.sha256(_complex_matrix(t["matrix"], "family.terms.matrix")
+                                               .astype("<c16").tobytes()).hexdigest())
+                 for t in cfg["family"]["terms"]]
         cfg = dict(cfg, family=dict(cfg["family"], terms=terms))
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def run_scenario(cfg: dict, out_dir: str, seed: int | None = None) -> dict:
-    """Execute a parsed config and write its outputs; returns the report."""
-    return _run(cfg, _build_family(cfg) if _reads_family(cfg) else None, out_dir, seed)
+    """Execute a parsed config and write its outputs; returns the report.
 
-
-def _run(cfg: dict, fam: MatrixPolynomialFamily | None, out_dir: str, seed: int | None) -> dict:
-    """:func:`run_scenario` on the family ``fam`` built from ``cfg``."""
+    ``seed`` overrides the config's.  The family is built here by its one
+    constructor, which checks every term; ``config_sha256`` hashes ``cfg`` alone.
+    """
     prof = active_profile()
     kind = cfg["kind"]
     used_seed = cfg["seed"] if seed is None else seed
     _COMMON["seed"][0](used_seed, "seed", cfg)      # an override obeys the config's rule
+    fam = _build_family(cfg) if _reads_family(cfg) else None
     os.makedirs(out_dir, exist_ok=True)
     checks, outputs, summary = _RUNNERS[kind](cfg, fam, used_seed, out_dir)
     report = {
         "version": __version__,
         "kind": kind,
         "seed": used_seed,
-        "config_sha256": _config_digest(cfg, fam),
+        "config_sha256": _config_digest(cfg),
         "tolerance_profile": prof.name,
         "checks": checks,
         "outputs": outputs,
@@ -843,10 +828,8 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, "rb") as fh:
-            cfg, mats = _parse(fh.read(), args.strict)
-        fam = _build_family(cfg, mats) if _reads_family(cfg) else None
-        del mats                    # the family holds its own stack of them
-        report = _run(cfg, fam, args.out, args.seed)
+            cfg = _parse(fh.read(), args.strict)
+        report = run_scenario(cfg, args.out, args.seed)
     except (AdiaframeError, OSError, MemoryError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload, sort_keys=True))

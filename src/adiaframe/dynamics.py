@@ -913,7 +913,7 @@ def time_averaged_diabatic_force(fam: HamiltonianFamily, path, duration: float,
     ``scale`` times the speed (duration/scale, same spatial resolution), and
     the absolute diabatic mean force is averaged over the traversal.  Slower
     traversals average the oscillatory coherences away, so the result
-    decreases with ``scale``.
+    shrinks as ``scale`` falls.
     """
     if not (np.isfinite(scale) and scale > 0.0):
         raise ValidationError(f"velocity scale must be positive and finite, got {scale}")

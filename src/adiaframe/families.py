@@ -44,7 +44,7 @@ class MatrixPolynomialFamily(HamiltonianFamily):
         n = len(tuple(exps0))
         dim = np.asarray(mat0).shape[0]
         super().__init__(n, dim, fd_step)
-        self.terms = []
+        checked = []
         for exps, mat in terms:
             exps = tuple(int(e) for e in exps)
             if len(exps) != n or any(e < 0 for e in exps):
@@ -52,24 +52,12 @@ class MatrixPolynomialFamily(HamiltonianFamily):
             mat = require_hermitian(mat, name="polynomial term matrix")
             if mat.shape != (dim, dim):
                 raise ValidationError("all term matrices must share one dimension")
-            self.terms.append((exps, mat))
-        self._stack(self.terms)
-
-    @classmethod
-    def _of_checked(cls, terms):
-        """The family of ``terms`` whose exponent tuples and (m, m) Hermitian
-        complex matrices are already checked, as the CLI's config rules do."""
-        fam = cls.__new__(cls)
-        HamiltonianFamily.__init__(fam, len(terms[0][0]), terms[0][1].shape[0])
-        fam._stack(terms)
-        return fam
-
-    def _stack(self, terms):
+            checked.append((exps, mat))
         # the terms stacked once: exponents [term, k] and matrices [term, i, j],
         # with each term's matrix a view of the stack
-        self._exps = np.array([exps for exps, _ in terms])
-        self._mats = np.array([mat for _, mat in terms])
-        self.terms = [(exps, mat) for (exps, _), mat in zip(terms, self._mats)]
+        self._exps = np.array([exps for exps, _ in checked])
+        self._mats = np.array([mat for _, mat in checked])
+        self.terms = [(exps, mat) for (exps, _), mat in zip(checked, self._mats)]
 
     def evaluate_many(self, xs):
         xs = self._coerce_xs(xs)

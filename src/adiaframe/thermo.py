@@ -32,7 +32,7 @@ import numpy as np
 
 from .dynamics import QuantumState
 from .errors import DomainError, NumericalError, ValidationError
-from .frames import HamiltonianFamily, build_frame
+from .frames import HamiltonianFamily, _evaluate_checked, build_frame
 from .operators import _eigh
 from .tolerances import active_profile
 from .units import HBAR, KB
@@ -200,7 +200,8 @@ def maxwell_check(fam: HamiltonianFamily, x, e: float, sigma: float, *,
     Both comparison forms are built from the smoothed counting function
     alone: configuration derivatives by central differences of step ``dx``,
     the isentropic energy shift by inverting the monotone S(E) curves at
-    the displaced configurations.
+    the displaced configurations.  The levels at x and each x +- dx e_k are
+    solved as one stack, checked as :func:`build_frame` checks H.
     """
     x = fam.coerce_x(x)
     e = float(e)
@@ -208,10 +209,14 @@ def maxwell_check(fam: HamiltonianFamily, x, e: float, sigma: float, *,
         energy_halfwidth = 12.0 * sigma
     de = 0.1 * sigma
 
-    def levels_at(xq):
-        return _eigh(np.asarray(fam.evaluate(xq))[None], vectors=False)[0][0]
+    # rows x, x + dx e_0, x - dx e_0, x + dx e_1, ...
+    n, k = fam.n_coords, np.arange(fam.n_coords)
+    xs = np.repeat(x[None], 2 * n + 1, axis=0)
+    xs[1 + 2 * k, k] += dx
+    xs[2 + 2 * k, k] -= dx
+    levels = _eigh(_evaluate_checked(fam, xs), vectors=False)[0]
 
-    w0 = levels_at(x)
+    w0 = levels[0]
     s0 = _entropy_at(w0, e, sigma)
     ds_de = (_entropy_at(w0, e + de, sigma) - _entropy_at(w0, e - de, sigma)) / (2.0 * de)
     if ds_de <= 0.0:
@@ -219,16 +224,12 @@ def maxwell_check(fam: HamiltonianFamily, x, e: float, sigma: float, *,
     temp = 1.0 / ds_de
 
     force = microcanonical_force(fam, x, e, sigma)
-    n = fam.n_coords
     entropy_form = np.empty(n)
     isentropic_form = np.empty(n)
     e_grid = np.linspace(e - energy_halfwidth, e + energy_halfwidth, n_grid)
 
     for k in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[k] += dx
-        xm[k] -= dx
-        wp, wm = levels_at(xp), levels_at(xm)
+        wp, wm = levels[1 + 2 * k], levels[2 + 2 * k]
         sp = _entropy_at(wp, e, sigma)
         sm = _entropy_at(wm, e, sigma)
         entropy_form[k] = temp * (sp - sm) / (2.0 * dx)

@@ -555,48 +555,48 @@ class TestMain:
         assert "PASS" in out and "FAIL" not in out
         assert (tmp_path / "report.json").exists()
 
-    def test_each_matrix_converted_and_checked_once(self, tmp_path):
+    def test_each_matrix_converted_from_the_decoded_arrays(self, tmp_path):
         from adiaframe import cli, families
 
         with mock.patch("adiaframe.cli._complex_matrix", wraps=cli._complex_matrix) as convert, \
-                mock.patch("adiaframe.cli.require_hermitian", wraps=cli.require_hermitian) as rule, \
                 mock.patch("adiaframe.families.require_hermitian",
                            wraps=families.require_hermitian) as family:
             rc = main(["--config", self.write(tmp_path, kubo_config()),
                        "--out", str(tmp_path), "--quiet"])
         assert rc == 0
-        assert convert.call_count == rule.call_count == 3      # one per term
-        assert family.call_count == 0
+        assert family.call_count == 3       # the family's constructor checks each term
         # each from the float array read out of the config text, not from lists
+        assert convert.called
         assert all(type(c.args[0]) is np.ndarray for c in convert.call_args_list)
 
     def test_converted_matrices_freed_before_the_run(self, tmp_path):
-        # the family stacks its own copy of the converted matrices, which may
-        # not outlive it; the config keeps the float arrays read from the text
+        # the rules check each converted matrix and keep none of them; the
+        # config keeps the float arrays read from the text
         import weakref
         from adiaframe import cli
 
-        refs, seen, parse_, run_ = [], [], cli._parse, cli._run
+        refs, seen, convert_, run_ = [], [], cli._complex_matrix, cli.run_scenario
 
-        def parse(*args):
-            cfg, mats = parse_(*args)
-            refs.extend(weakref.ref(m) for m in mats)
-            return cfg, mats
+        def convert(*args):
+            mat = convert_(*args)
+            refs.append(weakref.ref(mat))
+            return mat
 
         def run(cfg, *args):
-            seen.append((sum(ref() is not None for ref in refs), cfg))
+            seen.append((len(refs), sum(ref() is not None for ref in refs), cfg))
             return run_(cfg, *args)
 
         path = self.write(tmp_path, kubo_config())
-        with mock.patch("adiaframe.cli._parse", parse), mock.patch("adiaframe.cli._run", run):
+        with mock.patch("adiaframe.cli._complex_matrix", convert), \
+                mock.patch("adiaframe.cli.run_scenario", run):
             assert main(["--config", path, "--out", str(tmp_path), "--quiet"]) == 0
-        (alive, cfg), = seen
-        assert len(refs) == 3 and alive == 0
+        (converted, alive, cfg), = seen
+        assert converted == 3 and alive == 0
         terms = cfg["family"]["terms"]
         assert [sorted(t) for t in terms] == [["exponents", "matrix"]] * 3
         assert all(t["matrix"].dtype == float and t["matrix"].shape == (2, 2, 2) for t in terms)
         assert all(isinstance(p, int) for t in terms for p in t["exponents"])
-        # the digest of the lists, from a family built apart from main's
+        # the digest of the lists equals the digest of the arrays
         report = json.loads((tmp_path / "report.json").read_text())
         with open(path) as fh:
             assert report["config_sha256"] == _config_digest(parse_config(fh.read()))
@@ -635,7 +635,8 @@ class TestMain:
 
     def test_memory_error_exit_two(self, tmp_path, capsys):
         # a size inside int64 can still be more than the machine holds
-        with mock.patch("adiaframe.cli._run", side_effect=MemoryError("Unable to allocate")):
+        with mock.patch("adiaframe.cli.run_scenario",
+                        side_effect=MemoryError("Unable to allocate")):
             rc = main(["--config", self.write(tmp_path, thermo_config()), "--out", str(tmp_path)])
         assert rc == 2
         assert json.loads(capsys.readouterr().out) == {"error": "MemoryError",

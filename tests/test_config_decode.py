@@ -54,9 +54,14 @@ def parent_outcome(text):
     return "mats", mats
 
 
+def family_matrices(text):
+    """The term matrices of the family the CLI builds from ``text``."""
+    return [mat for _, mat in cli._build_family(cli._parse(text, True)).terms]
+
+
 def outcome(text):
     try:
-        _, mats = cli._parse(text, True)
+        mats = family_matrices(text)
     except ConfigError as exc:
         return ("json", (exc.line, exc.column)) if exc.line is not None else ("field", exc.field)
     return "mats", mats
@@ -146,7 +151,7 @@ class TestMutations:
         cfg = cli._loads(config_text(matrix_texts()))
         assert all(isinstance(t["matrix"], np.ndarray) and t["matrix"].shape == (3, 3, 2)
                    for t in cfg["family"]["terms"])
-        _, mats = cli._parse(config_text(matrix_texts()), True)
+        mats = family_matrices(config_text(matrix_texts()))
         kind, expected = parent_outcome(config_text(matrix_texts()))
         assert kind == "mats"
         assert [m.tobytes() for m in mats] == [m.tobytes() for m in expected]
@@ -198,8 +203,7 @@ class TestWholeTextDecode:
 
     def test_duplicate_key_keeps_the_last_matrix(self):
         text = self.BASE.replace('"matrix": ', '"matrix": [[[9, 9]]], "matrix": ', 1)
-        _, mats = cli._parse(text, True)
-        assert np.array_equal(mats[0], TERMS[0])
+        assert np.array_equal(family_matrices(text)[0], TERMS[0])
 
     def test_syntax_error_after_a_matrix_keeps_its_line_and_column(self):
         text = config_text(matrix_texts(indent=1), indent=1).replace('"beta": 1.2', '"beta": 1.2,')
@@ -287,9 +291,10 @@ def test_parse_memory_peak():
     cli._parse(text, True)
     tracemalloc.start()
     try:
-        _, (mat,) = cli._parse(text, True)
+        cfg = cli._parse(text, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    (_, mat), = cli._build_family(cfg).terms
     assert np.array_equal(mat, a)
     assert peak <= 1.1 * 9.9 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"

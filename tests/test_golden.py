@@ -120,8 +120,9 @@ def test_outputs_pinned(name, tmp_path):
     assert run_digests(name, tmp_path) == PINNED[name], versions()
 
 
-@pytest.mark.parametrize("name", ["audit", "driven_scales", "kubo", "thermo"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_run_scenario_writes_the_pinned_bytes(name, tmp_path):
+    # term matrices as lists, where main reads them as float arrays from text
     run_scenario(parse_config(CONFIGS[name]()), str(tmp_path))
     assert digests(tmp_path) == PINNED[name], versions()
 

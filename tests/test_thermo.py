@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import adiaframe
 from adiaframe import (
+    CallableFamily,
     MatrixPolynomialFamily,
     avoided_crossing_family,
     build_frame,
@@ -139,6 +140,18 @@ class TestMaxwellCheck:
         with pytest.raises(DomainError):
             maxwell_check(fam, [0.2], float(np.quantile(levels, 0.45)), sigma,
                           energy_halfwidth=1e-6)
+
+    def test_non_hermitian_displaced_configuration_named(self):
+        # H(x) = diag(0, ..., 5) + x B with the single entry B[0, 3] = 1:
+        # self-adjoint at x = 0 only, so the levels at x +- dx are not real
+        b = np.zeros((6, 6))
+        b[0, 3] = 1.0
+        fam = CallableFamily(1, 6, lambda x: np.diag(np.arange(6.0)) + x[0] * b,
+                             lambda x: b[None])
+        with pytest.raises(ValidationError, match=r"at x = \[0\.001\]"):
+            build_frame(fam, [1e-3])
+        with pytest.raises(ValidationError, match=r"at x = \[0\.001\]"):
+            maxwell_check(fam, [0.0], 2.5, 0.5, dx=1e-3)
 
     def test_saturated_count_detected(self):
         fam = random_linear_family(60, 1, "goe", seed=3)
