@@ -42,9 +42,9 @@ from .entropy import (ProjectorFamily, entropy_delta, entropy_series, project,
 from .errors import AdiaframeError, ConfigError, ValidationError
 from .families import MatrixPolynomialFamily
 from .frames import build_frame
-from .operators import hermitian_eig, require_hermitian
+from .operators import require_hermitian
 from .stern_gerlach import SternGerlachConfig, sg_run
-from .thermo import entropy_temperature, kubo_friction, maxwell_check
+from .thermo import _maxwell_check, _shell, entropy_temperature, kubo_friction
 from .tolerances import active_profile
 
 _KINDS = ("stern_gerlach", "custom_family", "thermo_curve", "kubo", "entropy_audit")
@@ -639,8 +639,8 @@ def _run_custom_family(cfg, fam, seed, out_dir):
 def _run_thermo_curve(cfg, fam, seed, out_dir):
     prof = active_profile()
     th = cfg["thermo"]
-    x = np.asarray(th["x"], dtype=float)
-    levels = hermitian_eig(fam.evaluate(x)).eigenvalues
+    x = fam.coerce_x(th["x"])
+    levels, force = _shell(fam, x, th.get("check_energy"), th["sigma"])     # one eigh for both
     e_grid = np.linspace(th["e_min"], th["e_max"], th["n_grid"])
     curve = entropy_temperature(levels, e_grid, th["sigma"])
     _write_csv(os.path.join(out_dir, "curve.csv"),
@@ -656,7 +656,7 @@ def _run_thermo_curve(cfg, fam, seed, out_dir):
                "counting_identity_residual": resid}
 
     if "check_energy" in th:
-        report = maxwell_check(fam, x, th["check_energy"], th["sigma"], dx=th["dx"])
+        report = _maxwell_check(fam, x, th["check_energy"], th["sigma"], force, dx=th["dx"])
         r1 = float(report.residual_entropy_form.max())
         r2 = float(report.residual_isentropic_form.max())
         checks.append(_check("force_entropy_identity", r1 <= prof.maxwell_identity,

@@ -42,10 +42,11 @@ and for the driven and mean-force generators.  One split,
 ``_force_split``, turns (W, P, U^dag dH U) into f and F; each frame makes
 it once, on first use, the driven ledger on each block's stack and the
 mean-force run once per step, on its midpoint and end.  The integrators
-read the kernel's arrays; the fields of :class:`AdiabaticFrame` serve the
-public API, the thermodynamics, the entropy audits and the CLI.  Central
-finite differences of the gauge-aligned basis
-(``_finite_difference_connections``) are kept as the reference for P.
+and the spectral functions of :mod:`adiaframe.thermo` read the kernel's
+arrays; the fields of :class:`AdiabaticFrame` serve the public API, the
+entropy audits and the CLI.  Central finite differences of the
+gauge-aligned basis (``_finite_difference_connections``) are kept as the
+reference for P.
 """
 
 from __future__ import annotations
@@ -221,10 +222,16 @@ def _in_frame(u, g, real=False):
     return out
 
 
+@np.errstate(over="ignore")     # levels near the float range: W_j - W_i is inf, so P_ij is 0
+def _level_gaps(w):
+    """[..., i, j] = W_j - W_i for a stack of levels ``w``."""
+    return w[..., None, :] - w[..., :, None]
+
+
 def _connections(w, gad, same):
     """P_k = i hbar <i|dH/dx^k|j> / (W_j - W_i) between degeneracy clusters,
     zero inside them (``same`` marks the pairs in one cluster)."""
-    denom = w[..., None, :] - w[..., :, None]          # [i, j] = W_j - W_i
+    denom = _level_gaps(w)
     denom[same] = 1.0
     p = 1j * HBAR * gad / denom[..., None, :, :]
     np.copyto(p, 0.0, where=same[..., None, :, :])
@@ -250,6 +257,16 @@ def _generator(w, p, v):
     return np.subtract(w[..., :, None] * np.eye(w.shape[-1]), vp, out=vp)
 
 
+# The self-adjointness check of ``_evaluate_checked`` takes the stack of H
+# about this many entries at a time, so its temporaries are one chunk's
+# rather than the whole stack's.
+_CHECK_CHUNK = 2 ** 16
+
+# Where every |H_ij| is at most this, H - H^dag cannot overflow and the check
+# needs no np.errstate, which costs about a microsecond a call.
+_HALF_FLOAT_MAX = np.finfo(float).max / 2
+
+
 def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None = None):
     """Eigenframes at every row of ``xs`` with continuous labels and phases.
 
@@ -271,24 +288,44 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
 def _evaluate_checked(fam: HamiltonianFamily, xs: np.ndarray) -> np.ndarray:
     """H at every row of ``xs``, checked for shape, finiteness and
     self-adjointness (|H - H^dag| within ``hermiticity`` times the row's
-    largest |entry|); a failed check names the first row of ``xs`` it fails at."""
+    largest |entry|); a failed check names the first row of ``xs`` it fails at,
+    and a non-finite row anywhere fails before any self-adjointness check.
+
+    Besides the stack of H it holds |H| for the per-row scale, then H^dag,
+    H - H^dag and its modulus for one chunk of rows at a time (about
+    ``_CHECK_CHUNK`` entries, at least one row): at 400 levels, one row.
+    """
     t, m = len(xs), fam.dim
     hs = fam.evaluate_many(xs)
     if hs.shape != (t, m, m):
         raise ValidationError(f"family evaluated to shape {hs.shape[1:]} at x = {xs[0]}, "
                               f"expected ({m}, {m})")
     scale = np.abs(hs).max(axis=(1, 2))
-    if not np.isfinite(scale).all():        # a non-finite entry, or |H_ij| past the float range
-        finite = np.isfinite(hs).all(axis=(1, 2))
-        if not finite.all():
-            raise ValidationError(f"H(x) contains non-finite entries at x = {xs[np.argmin(finite)]}")
-    dev = np.abs(hs - hs.conj().swapaxes(-1, -2))
-    bad = dev > (active_profile().hermiticity * scale)[:, None, None]
-    if bad.any():
-        i = np.argmax(bad.reshape(-1)) // (m * m)
-        raise ValidationError(f"H(x) is not self-adjoint at x = {xs[i]}: "
-                              f"max |H - H^dag| = {dev[i].max():.3e}")
+    bound = active_profile().hermiticity * scale
+    if (scale <= _HALF_FLOAT_MAX).all():    # H - H^dag cannot overflow
+        _check_self_adjoint(hs, xs, bound)
+        return hs
+    finite = np.isfinite(hs).all(axis=(1, 2))   # a non-finite entry, or |H_ij| near or past the float range
+    if not finite.all():
+        raise ValidationError(f"H(x) contains non-finite entries at x = {xs[np.argmin(finite)]}")
+    with np.errstate(over="ignore"):            # H - H^dag may overflow: inf, and the check fails
+        _check_self_adjoint(hs, xs, bound)
     return hs
+
+
+def _check_self_adjoint(hs, xs, bound):
+    """Check |H - H^dag| <= ``bound`` (one per row) on the stack ``hs``, a
+    chunk of rows at a time."""
+    m = hs.shape[-1]
+    rows = max(1, _CHECK_CHUNK // (m * m))
+    for start in range(0, len(hs), rows):
+        h = hs[start:start + rows]
+        dev = np.abs(h - h.conj().swapaxes(-1, -2))
+        bad = dev > bound[start:start + rows, None, None]
+        if bad.any():
+            i = np.argmax(bad.reshape(-1)) // (m * m)
+            raise ValidationError(f"H(x) is not self-adjoint at x = {xs[start + i]}: "
+                                  f"max |H - H^dag| = {dev[i].max():.3e}")
 
 
 def _frames(fam: HamiltonianFamily, xs: np.ndarray, prev: AdiabaticFrame | None) -> list:

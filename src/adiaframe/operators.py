@@ -110,6 +110,7 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
+@np.errstate(over="ignore")     # levels near the float range: spread and gaps are inf
 def _cluster_labels(w: np.ndarray, gap: float) -> np.ndarray:
     """Degeneracy cluster of each level in a stack of ascending spectra ``w``.
 

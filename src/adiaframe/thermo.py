@@ -32,8 +32,8 @@ import numpy as np
 
 from .dynamics import QuantumState
 from .errors import DomainError, NumericalError, ValidationError
-from .frames import HamiltonianFamily, _evaluate_checked, build_frame
-from .operators import _eigh
+from .frames import HamiltonianFamily, _connections, _evaluate_checked, _force_split, _frame_kernel
+from .operators import _eigensolve, _eigh
 from .tolerances import active_profile
 from .units import HBAR, KB
 
@@ -148,21 +148,33 @@ def _entropy_at(levels, e, sigma: float) -> float:
     return KB * float(np.log(om))
 
 
+def _shell(fam: HamiltonianFamily, x: np.ndarray, e: float | None, sigma: float):
+    """The levels W at x and, given an energy ``e``, the shell force there (else
+    None), from one eigensolve: with ``e``, W and the diagonal of U^dag dH U
+    from one frame-kernel call, with no connections and no
+    :class:`AdiabaticFrame`."""
+    if e is None:
+        return _eigensolve(_evaluate_checked(fam, x[None]))[0][0], None
+    w, _, gad, _, _ = _frame_kernel(fam, x[None])
+    w = w[0]
+    grad_w = np.einsum("kjj->kj", gad[0]).real      # dW_j/dx^k
+    expo = -0.5 * ((float(e) - w) / sigma) ** 2
+    weights = np.exp(expo - expo.max())
+    return w, -(grad_w @ weights) / weights.sum()
+
+
 def microcanonical_force(fam: HamiltonianFamily, x, e: float, sigma: float) -> np.ndarray:
     """Level-resolved mean force at fixed energy shell E.
 
     Averages the adiabatic forces -dW_j/dx^k with Gaussian shell weights
     delta_sigma(E - W_j); the weights are normalized, so overall scale
-    factors cancel and underflow is avoided by shifting exponents.
+    factors cancel and underflow is avoided by shifting exponents.  It reads
+    W and the diagonal of U^dag dH U from one frame-kernel call, so beyond
+    that call it holds only the levels and the shell weights.
     """
     if sigma <= 0.0:
         raise ValidationError("microcanonical force needs sigma > 0")
-    frame = build_frame(fam, x)
-    w = frame.eigenvalues
-    grad_w = np.einsum("kjj->kj", frame.grad_adiabatic).real    # dW_j/dx^k
-    expo = -0.5 * ((float(e) - w) / sigma) ** 2
-    weights = np.exp(expo - expo.max())
-    return -(grad_w @ weights) / weights.sum()
+    return _shell(fam, fam.coerce_x(x), float(e), sigma)[1]
 
 
 @dataclass
@@ -201,9 +213,19 @@ def maxwell_check(fam: HamiltonianFamily, x, e: float, sigma: float, *,
     alone: configuration derivatives by central differences of step ``dx``,
     the isentropic energy shift by inverting the monotone S(E) curves at
     the displaced configurations.  The levels at x and each x +- dx e_k are
-    solved as one stack, checked as :func:`build_frame` checks H.
+    solved as one stack, checked as :func:`build_frame` checks H.  It holds
+    that (2n + 1)-row stack of H, whose self-adjointness is checked a chunk of
+    rows at a time (one row at 400 levels), then the (2n + 1, m) levels and
+    what :func:`microcanonical_force` holds.
     """
-    x = fam.coerce_x(x)
+    return _maxwell_check(fam, fam.coerce_x(x), e, sigma, dx=dx, n_grid=n_grid,
+                          energy_halfwidth=energy_halfwidth)
+
+
+def _maxwell_check(fam, x, e, sigma, force=None, dx=1e-4, n_grid=801,
+                   energy_halfwidth=None) -> MaxwellReport:
+    """:func:`maxwell_check` at a coerced x, taking the shell force at (x, e,
+    sigma) as ``force`` where the caller has it."""
     e = float(e)
     if energy_halfwidth is None:
         energy_halfwidth = 12.0 * sigma
@@ -223,7 +245,8 @@ def maxwell_check(fam: HamiltonianFamily, x, e: float, sigma: float, *,
         raise DomainError("entropy is not increasing at the requested energy")
     temp = 1.0 / ds_de
 
-    force = microcanonical_force(fam, x, e, sigma)
+    if force is None:
+        force = microcanonical_force(fam, x, e, sigma)
     entropy_form = np.empty(n)
     isentropic_form = np.empty(n)
     e_grid = np.linspace(e - energy_halfwidth, e + energy_halfwidth, n_grid)
@@ -297,11 +320,15 @@ def kubo_friction(fam: HamiltonianFamily, x, beta: float, *,
     spacing over hbar.  The population-weighted thermal factor is computed
     as (p_b - p_a)/(W_a - W_b) between degeneracy clusters and as its limit
     beta p_a inside them (where f vanishes), so no exponential overflow can
-    occur.
+    occur.  Beyond its frame-kernel call it holds W, the cluster mask and the
+    (n, m, m) diabatic forces f, with P only until f is formed, and the
+    moments Re[(f_j)_ab (f_k)_ba] of one row k of Gamma at a time.
     """
-    frame = build_frame(fam, x)
-    w = frame.eigenvalues
-    f_ops = frame.diabatic
+    x = fam.coerce_x(x)
+    w, _, gad, same, _ = _frame_kernel(fam, x[None])    # U is not kept
+    w, gad, same = w[0], gad[0], same[0]
+    f_ops = _force_split(w, _connections(w, gad, same), gad, same, out=gad)[0]
+    del gad                                             # F, written over U^dag dH U: only f is kept
     pops = canonical_populations(w, beta)
 
     if eta is None:
@@ -311,18 +338,18 @@ def kubo_friction(fam: HamiltonianFamily, x, beta: float, *,
         raise ValidationError("relaxation rate eta must be positive")
 
     delta = w[:, None] - w[None, :]                      # W_a - W_b
-    same = frame.same_cluster                           # f_ab = 0 there
-    thermal = np.where(same, beta * pops[:, None],
+    thermal = np.where(same, beta * pops[:, None],      # f_ab = 0 inside a cluster
                        (pops[None, :] - pops[:, None]) / np.where(same, 1.0, delta))
     lorentz = eta / (eta * eta + (delta / HBAR) ** 2)
     kernel = thermal * lorentz
 
-    moments = np.einsum("jab,kba->kjab", f_ops, f_ops).real
-    gamma = np.einsum("kjab,ab->kj", moments, kernel)
+    # row k of Gamma from the moments Re[(f_j)_ab (f_k)_ba] of that row alone
+    gamma = np.array([np.einsum("jab,ab->j", np.einsum("jab,ba->jab", f_ops, f_k).real, kernel)
+                      for f_k in f_ops])
 
     prof = active_profile()
     scale = max(float(np.abs(gamma).max()), 1e-300)
     asym = float(np.abs(gamma - gamma.T).max()) / scale
     if asym > prof.friction_symmetry:
         raise NumericalError(f"friction tensor asymmetry {asym:.3e} exceeds tolerance")
-    return FrictionTensor(gamma=gamma, beta=float(beta), eta=float(eta), x=frame.x)
+    return FrictionTensor(gamma=gamma, beta=float(beta), eta=float(eta), x=x)

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from adiaframe import (
     AdiabaticFrame,
     CallableFamily,
+    HamiltonianFamily,
     MatrixPolynomialFamily,
     avoided_crossing_family,
     build_frame,
@@ -27,7 +29,9 @@ from adiaframe import (
 )
 from adiaframe.errors import ValidationError
 from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
-from adiaframe.frames import _connections, _finite_difference_connections, _frame_kernel
+from adiaframe import frames
+from adiaframe.frames import (_connections, _evaluate_checked, _finite_difference_connections,
+                              _frame_kernel)
 from adiaframe.operators import Spectrum, _align_to_reference
 
 SIGMA_Y_HALF = 0.5 * np.array([[0.0, -1j], [1j, 0.0]])
@@ -447,6 +451,73 @@ class TestFramePath:
             with pytest.raises(ValidationError, match=r"not self-adjoint at x = \[1\.e-12\]"):
                 call()
         assert len(frame_path(fam, [[1.0], [2.0]])) == 2
+
+
+class _FixedStack(HamiltonianFamily):
+    """H at row i of ``xs`` is row i of a fixed stack."""
+
+    def __init__(self, hs):
+        super().__init__(1, hs.shape[-1])
+        self.hs = hs
+
+    def evaluate_many(self, xs):
+        return self.hs[:len(xs)].copy()
+
+
+class TestHermiticityChunks:
+    """The self-adjointness check runs chunk by chunk over a stack of H."""
+
+    M = 16
+    ROWS = frames._CHECK_CHUNK // M ** 2            # rows per chunk
+
+    def stack(self, t):
+        hs = np.array([gue(self.M, np.random.default_rng(i)) for i in range(t)])
+        return hs, np.arange(t, dtype=float)[:, None]
+
+    def test_one_row_past_a_chunk(self):
+        hs, xs = self.stack(self.ROWS + 1)
+        assert np.array_equal(_evaluate_checked(_FixedStack(hs), xs), hs)
+        hs[-1, 0, 1] += 1e-3                        # the one row of the second chunk
+        with pytest.raises(ValidationError, match=rf"not self-adjoint at x = \[{self.ROWS}\.\]: "
+                                                  r"max \|H - H\^dag\| = 1\.000e-03$"):
+            _evaluate_checked(_FixedStack(hs), xs)
+
+    def test_bad_row_in_the_third_chunk_is_named(self):
+        hs, xs = self.stack(3 * self.ROWS)
+        bad = 2 * self.ROWS + 5
+        hs[bad, 2, 7] += 0.5j
+        hs[bad + 3, 1, 0] += 1.0                    # a later bad row is not the one named
+        with pytest.raises(ValidationError, match=rf"not self-adjoint at x = \[{bad}\.\]: "
+                                                  r"max \|H - H\^dag\| = 5\.000e-01$"):
+            _evaluate_checked(_FixedStack(hs), xs)
+
+    def test_non_finite_row_in_a_later_chunk_comes_first(self):
+        # as for an unchunked check: a non-finite row anywhere fails before row 1's defect
+        hs, xs = self.stack(2 * self.ROWS + 1)
+        hs[1, 0, 1] += 1.0
+        hs[self.ROWS + 3, 4, 4] = np.nan
+        with pytest.raises(ValidationError, match=rf"^H\(x\) contains non-finite entries at x = "
+                                                  rf"\[{self.ROWS + 3}\.\]$"):
+            _evaluate_checked(_FixedStack(hs), xs)
+
+
+class TestFloatRange:
+    """Entries near the float range overflow H - H^dag, the spread and gaps of
+    the levels, and W_j - W_i: the frame still comes out, with no warning."""
+
+    def test_no_overflow_warning(self):
+        anti = CallableFamily(1, 2, lambda x: np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex))
+        herm = CallableFamily(1, 2, lambda x: np.array([[1e308, 1e308], [1e308, -1e308]], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"not self-adjoint at x = \[0\.\]: "
+                                                      r"max \|H - H\^dag\| = inf$"):
+                build_frame(anti, [0.0])
+            frame = build_frame(herm, [0.0])
+        assert_allclose(frame.eigenvalues, [-np.sqrt(2.0) * 1e308, np.sqrt(2.0) * 1e308], rtol=1e-15)
+        assert not frame.spectrum.degenerate
+        assert np.array_equal(frame.same_cluster, np.eye(2, dtype=bool))
+        assert np.array_equal(frame.connections, np.zeros((1, 2, 2)))
 
 
 class TestFamilies:

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,36 @@ class TestKuboFriction:
         fam = avoided_crossing_family()
         with pytest.raises(ValidationError):
             kubo_friction(fam, [0.0], 1.0, eta=0.0)
+
+
+def traced_peak(call) -> int:
+    """The traced allocation peak of ``call()``, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryPeaks:
+    FAM = random_linear_family(400, 2, "goe", seed=1)
+    X = np.array([0.2, -0.4])
+
+    def test_kubo_friction_peak(self):
+        """The traced peak of kubo_friction on a 400-level, 2-coordinate GOE
+        family stays within 10 % of 18.5 MiB; a full AdiabaticFrame and a
+        complex (n, n, m, m) moment stack took it to 36.9 MiB."""
+        peak = traced_peak(lambda: kubo_friction(self.FAM, self.X, 0.1))
+        assert peak <= 1.1 * 18.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+    def test_maxwell_check_peak(self):
+        """The traced peak of maxwell_check on the same family stays within
+        10 % of 18.6 MiB; checking its 5-row stack of H for self-adjointness
+        all at once took it to 36.8 MiB."""
+        peak = traced_peak(lambda: maxwell_check(self.FAM, self.X, -2.0, 1.0))
+        assert peak <= 1.1 * 18.6 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_scipy_special_waits_for_the_first_smoothed_count():
