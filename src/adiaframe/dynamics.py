@@ -720,9 +720,9 @@ def run_mean_force(scenario: DynamicsScenario) -> Trajectory:
 
     def nodes(xs, ref=None):
         """(W, P, f, F) at the rows of ``xs``, and the basis at the last."""
-        w, u, gad, same, _ = _frame_kernel(fam, xs, ref)
-        p = _connections(w, gad, same)
-        return (w, p, *_force_split(w, p, gad, same)), u[-1]
+        w, u, gad, same, _, near = _frame_kernel(fam, xs, ref)
+        p = _connections(w, gad, same, near)
+        return (w, p, *_force_split(w, p, gad, same, near=near)), u[-1]
 
     def cons_force(nd, rho, x):
         """Tr(rho (F_k + f_k)) - dV/dx^k at the last row of the nodes ``nd``, at x."""
@@ -870,9 +870,9 @@ def _drive(fam, state0, n_steps, times, nodes, record_every, events) -> Trajecto
         xs, vs = nodes(ts)
         # each (t, m, m) stack is freed as soon as it is used up: F overwrites
         # U^dag dH U, and P goes before the generator is Hermitized
-        w, _, gad, same, _ = _frame_kernel(fam, xs, chain)
-        p = _connections(w, gad, same)
-        f_ops, gw = _force_split(w, p, gad, same, out=gad)
+        w, _, gad, same, _, near = _frame_kernel(fam, xs, chain)
+        p = _connections(w, gad, same, near)
+        f_ops, gw = _force_split(w, p, gad, same, out=gad, near=near)
         del gad, same
         gw = _rate(vs, gw)
         gq = _rate(vs, f_ops)

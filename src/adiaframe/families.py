@@ -33,7 +33,11 @@ class MatrixPolynomialFamily(HamiltonianFamily):
 
     ``terms`` is a sequence of ``(exponents, matrix)`` pairs; every exponent
     tuple must have one nonnegative integer per coordinate.  The gradient is
-    analytic (term-by-term differentiation of the monomials).
+    analytic (term-by-term differentiation of the monomials).  In an affine
+    family, every term of total degree at most one, each monomial is 1 or one
+    coordinate, gathered from x rather than raised to powers, and its
+    derivatives are constants: they are formed once, at construction, and
+    each gradient call only sums the term matrices with them.
     """
 
     def __init__(self, terms, fd_step=1e-5):
@@ -58,17 +62,32 @@ class MatrixPolynomialFamily(HamiltonianFamily):
         self._exps = np.array([exps for exps, _ in checked])
         self._mats = np.array([mat for _, mat in checked])
         self.terms = [(exps, mat) for (exps, _), mat in zip(checked, self._mats)]
+        # affine: a term's monomial is column _columns[term] of [1, x_0, x_1, ...],
+        # and d/dx_k of it is its exponent e_k at every x
+        degree = self._exps.sum(axis=1)
+        affine = (degree <= 1).all()
+        self._columns = np.where(degree == 1, self._exps.argmax(axis=1) + 1, 0) if affine else None
+        self._grad_coeff = self._exps.T.astype(float) if affine else None
 
     def evaluate_many(self, xs):
         xs = self._coerce_xs(xs)
-        return np.einsum("tj,jab->tab", np.prod(xs[:, None, :] ** self._exps, axis=-1),
-                         self._mats)
+        if self._columns is None:
+            monomials = np.prod(xs[:, None, :] ** self._exps, axis=-1)
+        else:               # bit for bit the powers: x^0 = 1 and x^1 = x, even for nan and inf
+            one_x = np.empty((len(xs), self.n_coords + 1))
+            one_x[:, 0], one_x[:, 1:] = 1.0, xs
+            monomials = np.take(one_x, self._columns, axis=1)
+        return np.einsum("tj,jab->tab", monomials, self._mats)
 
     def gradient_many(self, xs):
-        # d/dx_k of prod_i x_i^e_i = e_k x_k^(e_k - 1) prod_{i != k} x_i^e_i
         xs, exps = self._coerce_xs(xs), self._exps
-        lowered = exps[None, :, :] - np.eye(self.n_coords, dtype=int)[:, None, :]
-        coeff = exps.T * np.prod(xs[:, None, None, :] ** np.maximum(lowered, 0), axis=-1)
+        if self._grad_coeff is None:
+            # d/dx_k of prod_i x_i^e_i = e_k x_k^(e_k - 1) prod_{i != k} x_i^e_i
+            lowered = exps[None, :, :] - np.eye(self.n_coords, dtype=int)[:, None, :]
+            coeff = exps.T * np.prod(xs[:, None, None, :] ** np.maximum(lowered, 0), axis=-1)
+        else:
+            coeff = np.empty((len(xs),) + self._grad_coeff.shape)
+            coeff[...] = self._grad_coeff
         return np.einsum("tkj,jab->tkab", coeff, self._mats)
 
 

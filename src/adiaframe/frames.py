@@ -47,6 +47,16 @@ arrays; the fields of :class:`AdiabaticFrame` serve the public API, the
 entropy audits and the CLI.  Central finite differences of the
 gauge-aligned basis (``_finite_difference_connections``) are kept as the
 reference for P.
+
+Levels near the float range, where some |W| passes half the largest
+double, are told apart once per kernel call, by the cluster rule from the
+max|W| it forms anyway, and the kernel hands that flag on.  Only for such
+a stack (and for H with an entry past half the largest double, in the
+check of H - H^dag) is ``np.errstate`` entered, so that the spread and gaps
+of the levels, and H - H^dag, may overflow to inf without a warning; and
+only there do ``_connections`` and ``_force_split`` form every W_i - W_j
+from halved levels, which cannot overflow.  Every other stack takes the
+plain differences, bit for bit, with no scope entered.
 """
 
 from __future__ import annotations
@@ -57,7 +67,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .operators import Spectrum, _eigensolve, _gauge, _real_rows, hermitian_eig, hermitize
+from .operators import (_HALF_FLOAT_MAX, Spectrum, _eigensolve, _gauge, _near_float_range, _real_rows,
+                        hermitian_eig, hermitize)
 from .tolerances import active_profile
 from .units import HBAR
 
@@ -167,8 +178,9 @@ class AdiabaticFrame:
 
     @cached_property
     def _split(self):
-        return _force_split(self.eigenvalues, self.connections, self.grad_adiabatic,
-                            self.same_cluster)
+        w = self.eigenvalues
+        return _force_split(w, self.connections, self.grad_adiabatic, self.same_cluster,
+                            near=_near_float_range(np.abs(w)))
 
     @property
     def diabatic(self) -> np.ndarray:
@@ -222,32 +234,34 @@ def _in_frame(u, g, real=False):
     return out
 
 
-@np.errstate(over="ignore")     # levels near the float range: W_j - W_i is inf, so P_ij is 0
-def _level_gaps(w):
-    """[..., i, j] = W_j - W_i for a stack of levels ``w``."""
-    return w[..., None, :] - w[..., :, None]
-
-
-def _connections(w, gad, same):
+def _connections(w, gad, same, near=False):
     """P_k = i hbar <i|dH/dx^k|j> / (W_j - W_i) between degeneracy clusters,
-    zero inside them (``same`` marks the pairs in one cluster)."""
-    denom = _level_gaps(w)
+    zero inside them (``same`` marks the pairs in one cluster).  With levels
+    near the float range (``near``) it is (i hbar / 2) <i|dH/dx^k|j> /
+    (W_j/2 - W_i/2), whose gaps cannot overflow."""
+    lev, c = (0.5 * w, 0.5j) if near else (w, 1j)
+    denom = lev[..., None, :] - lev[..., :, None]
     denom[same] = 1.0
-    p = 1j * HBAR * gad / denom[..., None, :, :]
+    p = c * HBAR * gad / denom[..., None, :, :]
     np.copyto(p, 0.0, where=same[..., None, :, :])
     return p
 
 
-def _force_split(w, p, gad, same, out=None):
+def _force_split(w, p, gad, same, out=None, near=False):
     """Diabatic forces f_k = -(i/hbar) [W, P_k] and adiabatic forces F_k, the
     blocks of -U^dag dH/dx^k U on the pairs ``same`` of one cluster (written
     into ``out``, which may be ``gad``).  With P from :func:`_connections`,
-    F_k + f_k = -U^dag dH/dx^k U."""
-    gaps = w[..., :, None] - w[..., None, :]           # [i, j] = W_i - W_j
+    F_k + f_k = -U^dag dH/dx^k U.  With levels near the float range
+    (``near``) the gaps are halved too, (f_k)_ij = 2 (-(i/hbar) (W_i/2 - W_j/2)
+    (P_k)_ij), and the doubling cannot overflow: |(f_k)_ij| = |<i|dH/dx^k|j>|."""
+    lev = 0.5 * w if near else w
+    gaps = lev[..., :, None] - lev[..., None, :]       # [i, j] = W_i - W_j, halved when near
     diabatic = (-1j / HBAR) * gaps[..., None, :, :] * p
+    if near:
+        diabatic *= 2.0
     adiabatic = np.negative(gad, out=out)
     np.copyto(adiabatic, 0.0, where=~same[..., None, :, :])
-    adiabatic.imag[..., np.eye(w.shape[-1], dtype=bool)] = 0.0     # Hermitian: real diagonal
+    np.einsum("...ii->...i", adiabatic.imag)[...] = 0.0     # Hermitian: real diagonal
     return diabatic, adiabatic
 
 
@@ -262,10 +276,6 @@ def _generator(w, p, v):
 # rather than the whole stack's.
 _CHECK_CHUNK = 2 ** 16
 
-# Where every |H_ij| is at most this, H - H^dag cannot overflow and the check
-# needs no np.errstate, which costs about a microsecond a call.
-_HALF_FLOAT_MAX = np.finfo(float).max / 2
-
 
 def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None = None):
     """Eigenframes at every row of ``xs`` with continuous labels and phases.
@@ -275,14 +285,19 @@ def _frame_kernel(fam: HamiltonianFamily, xs: np.ndarray, ref: np.ndarray | None
     per-row references; ``operators._gauge`` gives labels and phases to the
     whole stack by one of its two paths (all phases at once, or every row
     aligned in order).  Returns the stacks W (t, m),
-    U (t, m, m), U^dag dH U (t, n, m, m), the same-cluster masks (t, m, m)
-    and the label permutation of each row (``()`` where it is the identity).
+    U (t, m, m), U^dag dH U (t, n, m, m), the same-cluster masks (t, m, m),
+    the label permutation of each row (``()`` where it is the identity) and
+    whether some level lies near the float range (``near``, for
+    :func:`_connections` and :func:`_force_split`).  It enters
+    ``np.errstate`` only where H has an entry past half the largest double
+    (the self-adjointness check) or some |W| does (the cluster rule): on an
+    ordinary stack, never.
     """
-    w, u, labels, real = _eigensolve(_evaluate_checked(fam, xs))
+    w, u, labels, real, near = _eigensolve(_evaluate_checked(fam, xs))
     perms = _gauge(w, u, labels, ref)
     same = labels[:, :, None] == labels[:, None, :]
     gad = _in_frame(u, fam.gradient_many(xs), real)
-    return w, u, gad, same, perms
+    return w, u, gad, same, perms, near
 
 
 def _evaluate_checked(fam: HamiltonianFamily, xs: np.ndarray) -> np.ndarray:
@@ -314,23 +329,25 @@ def _evaluate_checked(fam: HamiltonianFamily, xs: np.ndarray) -> np.ndarray:
 
 
 def _check_self_adjoint(hs, xs, bound):
-    """Check |H - H^dag| <= ``bound`` (one per row) on the stack ``hs``, a
-    chunk of rows at a time."""
+    """Check |H - H^dag| <= ``bound`` (one per row) on the stack ``hs`` at the
+    rows ``xs``: at once where it fits in one chunk, else a chunk at a time."""
     m = hs.shape[-1]
     rows = max(1, _CHECK_CHUNK // (m * m))
-    for start in range(0, len(hs), rows):
-        h = hs[start:start + rows]
-        dev = np.abs(h - h.conj().swapaxes(-1, -2))
-        bad = dev > bound[start:start + rows, None, None]
-        if bad.any():
-            i = np.argmax(bad.reshape(-1)) // (m * m)
-            raise ValidationError(f"H(x) is not self-adjoint at x = {xs[start + i]}: "
-                                  f"max |H - H^dag| = {dev[i].max():.3e}")
+    if len(hs) > rows:
+        for s in range(0, len(hs), rows):
+            _check_self_adjoint(hs[s:s + rows], xs[s:s + rows], bound[s:s + rows])
+        return
+    dev = np.abs(hs - hs.conj().swapaxes(-1, -2))
+    bad = dev > bound[:, None, None]
+    if bad.any():
+        i = np.argmax(bad.reshape(-1)) // (m * m)
+        raise ValidationError(f"H(x) is not self-adjoint at x = {xs[i]}: "
+                              f"max |H - H^dag| = {dev[i].max():.3e}")
 
 
 def _frames(fam: HamiltonianFamily, xs: np.ndarray, prev: AdiabaticFrame | None) -> list:
-    w, u, gad, same, perms = _frame_kernel(fam, xs, None if prev is None else prev.basis)
-    p = _connections(w, gad, same)
+    w, u, gad, same, perms, near = _frame_kernel(fam, xs, None if prev is None else prev.basis)
+    p = _connections(w, gad, same, near)
     return [AdiabaticFrame(x=xs[i], connections=p[i], grad_adiabatic=gad[i], same_cluster=same[i],
                            spectrum=Spectrum(w[i], u[i], perms[i], np.count_nonzero(same[i]) > fam.dim))
             for i in range(len(xs))]

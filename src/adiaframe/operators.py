@@ -19,6 +19,8 @@ the kernel uses the same labels for its block force split.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -110,17 +112,36 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-@np.errstate(over="ignore")     # levels near the float range: spread and gaps are inf
-def _cluster_labels(w: np.ndarray, gap: float) -> np.ndarray:
+# Where every level (or entry) is at most this in magnitude, the difference
+# of two cannot overflow, so no np.errstate scope is needed: entering one
+# costs about a microsecond a call.
+_HALF_FLOAT_MAX = np.finfo(float).max / 2
+
+_NO_SCOPE = contextlib.nullcontext()
+
+
+def _near_float_range(magnitudes) -> bool:
+    """Whether some of ``magnitudes`` passes ``_HALF_FLOAT_MAX``."""
+    return bool(np.count_nonzero(magnitudes > _HALF_FLOAT_MAX))
+
+
+def _cluster_labels(w: np.ndarray, gap: float):
     """Degeneracy cluster of each level in a stack of ascending spectra ``w``.
 
     Neighbours closer than ``gap`` * max(spread, max|W|, 1) share a cluster,
-    so clusters chain; labels count clusters up from the lowest level.
+    so clusters chain; labels count clusters up from the lowest level.  Also
+    returns whether some level lies near the float range (|W| past half the
+    largest double), read from the same max|W|: only then can the spread, the
+    gaps or any W_i - W_j overflow, and only then is ``np.errstate`` entered.
     """
-    scale = np.maximum(w[..., -1:] - w[..., :1], np.abs(w).max(axis=-1, keepdims=True, initial=1.0))
+    top = np.abs(w).max(axis=-1, keepdims=True, initial=1.0)
+    near = _near_float_range(top)
     labels = np.zeros(w.shape, dtype=int)
-    np.add.accumulate(w[..., 1:] - w[..., :-1] >= gap * scale, axis=-1, dtype=int, out=labels[..., 1:])
-    return labels
+    with np.errstate(over="ignore") if near else _NO_SCOPE:    # near: spread and gaps may be inf
+        scale = np.maximum(w[..., -1:] - w[..., :1], top)
+        np.add.accumulate(w[..., 1:] - w[..., :-1] >= gap * scale, axis=-1, dtype=int,
+                          out=labels[..., 1:])
+    return labels, near
 
 
 def _fix_gauge_deterministic(v: np.ndarray) -> np.ndarray:
@@ -174,12 +195,20 @@ _PHASE_ONLY_OVERLAP = 1.0 / np.sqrt(2.0)
 
 def _real_rows(*stacks, rows=True):
     """Which rows (axis 0) among ``rows`` have no imaginary part in any of ``stacks``:
-    True or False when every row agrees, else a (t,) boolean mask."""
+    True or False when every row agrees, else a (t,) boolean mask.
+
+    One count of a complex stack's nonzero imaginary entries settles it when
+    the count is zero (every row real) or more than all rows but one can hold
+    (every row has one, as on a GUE stack of more levels than rows); only
+    otherwise is each row tested, in a second pass.
+    """
     real = rows
-    for a in stacks:        # a stack with no imaginary entry at all needs no row test
-        if a.dtype.kind == "c" and np.count_nonzero(a.imag):
-            real_a = ~a.imag.any(axis=tuple(range(1, a.ndim)))
-            real = real_a if real is True else real & real_a
+    for a in stacks:
+        n_imag = np.count_nonzero(a.imag) if a.dtype.kind == "c" else 0
+        if not n_imag:
+            continue
+        real_a = n_imag <= (len(a) - 1) * a[0].size and ~a.imag.any(axis=tuple(range(1, a.ndim)))
+        real = real_a if real is True else real & real_a
     n = len(stacks[0]) if real is True else int(np.count_nonzero(real))
     return real if 0 < n < len(stacks[0]) else n > 0
 
@@ -215,13 +244,15 @@ def _eigensolve(hs: np.ndarray):
     """Eigendecompose a stack ``hs`` (t, m, m) of Hermitian matrices.
 
     Returns the ascending W (t, m), the eigh basis U (t, m, m), the cluster
-    labels (t, m) of the levels and the rows solved as real (:func:`_eigh`).
+    labels (t, m) of the levels, the rows solved as real (:func:`_eigh`) and
+    whether some level lies near the float range (:func:`_cluster_labels`).
     ``hs`` is dropped after the eigensolver, so a caller that holds no other
     reference frees it before the gauge step.
     """
     w, u, real = _eigh(hs)
     del hs                                    # one (t, m, m) stack less at the peak
-    return w, u, _cluster_labels(w, active_profile().degeneracy_gap), real
+    labels, near = _cluster_labels(w, active_profile().degeneracy_gap)
+    return w, u, labels, real, near
 
 
 @dataclass
@@ -313,7 +344,7 @@ def hermitian_eig(h, reference: np.ndarray | Spectrum | None = None) -> Spectrum
         reference = reference.basis
     elif reference is not None:
         reference = np.asarray(reference, dtype=complex)
-    w, u, labels, _ = _eigensolve(h[None])
+    w, u, labels, _, _ = _eigensolve(h[None])
     perms = _gauge(w, u, labels, reference)
     return Spectrum(w[0], u[0], perms[0], bool(labels[0].max() < h.shape[0] - 1))
 

@@ -155,7 +155,7 @@ def _shell(fam: HamiltonianFamily, x: np.ndarray, e: float | None, sigma: float)
     :class:`AdiabaticFrame`."""
     if e is None:
         return _eigensolve(_evaluate_checked(fam, x[None]))[0][0], None
-    w, _, gad, _, _ = _frame_kernel(fam, x[None])
+    w, _, gad, *_ = _frame_kernel(fam, x[None])
     w = w[0]
     grad_w = np.einsum("kjj->kj", gad[0]).real      # dW_j/dx^k
     expo = -0.5 * ((float(e) - w) / sigma) ** 2
@@ -325,9 +325,9 @@ def kubo_friction(fam: HamiltonianFamily, x, beta: float, *,
     moments Re[(f_j)_ab (f_k)_ba] of one row k of Gamma at a time.
     """
     x = fam.coerce_x(x)
-    w, _, gad, same, _ = _frame_kernel(fam, x[None])    # U is not kept
+    w, _, gad, same, _, near = _frame_kernel(fam, x[None])    # U is not kept
     w, gad, same = w[0], gad[0], same[0]
-    f_ops = _force_split(w, _connections(w, gad, same), gad, same, out=gad)[0]
+    f_ops = _force_split(w, _connections(w, gad, same, near), gad, same, out=gad, near=near)[0]
     del gad                                             # F, written over U^dag dH U: only f is kept
     pops = canonical_populations(w, beta)
 

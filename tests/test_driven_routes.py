@@ -29,7 +29,7 @@ def reference_ledger(fam, path, rho0, duration, n_steps, events):
     times = 0.5 * dt * np.arange(2 * n_steps + 1)
     xs = np.array([path(t)[0] for t in times])
     vs = np.array([path(t)[1] for t in times])
-    w, _, gad, same, _ = _frame_kernel(fam, xs)
+    w, _, gad, same, *_ = _frame_kernel(fam, xs)
     p = _connections(w, gad, same)
     f_ops, f_ad = _force_split(w, p, gad, same)
     h = np.array([np.diag(wi) for wi in w]).astype(complex) - np.einsum("tk,tkij->tij", vs, p)
@@ -147,7 +147,7 @@ def test_node_routes_agree(dim, seed, v):
     fam = random_linear_family(dim, 1, "gue", seed=seed)
     xs = -1.0 + v * np.linspace(0.0, 1.0, 81)[:, None]
     with mock.patch("adiaframe.operators._align_to_reference", side_effect=AssertionError("fell back")):
-        w, _, gad, same, _ = _frame_kernel(fam, xs)
+        w, _, gad, same, *_ = _frame_kernel(fam, xs)
     p = _connections(w, gad, same)
     f_ops, f_ad = _force_split(w, p, gad, same)
     # no overlap passes a threshold of 1, so every node is aligned to the one before

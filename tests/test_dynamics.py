@@ -125,6 +125,13 @@ class TestApparatusState:
         app = ApparatusState(x=[0.0], v=[2.0], metric=3.0)
         assert_allclose(app.kinetic_energy(), 6.0)
 
+    def test_metric_gradient_none_for_a_constant_metric(self):
+        for metric in (2.5, np.diag([1.0, 3.0])):
+            app = ApparatusState(x=[0.1, -0.2], v=[0.0, 0.0], metric=metric)
+            assert app.metric_grad_at([0.1, -0.2]) is None
+        app = ApparatusState(x=[0.5], v=[0.0], metric=lambda x: [[1.0 + x[0] ** 2]])
+        assert_allclose(app.metric_grad_at([0.5]), [[[1.0]]], rtol=1e-8)
+
 
 class TestEnergyLedger:
     def test_record_and_residual(self):

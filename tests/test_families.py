@@ -67,6 +67,46 @@ class TestBatchedEvaluation:
         with pytest.raises(ValidationError):
             MatrixPolynomialFamily([((0, 0), m)])
 
+    def test_bilinear_term_takes_the_general_gradient(self):
+        # every exponent is at most one, but x0 x1 has degree two: its
+        # derivatives depend on x, so the family is not affine
+        rng = np.random.default_rng(11)
+        a, b, c = (gue(3, rng) for _ in range(3))
+        fam = MatrixPolynomialFamily([((1, 1), a), ((1, 0), b), ((0, 0), c)])
+        xs = rng.uniform(-2.0, 2.0, size=(4, 2))
+        for (x, y), h, (gx, gy) in zip(xs, fam.evaluate_many(xs), fam.gradient_many(xs)):
+            assert_allclose(h, x * y * a + x * b + c, rtol=0, atol=1e-14)
+            assert_allclose(gx, y * a + b, rtol=0, atol=1e-14)
+            assert_allclose(gy, x * a, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_affine_family_is_the_general_formula_bit_for_bit(self, rows):
+        # terms in any order, a repeated coordinate and two constants
+        rng = np.random.default_rng(rows)
+        exps = np.array([(0, 1, 0), (0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 0), (0, 0, 0)])
+        mats = np.array([gue(4, rng) for _ in exps])
+        fam = MatrixPolynomialFamily(zip(map(tuple, exps), mats))
+        for scale in (1e-3, 1.0, 1e3):
+            xs = scale * rng.standard_normal((rows, 3))
+            xs[0, 1] = -0.0
+            # the monomials and their derivatives by powers, for every family
+            lowered = np.maximum(exps[None, :, :] - np.eye(3, dtype=int)[:, None, :], 0)
+            coeff = exps.T * np.prod(xs[:, None, None, :] ** lowered, axis=-1)
+            grads = np.einsum("tkj,jab->tkab", coeff, mats)
+            hs = np.einsum("tj,jab->tab", np.prod(xs[:, None, :] ** exps, axis=-1), mats)
+            assert fam.gradient_many(xs).tobytes() == grads.tobytes()
+            assert fam.evaluate_many(xs).tobytes() == hs.tobytes()
+
+    def test_affine_gradient_is_a_fresh_array(self):
+        fam = polynomial_family()
+        affine = MatrixPolynomialFamily([((0, 0), 0.3 * PAULI_X), ((1, 0), 0.2 * PAULI_Y),
+                                         ((0, 1), PAULI_Z)])
+        for f in (fam, affine):
+            first = f.gradient_many(POINTS)
+            want = first.copy()
+            first[...] = 7.0
+            assert np.array_equal(f.gradient_many(POINTS), want)
+
     def test_callable_family_with_gradient(self):
         fam = polynomial_family()
         assert_matches_per_point(CallableFamily(2, 2, fam.evaluate, fam.gradient), POINTS)

@@ -1,3 +1,4 @@
+import sys
 import warnings
 from unittest import mock
 
@@ -199,7 +200,7 @@ class TestGaugeRule:
             fam, x, ref_x = TestDegenerateSpectra.FAMILY, [0.0, 0.0], [1e-3, -2e-3]
         ref = None if case == "degenerate_no_reference" else hermitian_eig(fam.evaluate(ref_x)).basis
         with mock.patch("adiaframe.operators._align_to_reference", wraps=_align_to_reference) as align:
-            w, u, _, same, perms = _frame_kernel(fam, np.array([x]), ref)
+            w, u, _, same, perms, _ = _frame_kernel(fam, np.array([x]), ref)
             spec = hermitian_eig(fam.evaluate(x), reference=ref)
         assert align.call_count == (0 if ref is None else 2)
         assert np.array_equal(u[0], spec.basis)
@@ -518,6 +519,69 @@ class TestFloatRange:
         assert not frame.spectrum.degenerate
         assert np.array_equal(frame.same_cluster, np.eye(2, dtype=bool))
         assert np.array_equal(frame.connections, np.zeros((1, 2, 2)))
+
+
+    def test_diabatic_forces_from_halved_levels(self):
+        # W_1 - W_0 = 2 sqrt(2) 1e308 overflows; from halved levels f is
+        # finite and F + f = -U^dag dH U as on any frame
+        h = np.array([[1e308, 1e308], [1e308, -1e308]])
+        fam = MatrixPolynomialFamily([((0,), h), ((1,), PAULI_X + 0.5 * PAULI_Y)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = build_frame(fam, [0.0])
+            f, big_f = frame.diabatic, frame.adiabatic
+            # the stacked route of the integrators, with the kernel's flag
+            w, _, gad, same, _, near = _frame_kernel(fam, np.zeros((1, 1)))
+            stacked = frames._force_split(w, _connections(w, gad, same, near), gad, same, near=near)
+        gad = frame.grad_adiabatic
+        assert np.isfinite(f).all()
+        assert_allclose(big_f + f, -gad, rtol=0, atol=1e-14 * np.abs(gad).max())
+        assert np.abs(f[0, 0, 1]) > 0.1
+        assert np.array_equal(frame.same_cluster, np.eye(2, dtype=bool))
+        assert near and np.array_equal(stacked[0][0], f) and np.array_equal(stacked[1][0], big_f)
+
+
+def count_errstate_entries(monkeypatch) -> list:
+    """Record every entry into np.errstate from the package, as a context
+    manager or as a decorator: both make their state by _make_extobj, two
+    frames below the package's code.  numpy.linalg's own scopes are not counted."""
+    from numpy._core import _ufunc_config
+
+    entries, make = [], _ufunc_config._make_extobj
+
+    def counted(*args, **kwargs):
+        caller = sys._getframe(2)
+        if caller.f_globals["__name__"].startswith("adiaframe"):
+            entries.append(caller.f_code.co_name)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(_ufunc_config, "_make_extobj", counted)
+    return entries
+
+
+class TestErrstateScopes:
+    """np.errstate is entered only for levels or entries near the float range."""
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_ordinary_stack_enters_no_scope(self, monkeypatch, dim):
+        fam = random_linear_family(dim, 2, "gue", seed=dim)
+        xs = np.array([[0.1, -0.2], [0.3, 0.4]])
+        frames._frame_kernel(fam, xs[:1])                 # any first-call set-up outside the count
+        entries = count_errstate_entries(monkeypatch)
+        out = frames._frame_kernel(fam, xs)
+        assert entries == []
+        w, _, gad, same, _, near = out
+        assert not near
+        frames._force_split(w, _connections(w, gad, same, near), gad, same, near=near)
+        build_frame(fam, xs[0]).diabatic
+        assert entries == []
+
+    def test_near_range_stack_enters_its_scopes(self, monkeypatch):
+        h = np.array([[1e308, 1e308], [1e308, -1e308]])
+        fam = MatrixPolynomialFamily([((0,), h), ((1,), PAULI_X)])
+        entries = count_errstate_entries(monkeypatch)
+        near = frames._frame_kernel(fam, np.zeros((1, 1)))[-1]
+        assert near and entries == ["_evaluate_checked", "_cluster_labels"]
 
 
 class TestFamilies:

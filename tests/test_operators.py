@@ -16,7 +16,7 @@ from adiaframe import (
     spectral_function,
 )
 from adiaframe.families import PAULI_X, PAULI_Y, PAULI_Z
-from adiaframe.operators import _cluster_labels
+from adiaframe.operators import _cluster_labels, _eigh
 
 
 def random_hermitian(dim, rng):
@@ -123,7 +123,8 @@ def test_cluster_labels_match_the_diff_formula(t, m, seed, magnitude, kind):
     scale = np.maximum(np.maximum(w[..., -1] - w[..., 0], np.abs(w).max(axis=-1)), 1.0)
     expected = np.zeros(w.shape, dtype=int)
     (np.diff(w, axis=-1) >= gap * scale[..., None]).cumsum(axis=-1, out=expected[..., 1:])
-    labels = _cluster_labels(w, gap)
+    labels, near = _cluster_labels(w, gap)
+    assert near is False
     assert labels.dtype == expected.dtype
     assert labels.tobytes() == expected.tobytes()
 
@@ -197,6 +198,41 @@ class TestSpectralFunction:
         import math
         with pytest.raises(DomainError):
             spectral_function(PAULI_Z, math.log)
+
+    @pytest.mark.parametrize("h", [PAULI_Z, PAULI_X + 0.5 * PAULI_Z], ids=["diagonal", "eigensolved"])
+    def test_function_raising_is_a_domain_error(self, h):
+        def f(w):
+            raise ZeroDivisionError("no value here")
+
+        with pytest.raises(DomainError, match=r"function undefined at eigenvalue .*: no value here") as err:
+            spectral_function(h, f)
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_a_domain_error(self, value):
+        with pytest.raises(DomainError, match=r"non-finite values at eigenvalues \[1\.\]"):
+            spectral_function(np.diag([-1.0, 1.0]), lambda w: value if w > 0 else w)
+
+
+class TestEigensolverFailure:
+    """A LinAlgError from LAPACK comes out of ``_eigh`` as a NumericalError."""
+
+    STACKS = {
+        "real": np.array([PAULI_Z, PAULI_X]),
+        "complex": np.array([PAULI_Y, PAULI_Y + PAULI_Z]),
+        "mixed": np.array([PAULI_X, PAULI_Y]),
+    }
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("kind", sorted(STACKS))
+    def test_linalg_error_becomes_numerical_error(self, monkeypatch, kind, vectors):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh" if vectors else "eigvalsh", fail)
+        with pytest.raises(NumericalError, match=r"eigensolver failed to converge on a 2x2 matrix") as err:
+            _eigh(self.STACKS[kind].astype(complex), vectors)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestHermitize:

@@ -68,7 +68,7 @@ class TestMixedStack:
         # which rounds apart from the one-row calls
         stacked, dtypes, _ = routes(lambda: _frame_kernel(fam, self.XS))
         assert dtypes == [np.float64, np.complex128]        # the two x = 0 rows, the rest
-        w, u, gad, same, perms = stacked
+        w, u, gad, same, perms, _ = stacked
         ref = None
         for i, x in enumerate(self.XS):
             single = _frame_kernel(fam, x[None], ref)
@@ -108,10 +108,35 @@ class TestMixedStack:
     def test_real_rows_of_a_real_frame(self):
         # alone, the x = 0 row of the real-gradient family is real throughout
         fam = self.FAMILIES["real_gradient"]
-        w, u, gad, _, _ = _frame_kernel(fam, np.zeros((1, 1)))
+        w, u, gad, *_ = _frame_kernel(fam, np.zeros((1, 1)))
         assert u.dtype == gad.dtype == np.complex128
         assert not u.imag.any() and not gad.imag.any()
         assert_allclose(gad[0, 0], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+
+
+# rows of 2 x 2 stacks by their count of nonzero imaginary entries, 0 to 4;
+# a count of 4 in one row is as many as all rows but one of a 2-row stack hold
+ROWS = {n: np.array([[1.0, 2.0], [3.0, 4.0]]) + 1j * (np.arange(4) < n).reshape(2, 2) for n in range(5)}
+
+
+@pytest.mark.parametrize("counts, rows, want", [
+    ((0, 0, 0), True, True),
+    ((1,), True, False),
+    ((4, 0), True, [False, True]),          # as many as one row holds: each row is tested
+    ((4, 1), True, False),                  # more: every row has one, from the count alone
+    ((2, 2), True, False),
+    ((0, 3, 0), True, [True, False, True]),
+    ((0, 3, 0), [False, True, True], [False, False, True]),
+    ((0, 0), [False, True], [False, True]),
+])
+def test_real_rows_by_count_and_by_row(counts, rows, want):
+    stack = np.array([ROWS[n] for n in counts])
+    rows = rows if isinstance(rows, bool) else np.array(rows)
+    for got in (_real_rows(stack, rows=rows), _real_rows(stack.real, stack, rows=rows)):
+        if isinstance(want, bool):
+            assert got is want
+        else:
+            assert np.array_equal(got, want)
 
 
 class TestRealFamily:
